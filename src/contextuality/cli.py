@@ -1,8 +1,9 @@
 """Command-line front end: built-in demos and scenario-file analysis with
 deterministic text or JSON reports.
 
-Exit codes: 0 analysis done, 1 verification failure (signalling input),
-2 usage or parse errors.
+Exit codes: 0 analysis done, 1 verification failure (signalling input, or a
+noncontextual-fraction result that fails its own checks), 2 usage or parse
+errors.
 """
 from __future__ import annotations
 
@@ -239,6 +240,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SignallingModelError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RuntimeError as e:  # the NCF engine's own checks failed
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -4,16 +4,22 @@ The decomposition question "how much of this empirical model is explained by
 a global distribution" is a small dense LP: maximize the total weight b >= 0
 over deterministic global assignments subject to incidence * b <= table
 probabilities, row by row. The solver is a plain two-phase tableau simplex
-with Bland's rule; exact Fraction arithmetic reuses the same pivoting code
-with a zero tolerance.
+with Bland's rule on a numpy tableau; float64 and exact Fraction (object
+dtype, zero tolerance) arithmetic share the same pivoting code.
+
+For exact tables the float-optimal basis is certified in integers: a
+fraction-free (Bareiss) elimination on the 0/1 basis gives the exact primal
+and dual solutions, and the certificate checks primal feasibility, dual
+feasibility and, through the basis, complementary slackness. Only when that
+check fails does the exact simplex run.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -64,47 +70,60 @@ class IncidenceMatrix:
     assignments: tuple[tuple[str, ...], ...]
     matrix: np.ndarray
 
-    def column(self, assignment: tuple[str, ...]) -> int:
-        return self.assignments.index(assignment)
-
 
 def incidence(sc: Scenario) -> IncidenceMatrix:
-    if sc.assignment_space() > MAX_INCIDENCE_COLUMNS:
+    """Column c is the mixed-radix number whose digits, first observable
+    most significant, are the outcome indices of assignment c; its row in a
+    context is the same number read off the context's observables."""
+    ncols = sc.assignment_space()
+    if ncols > MAX_INCIDENCE_COLUMNS:
         raise ValueError(
-            f"assignment space {sc.assignment_space()} exceeds the 2**20 "
-            f"incidence guard"
+            f"assignment space {ncols} exceeds the 2**20 incidence guard"
         )
     labels = tuple(o.label for o in sc.observables)
     assignments = tuple(
         itertools.product(*[o.outcomes for o in sc.observables])
     )
-    positions = {l: i for i, l in enumerate(labels)}
+    cols = np.arange(ncols)
+    digits: dict[str, np.ndarray] = {}
+    stride = ncols
+    for o in sc.observables:
+        stride //= len(o.outcomes)
+        digits[o.label] = cols // stride % len(o.outcomes)
     rows: list[tuple[ContextKey, tuple[str, ...]]] = []
+    hits: list[np.ndarray] = []
     for ctx in sc.contexts:
-        for tup in sc.joint_outcomes(ctx):
-            rows.append((ctx, tup))
-    mat = np.zeros((len(rows), len(assignments)), dtype=np.int8)
-    for r, (ctx, tup) in enumerate(rows):
-        idxs = [positions[l] for l in ctx]
-        for c, a in enumerate(assignments):
-            if tuple(a[i] for i in idxs) == tup:
-                mat[r, c] = 1
+        local = np.zeros(ncols, dtype=np.intp)
+        for l in ctx:
+            local = local * len(sc.observable(l).outcomes) + digits[l]
+        hits.append(len(rows) + local)
+        rows.extend((ctx, tup) for tup in sc.joint_outcomes(ctx))
+    mat = np.zeros((len(rows), ncols), dtype=np.int8)
+    for hit in hits:
+        mat[hit, cols] = 1
     mat.setflags(write=False)
     return IncidenceMatrix(labels, tuple(rows), assignments, mat)
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to  row_i . x  (sense_i)  rhs_i, x >= 0."""
+    """maximize objective . x  subject to  row_i . x  (sense_i)  rhs_i, x >= 0.
+
+    The matrix is a tuple of rows or a two-dimensional ndarray."""
 
     objective: tuple
-    matrix: tuple[tuple, ...]
+    matrix: tuple[tuple, ...] | np.ndarray
     senses: tuple[str, ...]
     rhs: tuple
 
     def __post_init__(self) -> None:
         objective = tuple(self.objective)
-        matrix = tuple(tuple(row) for row in self.matrix)
+        if isinstance(self.matrix, np.ndarray):
+            if self.matrix.ndim != 2:
+                raise ValueError("matrix must be two-dimensional")
+            matrix = self.matrix
+        else:
+            matrix = tuple(tuple(row) for row in self.matrix)
         senses = tuple(self.senses)
         rhs = tuple(self.rhs)
         if not (len(matrix) == len(senses) == len(rhs)):
@@ -133,157 +152,144 @@ class SimplexResult:
     basis: tuple[int, ...] | None  # standard-form column indices, one per row
 
 
-def _pivot(T: list[list], basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Row by row and in place, so that no temporary as large as the
+    tableau is allocated."""
+    T[row] = T[row] / T[row, col]
     pr = T[row]
-    pv = pr[col]
-    T[row] = [v / pv for v in pr]
-    pr = T[row]
-    for i, other in enumerate(T):
-        if i != row and other[col] != 0:
-            f = other[col]
-            T[i] = [v - f * w for v, w in zip(other, pr)]
+    for i, f in enumerate(T[:, col].tolist()):
+        if i != row and f != 0:
+            T[i] -= f * pr
     basis[row] = col
 
 
-def _bland_iterate(T: list[list], basis: list[int], c: list, eps) -> str:
-    """Run Bland-rule pivots to optimality or unboundedness, in place."""
-    m = len(T)
-    ncols = len(c)
+def _bland_iterate(T: np.ndarray, basis: list[int], c: np.ndarray, eps) -> str:
+    """Run Bland-rule pivots to optimality or unboundedness, in place: the
+    first column with reduced cost above eps enters, the row with the least
+    ratio leaves, ties within eps to the least basic column."""
     while True:
-        in_basis = set(basis)
-        cB = [c[b] for b in basis]
-        enter = -1
-        for j in range(ncols):
-            if j in in_basis:
-                continue
-            reduced = c[j] - sum(cB[i] * T[i][j] for i in range(m))
-            if reduced > eps:
-                enter = j
-                break
-        if enter < 0:
+        reduced = c - (c[basis] @ T)[:-1]
+        reduced[basis] = 0
+        entering = np.flatnonzero(reduced > eps)
+        if not entering.size:
             return "Optimal"
+        enter = int(entering[0])
+        col = T[:, enter]
         leave = -1
         best = None
-        for i in range(m):
-            a = T[i][enter]
-            if a > eps:
-                ratio = T[i][-1] / a
-                if (
-                    best is None
-                    or ratio < best - eps
-                    or (abs(ratio - best) <= eps and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        for i in np.flatnonzero(col > eps).tolist():
+            ratio = T[i, -1] / col[i]
+            if (
+                best is None
+                or ratio < best - eps
+                or (abs(ratio - best) <= eps and basis[i] < basis[leave])
+            ):
+                best = ratio
+                leave = i
         if leave < 0:
             return "Unbounded"
         _pivot(T, basis, leave, enter)
 
 
-def _solve(lp: LinearProgram, convert, eps) -> SimplexResult:
+_to_fractions = np.frompyfunc(Fraction, 1, 1)
+
+
+def _array(values, exact: bool) -> np.ndarray:
+    """Float64 array, or object array of Fractions when exact."""
+    if not exact:
+        return np.array(values, dtype=float)
+    return _to_fractions(np.array(values, dtype=object))
+
+
+def _solve(lp: LinearProgram, exact: bool, eps) -> SimplexResult:
     n = lp.nvars
-    zero = convert(0)
-    one = convert(1)
-    rows = [[convert(v) for v in row] for row in lp.matrix]
-    rhs = [convert(v) for v in lp.rhs]
-    senses = list(lp.senses)
-    for i in range(len(rows)):
-        if rhs[i] < zero:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-    m = len(rows)
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    objective = _array(lp.objective, exact)
+    m = len(lp.rhs)
     if m == 0:
-        obj = [convert(v) for v in lp.objective]
-        if any(v > eps for v in obj):
+        if any(v > eps for v in objective):
             return SimplexResult("Unbounded", None, None, None)
         return SimplexResult("Optimal", zero, (zero,) * n, ())
+    rhs = _array(lp.rhs, exact)
+    senses = list(lp.senses)
+    flipped = np.flatnonzero(rhs < 0).tolist()
+    for i in flipped:
+        rhs[i] = -rhs[i]
+        senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
 
     # standard form: x columns, then one slack/surplus per inequality, then
-    # one artificial per row that needs it
+    # one artificial per row that needs it; the float tableau takes the
+    # matrix as it is, without an intermediate float copy
     n_slack = sum(1 for s in senses if s != "=")
-    art_cols: list[int] = []
-    T: list[list] = []
-    basis: list[int] = []
-    slack_seen = 0
     total = n + n_slack
     needs_art = [s != "<=" for s in senses]
     n_art = sum(needs_art)
     width = total + n_art + 1
-    art_seen = 0
+    T = np.full((m, width), zero, dtype=object if exact else float)
+    T[:, :n] = _array(lp.matrix, exact).reshape(m, n) if exact else lp.matrix
+    for i in flipped:
+        T[i, :n] = -T[i, :n]
+    T[:, -1] = rhs
+    basis: list[int] = []
+    art_cols: list[int] = []
+    slack_seen = 0
     for i in range(m):
-        row = [zero] * width
-        row[:n] = rows[i]
         if senses[i] != "=":
-            sign = one if senses[i] == "<=" else -one
-            row[n + slack_seen] = sign
             slack_col = n + slack_seen
+            T[i, slack_col] = one if senses[i] == "<=" else -one
             slack_seen += 1
         if needs_art[i]:
-            col = total + art_seen
-            row[col] = one
+            col = total + len(art_cols)
+            T[i, col] = one
             art_cols.append(col)
             basis.append(col)
-            art_seen += 1
         else:
             basis.append(slack_col)
-        row[-1] = rhs[i]
-        T.append(row)
 
     if art_cols:
-        c1 = [zero] * (total + n_art)
-        for col in art_cols:
-            c1[col] = -one
+        c1 = np.full(total + n_art, zero, dtype=T.dtype)
+        c1[art_cols] = -one
         status = _bland_iterate(T, basis, c1, eps)
-        assert status == "Optimal"  # phase 1 is bounded above by 0
-        infeas = -sum(
-            T[i][-1] for i in range(len(T)) if basis[i] in art_cols
-        )
+        if status != "Optimal":
+            raise RuntimeError(
+                f"phase 1 ended {status}, but its optimum is bounded by 0"
+            )
+        art_set = set(art_cols)
+        infeas = -sum(T[i, -1] for i in range(m) if basis[i] in art_set)
         if infeas < -eps:
             return SimplexResult("Infeasible", None, None, None)
         # drive leftover artificials out of the basis, dropping redundant rows
-        art_set = set(art_cols)
         keep_rows: list[int] = []
-        for i in range(len(T)):
-            if basis[i] not in art_set:
-                keep_rows.append(i)
-                continue
-            piv = next(
-                (
-                    j
-                    for j in range(total)
-                    if j not in art_set and abs(T[i][j]) > eps
-                ),
-                None,
-            )
-            if piv is not None:
-                _pivot(T, basis, i, piv)
-                keep_rows.append(i)
-        T = [T[i][:total] + [T[i][-1]] for i in keep_rows]
+        for i in range(m):
+            if basis[i] in art_set:
+                piv = np.flatnonzero(abs(T[i, :total]) > eps)
+                if not piv.size:
+                    continue
+                _pivot(T, basis, i, int(piv[0]))
+            keep_rows.append(i)
+        T = np.hstack((T[keep_rows, :total], T[keep_rows, -1:]))
         basis = [basis[i] for i in keep_rows]
-    else:
-        T = [row[:total] + [row[-1]] for row in T]
 
-    c2 = [convert(v) for v in lp.objective] + [zero] * n_slack
+    c2 = np.concatenate((objective, np.full(n_slack, zero, dtype=T.dtype)))
     status = _bland_iterate(T, basis, c2, eps)
     if status != "Optimal":
         return SimplexResult(status, None, None, None)
-    x = [zero] * (total)
-    for i, b in enumerate(basis):
-        x[b] = T[i][-1]
-    value = sum(v * w for v, w in zip(c2, x))
+    x = np.full(total, zero, dtype=T.dtype)
+    x[basis] = T[:, -1]
+    x = x.tolist()
+    value = sum(v * w for v, w in zip(c2.tolist(), x))
     return SimplexResult("Optimal", value, tuple(x[:n]), tuple(basis))
 
 
 def simplex(lp: LinearProgram) -> SimplexResult:
     """Floating-point two-phase simplex with Bland's rule, feasibility and
     optimality tolerances at EPS_LP."""
-    return _solve(lp, float, EPS_LP)
+    return _solve(lp, False, EPS_LP)
 
 
 def simplex_exact(lp: LinearProgram) -> SimplexResult:
     """Same pivoting over exact Fractions (zero tolerance)."""
-    return _solve(lp, Fraction, Fraction(0))
+    return _solve(lp, True, Fraction(0))
 
 
 # --------------------------------------------------- noncontextual fraction
@@ -312,10 +318,9 @@ class FractionResult:
             raise ValueError("witness weights must sum to ncf")
 
 
-def ncf_program(m: EmpiricalModel, exact: bool = False) -> LinearProgram:
-    """The decomposition LP for a model: maximize total assignment weight
-    under the incidence upper bounds."""
-    inc = incidence(m.scenario)
+def _program(
+    inc: IncidenceMatrix, m: EmpiricalModel, exact: bool
+) -> LinearProgram:
     rhs = []
     for ctx, tup in inc.rows:
         dist = m.tables[ctx]
@@ -323,88 +328,117 @@ def ncf_program(m: EmpiricalModel, exact: bool = False) -> LinearProgram:
     one = Fraction(1) if exact else 1.0
     return LinearProgram(
         (one,) * len(inc.assignments),
-        tuple(tuple(int(v) for v in row) for row in inc.matrix),
+        inc.matrix,
         ("<=",) * len(inc.rows),
         tuple(rhs),
     )
 
 
+def ncf_program(m: EmpiricalModel, exact: bool = False) -> LinearProgram:
+    """The decomposition LP for a model: maximize total assignment weight
+    under the incidence upper bounds. Its matrix is the incidence ndarray."""
+    return _program(incidence(m.scenario), m, exact)
+
+
 def _validate_witness(
-    inc: IncidenceMatrix, m: EmpiricalModel, witness: dict, ncf: float
+    inc: IncidenceMatrix,
+    rhs: tuple[float, ...],
+    cols: np.ndarray,
+    witness: dict,
+    ncf: float,
 ) -> None:
+    """Recheck the float witness (weights on columns `cols`, in order)
+    against the optimum and the tables."""
     total = sum(witness.values())
     if abs(total - ncf) > EPS_LP:
         raise RuntimeError("witness weights do not sum to the optimum")
-    for w in witness.values():
-        if w < -EPS_LP:
-            raise RuntimeError("negative witness weight")
-    for (ctx, tup), row in zip(inc.rows, inc.matrix):
-        used = sum(
-            w for a, w in witness.items() if row[inc.column(a)]
-        )
-        if used > m.tables[ctx][tup] + EPS_LP:
-            raise RuntimeError(
-                f"witness exceeds probability at {ctx} {tup}"
-            )
+    weights = np.array(list(witness.values()), dtype=float)
+    if (weights < -EPS_LP).any():
+        raise RuntimeError("negative witness weight")
+    used = inc.matrix[:, cols] @ weights
+    over = np.flatnonzero(used > np.array(rhs, dtype=float) + EPS_LP)
+    if over.size:
+        ctx, tup = inc.rows[over[0]]
+        raise RuntimeError(f"witness exceeds probability at {ctx} {tup}")
 
 
-def _exact_resolve(
-    lp_exact: LinearProgram, basis: tuple[int, ...]
-) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """Evaluate the float-optimal basis in exact arithmetic and certify its
-    optimality via exact reduced costs; None when the certificate fails."""
-    n = lp_exact.nvars
-    m = len(lp_exact.matrix)
-    if len(basis) != m:
-        return None
-    total = n + m  # every NCF row is <=, one slack per row
-    cols = []
-    for j in range(total):
-        if j < n:
-            col = [Fraction(lp_exact.matrix[i][j]) for i in range(m)]
-        else:
-            col = [Fraction(1) if i == j - n else Fraction(0) for i in range(m)]
-        cols.append(col)
-    B = [[cols[b][i] for b in basis] for i in range(m)]
-    rhs = [Fraction(v) for v in lp_exact.rhs]
-    xB = _gauss_solve(B, rhs)
-    if xB is None or any(v < 0 for v in xB):
-        return None
-    c = [Fraction(v) for v in lp_exact.objective] + [Fraction(0)] * m
-    cB = [c[b] for b in basis]
-    # y solves y B = cB; reduced cost of column j is c_j - y . col_j
-    Bt = [[B[i][k] for i in range(m)] for k in range(m)]
-    y = _gauss_solve(Bt, cB)
-    if y is None:
-        return None
-    for j in range(total):
-        red = c[j] - sum(yi * v for yi, v in zip(y, cols[j]))
-        if red > 0:
-            return None
-    x = [Fraction(0)] * total
-    for b, v in zip(basis, xB):
-        x[b] = v
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, tuple(x[:n])
-
-
-def _gauss_solve(
-    mat: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
+def _bareiss_solve(
+    mat: list[list[int]], rhs: list[int]
+) -> tuple[int, list[int]] | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
+    system. Returns (d, X) with d > 0 and mat . X = d * rhs, every division
+    exact; None when mat is singular."""
     k = len(mat)
     aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    prev = 1
     for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
+        pr = aug[col]
+        pv = pr[col]
         for r in range(k):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+                aug[r] = [(pv * v - f * w) // prev for v, w in zip(aug[r], pr)]
+        prev = pv
+    xs = [row[k] for row in aug]
+    if prev < 0:
+        return -prev, [-v for v in xs]
+    return prev, xs
+
+
+def _certify(
+    inc: IncidenceMatrix, p: tuple[Fraction, ...], basis: tuple[int, ...]
+) -> tuple[Fraction, dict[tuple[str, ...], Fraction]] | None:
+    """Certify the float-optimal basis of the decomposition LP exactly.
+
+    Columns n.. of the standard form are the row slacks. With S the basic
+    assignment columns, T the rows whose slack is basic and N the others,
+    the basis system reduces to the square 0/1 core K = A[N, S]:
+    K x_S = p_N and K^T y_N = 1, with s_T = p_T - A[T, S] x_S and y_T = 0.
+    Both are solved in integers against p * lcm(denominators). The basis is
+    optimal iff x_S >= 0, s_T >= 0, y >= 0 and every assignment column has
+    y summed over its rows >= 1. Returns the exact optimum and witness, or
+    None when the certificate fails."""
+    A = inc.matrix
+    nrows, n = A.shape
+    if len(basis) != nrows:
+        return None
+    S = sorted(b for b in basis if b < n)
+    slack_rows = {b - n for b in basis if b >= n}
+    N = [r for r in range(nrows) if r not in slack_rows]
+    T = sorted(slack_rows)
+    scale = math.lcm(*(v.denominator for v in p))
+    P = [int(v * scale) for v in p]
+    K = A[np.ix_(N, S)].tolist()
+    primal = _bareiss_solve(K, [P[r] for r in N])
+    if primal is None:
+        return None
+    d, X = primal
+    if any(v < 0 for v in X):
+        return None
+    for r in T:
+        if d * P[r] < sum(v for v, a in zip(X, A[r, S].tolist()) if a):
+            return None
+    dual = _bareiss_solve([list(col) for col in zip(*K)], [1] * len(S))
+    if dual is None:
+        return None
+    e, Y_N = dual
+    if any(v < 0 for v in Y_N):
+        return None
+    # column sums fit in int64 unless the cofactors are huge
+    small = max(sum(Y_N), e) < 2**63
+    Y = np.zeros(nrows, dtype=np.int64 if small else object)
+    Y[N] = Y_N
+    if (A.T @ Y < e).any():
+        return None
+    denom = d * scale
+    witness = {
+        inc.assignments[j]: Fraction(v, denom) for j, v in zip(S, X) if v
+    }
+    return Fraction(sum(X), denom), witness
 
 
 def contextual_fraction(m: EmpiricalModel) -> FractionResult:
@@ -412,8 +446,10 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     no-disturbance within 1e-6 (raises SignallingModelError otherwise).
 
     ncf is the LP optimum (clamped into [0, 1]); cf = 1 - ncf; the witness is
-    revalidated against the tables after solving. When exact tables are
-    available the float-optimal basis is re-solved in Fractions and the exact
+    revalidated against the tables after solving. One incidence matrix
+    serves the float LP, the witness check and the exact path. When exact
+    tables are available the float-optimal basis is certified in integers
+    (the exact simplex runs only if the certificate fails), and the exact
     optimum must agree with the float one within 1e-9."""
     worst, _ = no_disturbance(m)
     if worst > EPS_ND_PRECONDITION:
@@ -422,38 +458,39 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
             f"needs a non-signalling model"
         )
     inc = incidence(m.scenario)
-    lp = ncf_program(m, exact=False)
+    lp = _program(inc, m, exact=False)
     res = simplex(lp)
     if res.status != "Optimal":  # pragma: no cover - b=0 is always feasible
         raise RuntimeError(f"decomposition LP ended {res.status}")
     ncf = min(max(float(res.value), 0.0), 1.0)
-    witness = {
-        a: float(w)
-        for a, w in zip(inc.assignments, res.x)
-        if w > EPS_LP
-    }
-    _validate_witness(inc, m, witness, ncf)
+    x = np.array(res.x, dtype=float)
+    cols = np.flatnonzero(x > EPS_LP)
+    witness = {inc.assignments[j]: float(x[j]) for j in cols}
+    _validate_witness(inc, lp.rhs, cols, witness, ncf)
 
     ncf_exact = None
     witness_exact = None
     if m.exact_available:
-        lp_x = ncf_program(m, exact=True)
-        resolved = _exact_resolve(lp_x, res.basis)
-        if resolved is None:
+        lp_x = _program(inc, m, exact=True)
+        certified = _certify(inc, lp_x.rhs, res.basis)
+        if certified is None:
             exact_res = simplex_exact(lp_x)
-            assert exact_res.status == "Optimal"
-            value, xs = exact_res.value, exact_res.x
+            if exact_res.status != "Optimal":
+                raise RuntimeError(
+                    f"exact decomposition LP ended {exact_res.status}"
+                )
+            value = exact_res.value
+            witness_exact = {
+                a: w for a, w in zip(inc.assignments, exact_res.x) if w != 0
+            }
         else:
-            value, xs = resolved
+            value, witness_exact = certified
         if abs(float(value) - ncf) > EPS_LP:
             raise RuntimeError(
                 f"exact optimum {value} drifts from float optimum {ncf!r}"
             )
         ncf_exact = Fraction(value)
         ncf = float(value)
-        witness_exact = {
-            a: w for a, w in zip(inc.assignments, xs) if w != 0
-        }
         witness = {a: float(w) for a, w in witness_exact.items()}
     return FractionResult(
         ncf, 1.0 - ncf, witness, ncf_exact, witness_exact

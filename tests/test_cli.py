@@ -251,6 +251,21 @@ def test_signalling_input_exits_1(tmp_path):
     assert "signalling" in out
 
 
+def test_ncf_engine_failure_exits_1(monkeypatch):
+    import contextuality.report as report
+
+    def drift(m):
+        raise RuntimeError("exact optimum 1/2 drifts from float optimum 0.4")
+
+    monkeypatch.setattr(report, "contextual_fraction", drift)
+    for args in (["ncf", str(DATA_DIR / "hardy.scn")], ["demo", "hardy"]):
+        rc, out, err = call(args)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: exact optimum 1/2 drifts from float optimum 0.4\n"
+        assert "Traceback" not in err
+
+
 def test_custom_eps_is_reported():
     rc, out, _ = call(["demo", "hardy", "--eps", "1e-6"])
     assert rc == 0

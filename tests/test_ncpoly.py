@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import contextuality
+from contextuality import ncpoly
 from contextuality.logic import cycle_empirical_model
 from contextuality.ncpoly import (
     FractionResult,
@@ -29,6 +32,7 @@ from contextuality.scenario import (
     realize,
     snap_to_rationals,
 )
+from contextuality.scnformat import parse_file
 
 from conftest import HARDY_CONTEXTS
 from oracles import ncf_vertex_enumeration
@@ -41,6 +45,26 @@ HARDY_WITNESS = {
     ("1", "+", "0", "+"): Fraction(1, 3),
     ("1", "+", "1", "+"): Fraction(1, 6),
     ("1", "-", "1", "+"): Fraction(1, 12),
+}
+
+DATA_DIR = Path(contextuality.__file__).parent / "data"
+
+
+def _halves(*assignments):
+    return {a: Fraction(1, 2) for a in assignments}
+
+
+# exact NCF and witness of every shipped model file, pinned from the
+# solver before its integer certificate existed; fr is reported snapped
+CORPUS_NCF = {
+    "cycle_3_even": (Fraction(1), _halves(("0",) * 3, ("1",) * 3)),
+    "cycle_3_odd": (Fraction(0), {}),
+    "cycle_4_even": (Fraction(1), _halves(("0",) * 4, ("1",) * 4)),
+    "cycle_4_odd": (Fraction(0), {}),
+    "cycle_5_even": (Fraction(1), _halves(("0",) * 5, ("1",) * 5)),
+    "cycle_5_odd": (Fraction(0), {}),
+    "fr": (HARDY_NCF, HARDY_WITNESS),
+    "hardy": (HARDY_NCF, HARDY_WITNESS),
 }
 
 
@@ -62,13 +86,40 @@ def test_incidence_hardy_shape_and_orders(hardy_scenario):
     assert all(inc.matrix.sum(axis=1) == 4)
 
 
-def test_incidence_restriction_is_the_membership_rule(hardy_scenario):
-    inc = incidence(hardy_scenario)
+def _assert_membership_rule(inc: IncidenceMatrix) -> None:
     for r, (ctx, tup) in enumerate(inc.rows):
         pos = [inc.labels.index(l) for l in ctx]
         for c, a in enumerate(inc.assignments):
             expected = 1 if tuple(a[i] for i in pos) == tup else 0
             assert inc.matrix[r, c] == expected
+
+
+def test_incidence_restriction_is_the_membership_rule(hardy_scenario):
+    _assert_membership_rule(incidence(hardy_scenario))
+
+
+def test_incidence_membership_rule_mixed_radix():
+    # radices 2, 3 and 4; context ("C", "A") lists its observables out of
+    # declaration order
+    sc = Scenario(
+        (
+            Observable("A", ("a0", "a1")),
+            Observable("B", ("b0", "b1", "b2")),
+            Observable("C", ("c0", "c1", "c2", "c3")),
+        ),
+        (("A", "B"), ("C", "A"), ("B", "C"), ("C",)),
+    )
+    inc = incidence(sc)
+    assert inc.labels == ("A", "B", "C")
+    assert inc.assignments == tuple(
+        itertools.product(*[o.outcomes for o in sc.observables])
+    )
+    assert inc.rows == tuple(
+        (ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)
+    )
+    assert inc.matrix.shape == (6 + 8 + 12 + 4, 24)
+    _assert_membership_rule(inc)
+    assert all(inc.matrix.sum(axis=0) == len(sc.contexts))
 
 
 def test_incidence_cycle_shape():
@@ -478,6 +529,52 @@ def test_fraction_matches_scipy_on_random_quantum_models(hardy_scenario):
         assert ref.status == 0
         assert res.ncf == pytest.approx(-ref.fun, abs=1e-7)
         assert 0.0 <= res.ncf <= 1.0
+
+
+def _corpus_model(name: str) -> EmpiricalModel:
+    f = parse_file((DATA_DIR / f"{name}.scn").read_text(encoding="utf-8"))
+    m = f.model if f.model is not None else realize(f.realization, f.scenario)
+    return m if m.exact_available else snap_to_rationals(m)
+
+
+def _white_noise_odd_cycle(n: int, v: Fraction) -> EmpiricalModel:
+    m = cycle_empirical_model(n, "odd")
+    tables = {}
+    for ctx, dist in m.tables.items():
+        exact = {
+            tup: v * p + (1 - v) / len(dist.exact)
+            for tup, p in dist.exact.items()
+        }
+        tables[ctx] = Distribution(
+            {tup: float(p) for tup, p in exact.items()}, exact
+        )
+    return EmpiricalModel(m.scenario, tables)
+
+
+def test_integer_certificate_pins_exact_fractions(monkeypatch):
+    def no_fallback(lp):
+        raise AssertionError("the integer certificate failed to certify")
+
+    monkeypatch.setattr(ncpoly, "simplex_exact", no_fallback)
+    with_models = {
+        p.stem
+        for p in DATA_DIR.glob("*.scn")
+        if (f := parse_file(p.read_text(encoding="utf-8"))).model is not None
+        or f.realization is not None
+    }
+    assert with_models == set(CORPUS_NCF)
+    for name, (ncf, witness) in CORPUS_NCF.items():
+        res = contextual_fraction(_corpus_model(name))
+        assert res.ncf_exact == ncf, name
+        # same entries in the same (column) order
+        assert list(res.witness_exact.items()) == list(witness.items()), name
+    for n in range(3, 8):
+        for v in (Fraction(1), Fraction(9, 10), Fraction(4, 5), Fraction(2, 3)):
+            res = contextual_fraction(_white_noise_odd_cycle(n, v))
+            expected = min(Fraction(1), n * (1 - v) / 2)
+            assert res.ncf_exact == expected, (n, v)
+            assert sum(res.witness_exact.values()) == expected
+            assert res.ncf == float(expected)
 
 
 def test_fraction_result_validation():
