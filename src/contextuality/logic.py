@@ -7,12 +7,11 @@ over outcome tuples.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .qstate import Distribution
 from .scenario import (
@@ -32,6 +31,7 @@ __all__ = [
     "ImplicationStep",
     "LiarCycle",
     "global_sections",
+    "count_global_sections",
     "extends_to_global",
     "classify",
     "liar_cycles",
@@ -74,54 +74,127 @@ def _guard(sc: Scenario) -> None:
         )
 
 
-def _search(
-    p: PossibilisticModel,
-    fixed: Mapping[str, str],
-    stop_at_first: bool,
-) -> list[tuple[str, ...]]:
-    """Backtracking enumeration in lexicographic order (observables in
-    scenario order, outcomes in declared order). A context is checked as soon
-    as its last observable gets a value."""
-    sc = p.scenario
-    _guard(sc)
-    n = len(sc.observables)
-    position = {o.label: i for i, o in enumerate(sc.observables)}
-    ctx_at: list[list[tuple[ContextKey, list[int]]]] = [[] for _ in range(n)]
-    for ctx in sc.contexts:
-        idxs = [position[l] for l in ctx]
-        ctx_at[max(idxs)].append((ctx, idxs))
-    values: list[str] = [""] * n
-    found: list[tuple[str, ...]] = []
+class _Plan:
+    """Backtracking over observables in scenario order, outcomes in declared
+    order. A context is checked as soon as its last observable gets a value.
 
-    def consistent_at(i: int) -> bool:
-        for ctx, idxs in ctx_at[i]:
-            if tuple(values[k] for k in idxs) not in p.supports[ctx]:
+    Whether a partial assignment at position i completes depends only on i
+    and on the frontier: the positions before i that a context completing at
+    i or later still reads (for an n-cycle, two observables). Every search
+    below memoizes on (i, frontier values), so its cost grows with the number
+    of frontier states, not with the number of global sections."""
+
+    def __init__(self, p: PossibilisticModel):
+        sc = p.scenario
+        _guard(sc)
+        self.labels = tuple(o.label for o in sc.observables)
+        self.outcomes = [o.outcomes for o in sc.observables]
+        n = len(self.labels)
+        position = {l: i for i, l in enumerate(self.labels)}
+        # (context, support, positions) in declared context order
+        self.contexts = [
+            (ctx, p.supports[ctx], tuple(position[l] for l in ctx))
+            for ctx in sc.contexts
+        ]
+        self.ctx_at: list[list[tuple[frozenset, tuple[int, ...]]]] = [
+            [] for _ in range(n)
+        ]
+        last_read = list(range(n))
+        for _, sup, idxs in self.contexts:
+            last = max(idxs)
+            self.ctx_at[last].append((sup, idxs))
+            for k in idxs:
+                last_read[k] = max(last_read[k], last)
+        self.frontier = [
+            tuple(k for k in range(i) if last_read[k] >= i) for i in range(n + 1)
+        ]
+
+    def choices(self, fixed: Mapping[str, str]) -> list[tuple[str, ...]]:
+        return [
+            (fixed[l],) if l in fixed else outs
+            for l, outs in zip(self.labels, self.outcomes)
+        ]
+
+    def count(self) -> int:
+        """Number of global sections; completions are counted per frontier
+        state, and no section is built."""
+        n = len(self.labels)
+        values = [""] * n
+        memo: list[dict[tuple[str, ...], int]] = [{} for _ in range(n)]
+
+        def completions(i: int) -> int:
+            if i == n:
+                return 1
+            key = tuple(values[k] for k in self.frontier[i])
+            total = memo[i].get(key)
+            if total is None:
+                total = 0
+                for v in self.outcomes[i]:
+                    values[i] = v
+                    if self._consistent_at(i, values):
+                        total += completions(i + 1)
+                memo[i][key] = total
+            return total
+
+        return completions(0)
+
+    def sections(
+        self, choices: Sequence[tuple[str, ...]], first_only: bool
+    ) -> list[tuple[str, ...]]:
+        """Global sections drawing each value from `choices`, in
+        lexicographic order; only the first one when `first_only`. A frontier
+        state whose subtree held no section is recorded dead and never
+        entered again."""
+        n = len(self.labels)
+        values = [""] * n
+        dead: list[set[tuple[str, ...]]] = [set() for _ in range(n)]
+        found: list[tuple[str, ...]] = []
+
+        def dfs(i: int) -> bool:
+            if i == n:
+                found.append(tuple(values))
+                return first_only
+            key = tuple(values[k] for k in self.frontier[i])
+            if key in dead[i]:
+                return False
+            before = len(found)
+            for v in choices[i]:
+                values[i] = v
+                if self._consistent_at(i, values) and dfs(i + 1):
+                    return True
+            if len(found) == before:
+                dead[i].add(key)
+            return False
+
+        dfs(0)
+        return found
+
+    def _consistent_at(self, i: int, values: list[str]) -> bool:
+        for sup, idxs in self.ctx_at[i]:
+            if tuple(values[k] for k in idxs) not in sup:
                 return False
         return True
 
-    def dfs(i: int) -> bool:
-        if i == n:
-            found.append(tuple(values))
-            return stop_at_first
-        obs = sc.observables[i]
-        choices = (
-            (fixed[obs.label],) if obs.label in fixed else obs.outcomes
-        )
-        for v in choices:
-            values[i] = v
-            if consistent_at(i) and dfs(i + 1):
-                return True
-        return False
-
-    dfs(0)
-    return found
-
 
 def global_sections(p: PossibilisticModel) -> list[GlobalAssignment]:
-    """All global assignments consistent with every context's support, in
-    lexicographic order. Guarded at 2**24 total assignments."""
-    labels = tuple(o.label for o in p.scenario.observables)
-    return [GlobalAssignment(labels, v) for v in _search(p, {}, False)]
+    """Every global assignment consistent with every context's support, in
+    lexicographic order (observables in scenario order, outcomes in declared
+    order). This is the one entry point that materializes sections: the list
+    can hold up to 2**24 of them. Raises ValueError when the assignment space
+    exceeds the 2**24 guard."""
+    plan = _Plan(p)
+    return [
+        GlobalAssignment(plan.labels, v)
+        for v in plan.sections(plan.choices({}), first_only=False)
+    ]
+
+
+def count_global_sections(p: PossibilisticModel) -> int:
+    """len(global_sections(p)), counted without building any section: time
+    and memory grow with the frontier states of the search, not with the
+    count. Raises ValueError when the assignment space exceeds the 2**24
+    guard, like global_sections."""
+    return _Plan(p).count()
 
 
 def _check_seed(p: PossibilisticModel, context, outcome) -> tuple[ContextKey, tuple[str, ...]]:
@@ -139,20 +212,44 @@ def _check_seed(p: PossibilisticModel, context, outcome) -> tuple[ContextKey, tu
 def extends_to_global(
     p: PossibilisticModel, context: Sequence[str], outcome: Sequence[str]
 ) -> bool:
-    """Does this locally possible outcome occur in some global section?"""
+    """Does this locally possible outcome occur in some global section? The
+    search stops at the first section found. Raises ValueError when the
+    assignment space exceeds the 2**24 guard."""
     ctx, t = _check_seed(p, context, outcome)
-    return bool(_search(p, dict(zip(ctx, t)), True))
+    plan = _Plan(p)
+    return bool(plan.sections(plan.choices(dict(zip(ctx, t))), first_only=True))
 
 
 def classify(p: PossibilisticModel) -> Classification:
-    """GloballyExtendable / LogicallyContextual / StronglyContextual."""
-    sections = global_sections(p)
-    if not sections:
+    """GloballyExtendable / LogicallyContextual / StronglyContextual
+    (Abramsky & Brandenburger, NJP 13, 113036 (2011)).
+
+    StronglyContextual when no global section exists; LogicallyContextual
+    when some possible event is covered by none. Sections are never
+    enumerated: for each support tuple not yet covered, in declared context
+    and outcome order, one search finds a single section extending it, and
+    every tuple that section restricts to is marked covered. Raises
+    ValueError when the assignment space exceeds the 2**24 guard."""
+    plan = _Plan(p)
+    witnesses = plan.sections(plan.choices({}), first_only=True)
+    if not witnesses:
         return Classification.STRONGLY_CONTEXTUAL
-    for ctx, sup in p.supports.items():
-        covered = {s.restrict(ctx) for s in sections}
-        if sup - covered:
-            return Classification.LOGICALLY_CONTEXTUAL
+    covered: set[tuple[ContextKey, tuple[str, ...]]] = set()
+
+    def cover(section: tuple[str, ...]) -> None:
+        covered.update(
+            (ctx, tuple(section[k] for k in idxs)) for ctx, _, idxs in plan.contexts
+        )
+
+    cover(witnesses[0])
+    for ctx, sup, _ in plan.contexts:
+        for t in p.scenario.joint_outcomes(ctx):
+            if t not in sup or (ctx, t) in covered:
+                continue
+            hit = plan.sections(plan.choices(dict(zip(ctx, t))), first_only=True)
+            if not hit:
+                return Classification.LOGICALLY_CONTEXTUAL
+            cover(hit[0])
     return Classification.GLOBALLY_EXTENDABLE
 
 
@@ -227,71 +324,87 @@ def liar_cycles(
     scenario context order and in-context observable order, which makes the
     result deterministic.
     """
-    ctx, t = _check_seed(p, *seed)
-    seed_vals = dict(zip(ctx, t))
-    # node = (observable, value); parent links rebuild the linear chain
-    parent: dict[tuple[str, str], tuple[tuple[str, str] | None, ImplicationStep | None]] = {}
-    queue: deque[tuple[str, str]] = deque()
-    for node in zip(ctx, t):
-        if node not in parent:
-            parent[node] = (None, None)
-            queue.append(node)
+    return _LiarSearch(p).run(seed)
 
-    def chain_to(node: tuple[str, str]) -> list[ImplicationStep]:
-        steps: list[ImplicationStep] = []
-        cur: tuple[str, str] | None = node
-        while cur is not None:
-            up, step = parent[cur]
-            if step is not None:
-                steps.append(step)
-            cur = up
-        steps.reverse()
-        return steps
 
-    def value_on_path(node: tuple[str, str], obs: str) -> str | None:
-        cur: tuple[str, str] | None = node
-        while cur is not None:
-            if cur[0] == obs:
-                return cur[1]
-            cur = parent[cur][0]
-        return None
+class _LiarSearch:
+    """liar_cycles on one model for any number of seeds. The forced-value
+    table, keyed by (context, observable, value) and listing the (observable,
+    value) pairs that value forces in that context in context order, is
+    filled as the searches reach it and shared by all of them."""
 
-    while queue:
-        x_node = queue.popleft()
-        x_obs, x_val = x_node
+    def __init__(self, p: PossibilisticModel):
+        self.p = p
+        self.contexts_of: dict[str, list[ContextKey]] = {}
         for c in p.scenario.contexts:
-            if x_obs not in c:
-                continue
+            for label in c:
+                self.contexts_of.setdefault(label, []).append(c)
+        self.forced: dict[tuple[ContextKey, str, str], list[tuple[str, str]]] = {}
+
+    def forced_by(self, c: ContextKey, x_obs: str, x_val: str) -> list[tuple[str, str]]:
+        key = (c, x_obs, x_val)
+        pairs = self.forced.get(key)
+        if pairs is None:
             ix = c.index(x_obs)
-            rows = [r for r in p.supports[c] if r[ix] == x_val]
-            if not rows:
-                continue
-            for y_obs in c:
-                if y_obs == x_obs:
-                    continue
-                iy = c.index(y_obs)
+            rows = [r for r in self.p.supports[c] if r[ix] == x_val]
+            pairs = []
+            for iy, y_obs in enumerate(c):
                 y_vals = {r[iy] for r in rows}
-                if len(y_vals) != 1:
-                    continue
-                y_val = next(iter(y_vals))
-                step = ImplicationStep(c, (x_obs, x_val), (y_obs, y_val))
-                if y_obs in seed_vals and seed_vals[y_obs] != y_val:
-                    return LiarCycle(
-                        (ctx, t),
-                        tuple(chain_to(x_node)) + (step,),
-                        (y_obs, seed_vals[y_obs], y_val),
-                    )
-                on_path = value_on_path(x_node, y_obs)
-                if on_path is not None and on_path != y_val:
-                    return LiarCycle(
-                        (ctx, t),
-                        tuple(chain_to(x_node)) + (step,),
-                        (y_obs, on_path, y_val),
-                    )
-                if (y_obs, y_val) not in parent:
-                    parent[(y_obs, y_val)] = (x_node, step)
-                    queue.append((y_obs, y_val))
-    return None
+                if iy != ix and len(y_vals) == 1:
+                    pairs.append((y_obs, next(iter(y_vals))))
+            self.forced[key] = pairs
+        return pairs
+
+    def run(self, seed: tuple[Sequence[str], Sequence[str]]) -> LiarCycle | None:
+        ctx, t = _check_seed(self.p, *seed)
+        seed_vals = dict(zip(ctx, t))
+        # node = (observable, value); parent links rebuild the linear chain
+        parent: dict[tuple[str, str], tuple[tuple[str, str] | None, ImplicationStep | None]] = {}
+        queue: deque[tuple[str, str]] = deque()
+        for node in zip(ctx, t):
+            if node not in parent:
+                parent[node] = (None, None)
+                queue.append(node)
+
+        def chain_to(node: tuple[str, str]) -> list[ImplicationStep]:
+            steps: list[ImplicationStep] = []
+            cur: tuple[str, str] | None = node
+            while cur is not None:
+                up, step = parent[cur]
+                if step is not None:
+                    steps.append(step)
+                cur = up
+            steps.reverse()
+            return steps
+
+        def value_on_path(node: tuple[str, str], obs: str) -> str | None:
+            cur: tuple[str, str] | None = node
+            while cur is not None:
+                if cur[0] == obs:
+                    return cur[1]
+                cur = parent[cur][0]
+            return None
+
+        while queue:
+            x_node = queue.popleft()
+            x_obs, x_val = x_node
+            for c in self.contexts_of[x_obs]:
+                for y_obs, y_val in self.forced_by(c, x_obs, x_val):
+                    if y_obs in seed_vals and seed_vals[y_obs] != y_val:
+                        established = seed_vals[y_obs]
+                    else:
+                        established = value_on_path(x_node, y_obs)
+                    step = ImplicationStep(c, x_node, (y_obs, y_val))
+                    if established is not None and established != y_val:
+                        return LiarCycle(
+                            (ctx, t),
+                            tuple(chain_to(x_node)) + (step,),
+                            (y_obs, established, y_val),
+                        )
+                    if (y_obs, y_val) not in parent:
+                        parent[(y_obs, y_val)] = (x_node, step)
+                        queue.append((y_obs, y_val))
+        return None
 
 
 # ------------------------------------------------------------ cycle models

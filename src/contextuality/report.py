@@ -17,7 +17,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .builders import CertainImplication, certain_implications
-from .logic import LiarCycle, classify, global_sections, liar_cycles
+from .logic import (
+    LiarCycle,
+    _LiarSearch,
+    classify,
+    count_global_sections,
+    liar_cycles,
+)
 from .metacontext import (
     AssumptionSet,
     ObserverChain,
@@ -153,9 +159,10 @@ def _work_model(m: EmpiricalModel) -> EmpiricalModel:
 def _default_seed(m: EmpiricalModel, p) -> tuple[ContextKey, tuple[str, ...]] | None:
     """First possible event, in declared context and outcome order, whose
     propagation closes a liar cycle."""
+    search = _LiarSearch(p)
     for ctx in m.scenario.contexts:
         for t in m.scenario.joint_outcomes(ctx):
-            if t in p.supports[ctx] and liar_cycles(p, (ctx, t)) is not None:
+            if t in p.supports[ctx] and search.run((ctx, t)) is not None:
                 return (ctx, t)
     return None
 
@@ -286,7 +293,7 @@ def model_report(
         }
     if "logic" in sections:
         values["classification"] = classify(p).value
-        values["global_sections"] = len(global_sections(p))
+        values["global_sections"] = count_global_sections(p)
     if "sentences" in sections:
         values["sentences"] = [
             _sentence_dict(s) for s in certain_implications(work)

@@ -27,6 +27,28 @@ def sections_bruteforce(p) -> list[tuple[str, ...]]:
     return out
 
 
+def classification_bruteforce(p) -> str:
+    """Classification from the full section list: StronglyContextual when it
+    is empty, LogicallyContextual when some support tuple is the restriction
+    of no section, else GloballyExtendable."""
+    sections = sections_bruteforce(p)
+    if not sections:
+        return "StronglyContextual"
+    covered = covered_events(p, sections)
+    if any(p.supports[ctx] - covered[ctx] for ctx in p.scenario.contexts):
+        return "LogicallyContextual"
+    return "GloballyExtendable"
+
+
+def covered_events(p, sections) -> dict:
+    """Per context, the tuples that some of the given sections restrict to."""
+    labels = [o.label for o in p.scenario.observables]
+    return {
+        ctx: {tuple(s[labels.index(l)] for l in ctx) for s in sections}
+        for ctx in p.scenario.contexts
+    }
+
+
 def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Exact Gaussian elimination; None when singular."""
     k = len(rows)

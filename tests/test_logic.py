@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from contextuality.logic import (
     ImplicationStep,
     LiarCycle,
     classify,
+    count_global_sections,
     cycle_empirical_model,
     cycle_model,
     extends_to_global,
@@ -34,7 +36,7 @@ from contextuality.scenario import (
     support_of,
 )
 
-from oracles import sections_bruteforce
+from oracles import classification_bruteforce, covered_events, sections_bruteforce
 
 # The Hardy support admits exactly these five sections; frozen from the
 # brute-force oracle over all 16 assignments against the three forbidden
@@ -77,6 +79,53 @@ def test_global_sections_match_oracle_on_random_supports():
             sups[ctx] = chosen
         p = PossibilisticModel(sc, sups)
         assert [s.values for s in global_sections(p)] == sections_bruteforce(p)
+
+
+def _random_support(rng: random.Random) -> PossibilisticModel:
+    """2-5 observables with 2-3 outcomes each; 1-5 contexts of size 1-3
+    drawn in random order, so they overlap and list their observables out
+    of scenario order; each support keeps a random share of its tuples."""
+    obs = tuple(
+        Observable(f"X{i}", tuple("abc"[: rng.randint(2, 3)]))
+        for i in range(rng.randint(2, 5))
+    )
+    labels = [o.label for o in obs]
+    ctxs: dict[frozenset, tuple[str, ...]] = {}
+    for _ in range(rng.randint(1, 5)):
+        ctx = tuple(rng.sample(labels, rng.randint(1, min(3, len(labels)))))
+        ctxs.setdefault(frozenset(ctx), ctx)
+    for l in labels:
+        if not any(l in c for c in ctxs.values()):
+            ctxs[frozenset((l,))] = (l,)
+    sc = Scenario(obs, tuple(ctxs.values()))
+    keep = rng.uniform(0.3, 0.9)
+    sups = {}
+    for ctx in sc.contexts:
+        joint = sc.joint_outcomes(ctx)
+        sups[ctx] = frozenset(t for t in joint if rng.random() < keep) or frozenset(
+            {rng.choice(joint)}
+        )
+    return PossibilisticModel(sc, sups)
+
+
+def test_memoized_search_matches_oracle_on_random_scenarios():
+    """global_sections (list and order), count_global_sections, classify and
+    extends_to_global against the brute-force oracle."""
+    rng = random.Random(59)
+    classes = set()
+    for _ in range(300):
+        p = _random_support(rng)
+        want = sections_bruteforce(p)
+        assert [s.values for s in global_sections(p)] == want
+        assert count_global_sections(p) == len(want)
+        cls = classify(p)
+        assert cls.value == classification_bruteforce(p)
+        classes.add(cls)
+        covered = covered_events(p, want)
+        for ctx in p.scenario.contexts:
+            for t in p.supports[ctx]:
+                assert extends_to_global(p, ctx, t) == (t in covered[ctx])
+    assert classes == set(Classification)
 
 
 def test_extends_to_global(hardy_support):
@@ -291,5 +340,11 @@ def test_guard_rejects_huge_scenarios():
     sc = Scenario(obs, ctxs)
     sups = {c: frozenset({(o,) for o in ("0", "1", "2", "3")}) for c in ctxs}
     p = PossibilisticModel(sc, sups)
-    with pytest.raises(ValueError, match="guard"):
-        global_sections(p)
+    for call in (
+        global_sections,
+        count_global_sections,
+        classify,
+        lambda q: extends_to_global(q, ("X0",), ("0",)),
+    ):
+        with pytest.raises(ValueError, match="guard"):
+            call(p)

@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from contextuality import logic
 from contextuality.builders import fr_realization, hardy_realization
 from contextuality.report import (
     DEFAULT_ASSUMPTION_SETS,
@@ -192,6 +193,56 @@ def test_cycle_reports():
     assert d["fraction"]["witness"] == []
     assert len(d["liar_cycle"]["steps"]) == 4
     assert len(d["claims"]["claims"]) == 5
+
+
+def _binary_cycle(n, weight):
+    """The n-cycle over S1..Sn with outcomes 0/1; weight(k, equal) is the
+    exact probability of an equal or unequal pair in the k-th context."""
+    sc = logic.cycle_model(n).scenario
+    tables = {}
+    for k, ctx in enumerate(sc.contexts):
+        exact = {(a, b): weight(k, a == b) for a in "01" for b in "01"}
+        tables[ctx] = Distribution({t: float(v) for t, v in exact.items()}, exact)
+    return EmpiricalModel(sc, tables)
+
+
+@pytest.mark.parametrize(
+    "model,classification,sections,steps",
+    [
+        (_binary_cycle(20, lambda k, eq: Fraction(1, 4)), "GloballyExtendable", 2**20, None),
+        (logic.cycle_empirical_model(24, "odd"), "StronglyContextual", 0, 23),
+        (
+            _binary_cycle(
+                21,
+                lambda k, eq: Fraction(1, 4) if k == 20 else Fraction(int(eq), 2),
+            ),
+            "LogicallyContextual",
+            2,
+            20,
+        ),
+    ],
+    ids=["full_support_20", "odd_24", "hardy_like_21"],
+)
+def test_logic_report_at_scale_never_lists_sections(
+    monkeypatch, model, classification, sections, steps
+):
+    """Closed-form cycles: the report counts sections and classifies by
+    coverage without ever building the section list."""
+
+    def refuse(p):
+        raise AssertionError("the report enumerated global sections")
+
+    monkeypatch.setattr(logic, "global_sections", refuse)
+    d = model_report(
+        model, "cycle", sections=frozenset({"logic", "sentences", "cycle"})
+    ).as_dict()
+    assert d["classification"] == classification
+    assert d["global_sections"] == sections
+    if steps is None:
+        assert d["liar_cycle"] is None
+    else:
+        assert len(d["liar_cycle"]["steps"]) == steps
+        assert d["liar_cycle"]["contradiction"] is not None
 
 
 def test_scenario_report():
