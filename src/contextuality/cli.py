@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -42,7 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built on the first run and reused: parse_args keeps no state
+    between calls."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--eps",

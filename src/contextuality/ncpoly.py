@@ -7,11 +7,15 @@ probabilities, row by row. The solver is a plain two-phase tableau simplex
 with Bland's rule on a numpy tableau; float64 and exact Fraction (object
 dtype, zero tolerance) arithmetic share the same pivoting code.
 
-For exact tables the float-optimal basis is certified in integers: a
-fraction-free (Bareiss) elimination on the 0/1 basis gives the exact primal
-and dual solutions, and the certificate checks primal feasibility, dual
-feasibility and, through the basis, complementary slackness. Only when that
-check fails does the exact simplex run.
+For exact tables the float-optimal basis is certified in integers. One
+fraction-free (Bareiss) Gauss-Jordan elimination of [K | P | I], K the square
+0/1 core of the basis and P the scaled probabilities, gives d = |det K|, the
+primal d K^-1 P and the adjugate d K^-1, whose column sums are the dual
+d y. The array is int64 while every entry is below 2**31, so that no step
+can overflow, and is otherwise promoted once to Python ints. The
+certificate checks primal feasibility, dual feasibility and, through the
+basis, complementary slackness. Only when that check fails does the exact
+simplex run.
 """
 
 from __future__ import annotations
@@ -341,20 +345,17 @@ def ncf_program(m: EmpiricalModel, exact: bool = False) -> LinearProgram:
 
 
 def _validate_witness(
-    inc: IncidenceMatrix,
-    rhs: tuple[float, ...],
-    cols: np.ndarray,
-    witness: dict,
-    ncf: float,
+    inc: IncidenceMatrix, rhs: tuple[float, ...], x: np.ndarray, ncf: float
 ) -> None:
-    """Recheck the float witness (weights on columns `cols`, in order)
-    against the optimum and the tables."""
-    total = sum(witness.values())
-    if abs(total - ncf) > EPS_LP:
-        raise RuntimeError("witness weights do not sum to the optimum")
-    weights = np.array(list(witness.values()), dtype=float)
-    if (weights < -EPS_LP).any():
+    """Recheck the float solution x against the optimum and the tables, on
+    all of its positive entries: weights below EPS_LP, which the float
+    witness leaves out, still count towards the sum."""
+    if (x < -EPS_LP).any():
         raise RuntimeError("negative witness weight")
+    cols = np.flatnonzero(x > 0)
+    weights = x[cols]
+    if abs(sum(weights.tolist()) - ncf) > EPS_LP:
+        raise RuntimeError("witness weights do not sum to the optimum")
     used = inc.matrix[:, cols] @ weights
     over = np.flatnonzero(used > np.array(rhs, dtype=float) + EPS_LP)
     if over.size:
@@ -362,31 +363,58 @@ def _validate_witness(
         raise RuntimeError(f"witness exceeds probability at {ctx} {tup}")
 
 
-def _bareiss_solve(
-    mat: list[list[int]], rhs: list[int]
-) -> tuple[int, list[int]] | None:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
-    system. Returns (d, X) with d > 0 and mat . X = d * rhs, every division
-    exact; None when mat is singular."""
-    k = len(mat)
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+# int64 arithmetic is exact while every operand's magnitude stays below this:
+# an elimination step forms pv * a - f * w, two products below 2**62
+_INT64_SAFE = 2**31
+
+
+def _widen(aug: np.ndarray) -> np.ndarray:
+    """aug as Python ints once an entry reaches _INT64_SAFE."""
+    if aug.dtype != object and aug.size and np.abs(aug).max() >= _INT64_SAFE:
+        return aug.astype(object)
+    return aug
+
+
+def _adjugate_solve(
+    K: np.ndarray, b: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [K | b | I] for a
+    square integer K. Returns (d, X, adj) with d = |det K| > 0, K X = d b
+    and K adj = d I, so adj is the adjugate of K up to its sign; None when K
+    is singular.
+
+    Each step updates the whole array at once, every division exact; the
+    array stays int64 while its entries are below _INT64_SAFE, checked
+    before each step and after the last, and is otherwise promoted once to
+    Python ints."""
+    k = len(K)
+    aug = np.hstack((K, b.reshape(k, 1), np.eye(k, dtype=np.int64)))
     prev = 1
     for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
+        aug = _widen(aug)
+        nonzero = aug[col:, col].nonzero()[0]
+        if not nonzero.size:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pr = aug[col]
-        pv = pr[col]
-        for r in range(k):
-            if r != col:
-                f = aug[r][col]
-                aug[r] = [(pv * v - f * w) // prev for v, w in zip(aug[r], pr)]
+        piv = col + int(nonzero[0])
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        pr = aug[col].copy()
+        pv = int(pr[col])
+        # aug = (pv * aug - outer(aug[:, col], pr)) // prev in place, without
+        # the multiply or the division by a pivot of 1, the usual one on 0/1
+        # cores
+        f = aug[:, col, None] * pr
+        if pv != 1:
+            aug *= pv
+        aug -= f
+        if prev != 1:
+            aug //= prev
+        aug[col] = pr
         prev = pv
-    xs = [row[k] for row in aug]
+    aug = _widen(aug)
     if prev < 0:
-        return -prev, [-v for v in xs]
-    return prev, xs
+        prev, aug = -prev, -aug
+    return prev, aug[:, k], aug[:, k + 1 :]
 
 
 def _certify(
@@ -398,10 +426,14 @@ def _certify(
     assignment columns, T the rows whose slack is basic and N the others,
     the basis system reduces to the square 0/1 core K = A[N, S]:
     K x_S = p_N and K^T y_N = 1, with s_T = p_T - A[T, S] x_S and y_T = 0.
-    Both are solved in integers against p * lcm(denominators). The basis is
-    optimal iff x_S >= 0, s_T >= 0, y >= 0 and every assignment column has
-    y summed over its rows >= 1. Returns the exact optimum and witness, or
-    None when the certificate fails."""
+    One fraction-free elimination of [K | P_N | I], with P = p *
+    lcm(denominators), gives d = |det K|, X = d x_S (scaled by the lcm) and
+    adj = d K^-1; the dual Y_N = d y_N is the column sums of adj. Entries
+    stay int64 while they are below 2**31 and become Python ints
+    otherwise. The basis is optimal iff X >= 0, A[T, S] X <= d P_T,
+    Y >= 0 and every assignment column has Y summed over its rows >= d.
+    Returns the exact optimum and witness, or None when the certificate
+    fails."""
     A = inc.matrix
     nrows, n = A.shape
     if len(basis) != nrows:
@@ -411,34 +443,34 @@ def _certify(
     N = [r for r in range(nrows) if r not in slack_rows]
     T = sorted(slack_rows)
     scale = math.lcm(*(v.denominator for v in p))
-    P = [int(v * scale) for v in p]
-    K = A[np.ix_(N, S)].tolist()
-    primal = _bareiss_solve(K, [P[r] for r in N])
-    if primal is None:
+    P = [v.numerator * (scale // v.denominator) for v in p]
+    small = all(-_INT64_SAFE < v < _INT64_SAFE for v in P)
+    P = np.array(P, dtype=np.int64 if small else object)
+    solved = _adjugate_solve(A[np.ix_(N, S)], P[N])
+    if solved is None:
         return None
-    d, X = primal
-    if any(v < 0 for v in X):
+    d, X, adj = solved
+    if (X < 0).any():
         return None
-    for r in T:
-        if d * P[r] < sum(v for v, a in zip(X, A[r, S].tolist()) if a):
-            return None
-    dual = _bareiss_solve([list(col) for col in zip(*K)], [1] * len(S))
-    if dual is None:
+    # d * P_T stays in int64 only when d and P_T are both below 2**31
+    P_T = P[T] if P.dtype == X.dtype else P[T].astype(object)
+    if (A[np.ix_(T, S)] @ X > d * P_T).any():
         return None
-    e, Y_N = dual
-    if any(v < 0 for v in Y_N):
+    Y_N = adj.sum(axis=0)
+    if (Y_N < 0).any():
         return None
-    # column sums fit in int64 unless the cofactors are huge
-    small = max(sum(Y_N), e) < 2**63
-    Y = np.zeros(nrows, dtype=np.int64 if small else object)
-    Y[N] = Y_N
-    if (A.T @ Y < e).any():
+    # A^T Y sums nonnegative integers up to sum(Y_N) (y_T = 0), exactly in
+    # float64 unless the cofactors are huge
+    small = max(sum(Y_N.tolist()), d) < 2**53
+    if (Y_N.astype(float if small else object) @ A[N] < d).any():
         return None
     denom = d * scale
     witness = {
-        inc.assignments[j]: Fraction(v, denom) for j, v in zip(S, X) if v
+        inc.assignments[j]: Fraction(v, denom)
+        for j, v in zip(S, X.tolist())
+        if v
     }
-    return Fraction(sum(X), denom), witness
+    return Fraction(sum(X.tolist()), denom), witness
 
 
 def contextual_fraction(m: EmpiricalModel) -> FractionResult:
@@ -464,9 +496,9 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
         raise RuntimeError(f"decomposition LP ended {res.status}")
     ncf = min(max(float(res.value), 0.0), 1.0)
     x = np.array(res.x, dtype=float)
+    _validate_witness(inc, lp.rhs, x, ncf)
     cols = np.flatnonzero(x > EPS_LP)
     witness = {inc.assignments[j]: float(x[j]) for j in cols}
-    _validate_witness(inc, lp.rhs, cols, witness, ncf)
 
     ncf_exact = None
     witness_exact = None

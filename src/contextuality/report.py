@@ -156,14 +156,16 @@ def _work_model(m: EmpiricalModel) -> EmpiricalModel:
     return snap_to_rationals(m) or m
 
 
-def _default_seed(m: EmpiricalModel, p) -> tuple[ContextKey, tuple[str, ...]] | None:
-    """First possible event, in declared context and outcome order, whose
-    propagation closes a liar cycle."""
+def _default_seed(m: EmpiricalModel, p) -> LiarCycle | None:
+    """Liar cycle of the first possible event, in declared context and
+    outcome order, whose propagation closes one."""
     search = _LiarSearch(p)
     for ctx in m.scenario.contexts:
         for t in m.scenario.joint_outcomes(ctx):
-            if t in p.supports[ctx] and search.run((ctx, t)) is not None:
-                return (ctx, t)
+            if t in p.supports[ctx]:
+                cycle = search.run((ctx, t))
+                if cycle is not None:
+                    return cycle
     return None
 
 
@@ -301,11 +303,10 @@ def model_report(
 
     cycle = None
     if "cycle" in sections or "claims" in sections:
-        chosen = (
-            (tuple(seed[0]), tuple(seed[1])) if seed is not None
-            else _default_seed(work, p)
-        )
-        if chosen is not None:
+        if seed is None:
+            cycle = _default_seed(work, p)
+        else:
+            chosen = (tuple(seed[0]), tuple(seed[1]))
             cycle = liar_cycles(p, chosen)
             if cycle is None and "cycle" in sections:
                 values["liar_cycle"] = {

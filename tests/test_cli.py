@@ -4,6 +4,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import jsonschema
 import pytest
 
 import contextuality
+from contextuality import cli
 from contextuality.cli import main, run
 from contextuality.report import AnalysisReport, render_text
 
@@ -277,6 +281,36 @@ def test_help_exits_0():
     assert rc == 0
     rc, out, err = call(["demo", "--help"])
     assert rc == 0
+
+
+def test_parser_built_once_and_reused_verbatim(monkeypatch):
+    """One process reuses a single parser; help, usage errors and exit codes
+    match a fresh process's for each call in turn."""
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+    env = dict(os.environ)
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    cli._build_parser.cache_clear()
+    sequence = [
+        ["--help"],
+        ["demo", "hardy", "--format", "yaml"],
+        ["ncf", str(DATA_DIR / "hardy.scn")],
+        ["--help"],
+    ]
+    codes = []
+    for args in sequence:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "contextuality", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert call(args) == (fresh.returncode, fresh.stdout, fresh.stderr), args
+        codes.append(fresh.returncode)
+    assert codes == [0, 2, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_main_raises_systemexit(monkeypatch):

@@ -32,10 +32,11 @@ from contextuality.scenario import (
     realize,
     snap_to_rationals,
 )
-from contextuality.scnformat import parse_file
+from contextuality.cli import run
+from contextuality.scnformat import parse_file, serialize_model
 
 from conftest import HARDY_CONTEXTS
-from oracles import ncf_vertex_enumeration
+from oracles import _solve_square, ncf_vertex_enumeration
 
 # regression values, computed with oracles.ncf_vertex_enumeration and pinned
 HARDY_NCF = Fraction(5, 6)
@@ -568,13 +569,108 @@ def test_integer_certificate_pins_exact_fractions(monkeypatch):
         assert res.ncf_exact == ncf, name
         # same entries in the same (column) order
         assert list(res.witness_exact.items()) == list(witness.items()), name
+    # at v = (2**35-1)/2**35 the scaled right-hand sides exceed 2**31, so the
+    # elimination runs on Python ints
     for n in range(3, 8):
-        for v in (Fraction(1), Fraction(9, 10), Fraction(4, 5), Fraction(2, 3)):
+        for v in (
+            Fraction(1),
+            Fraction(9, 10),
+            Fraction(4, 5),
+            Fraction(2, 3),
+            Fraction(2**35 - 1, 2**35),
+        ):
             res = contextual_fraction(_white_noise_odd_cycle(n, v))
             expected = min(Fraction(1), n * (1 - v) / 2)
             assert res.ncf_exact == expected, (n, v)
             assert sum(res.witness_exact.values()) == expected
             assert res.ncf == float(expected)
+
+
+def test_tiny_optimal_weights_are_validated_and_certified(tmp_path, capsys):
+    """At v = 1 - 2/3**20 every optimal weight is below EPS_LP while their
+    sum, the NCF n/3**20, is above it for n >= 4."""
+    for n in range(4, 8):
+        m = _white_noise_odd_cycle(n, 1 - Fraction(2, 3**20))
+        res = contextual_fraction(m)
+        assert res.ncf_exact == Fraction(n, 3**20)
+        assert sum(res.witness_exact.values()) == res.ncf_exact
+        path = tmp_path / f"tiny_{n}.scn"
+        path.write_text(serialize_model(m, f"tiny_{n}"), encoding="utf-8")
+        assert run(["ncf", str(path), "--format", "json"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def _det(rows) -> Fraction:
+    """Determinant by exact Gaussian elimination over Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    k = len(a)
+    det = Fraction(1)
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, k):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _square_systems():
+    """Seeded random square systems: 0/1 and small signed entries of sizes
+    1-12 (singular ones by a repeated or summed row), and entries between
+    2**31 and 2**62."""
+    rng = np.random.default_rng(20170504)
+    for size in range(1, 13):
+        for kind in ("binary", "signed", "huge"):
+            for trial in range(4):
+                if kind == "binary":
+                    K = rng.integers(0, 2, (size, size))
+                    b = rng.integers(0, 1000, size)
+                elif kind == "signed":
+                    K = rng.integers(-3, 4, (size, size))
+                    b = rng.integers(-1000, 1000, size)
+                else:
+                    K = rng.integers(2**31, 2**62, (size, size))
+                    K *= rng.choice((-1, 1), (size, size))
+                    b = rng.integers(-(2**62), 2**62, size)
+                if trial == 3 and size > 1:
+                    K[-1] = K[0] if size == 2 or kind == "huge" else K[0] + K[1]
+                yield kind, K.astype(np.int64), b.astype(np.int64)
+
+
+def test_adjugate_solve_matches_exact_elimination():
+    singular = midway = 0
+    for kind, K, b in _square_systems():
+        rows = K.tolist()
+        expected = _solve_square(
+            [[Fraction(v) for v in row] for row in rows],
+            [Fraction(v) for v in b.tolist()],
+        )
+        solved = ncpoly._adjugate_solve(K, b)
+        if expected is None:
+            assert solved is None, rows
+            singular += 1
+            continue
+        d, X, adj = solved
+        assert d == abs(_det(rows)), rows
+        assert [Fraction(v, d) for v in X.tolist()] == expected, rows
+        # K adj = d I, exactly
+        k = len(K)
+        assert (K.astype(object) @ adj.astype(object)).tolist() == [
+            [d if i == j else 0 for j in range(k)] for i in range(k)
+        ]
+        if kind == "huge":
+            assert X.dtype == object and adj.dtype == object
+        if kind == "binary":
+            assert X.dtype == np.int64 and adj.dtype == np.int64
+        # small signed entries whose minors pass 2**31 after a few steps
+        midway += kind == "signed" and X.dtype == object
+    assert singular >= 30
+    assert midway > 0
 
 
 def test_fraction_result_validation():

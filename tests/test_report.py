@@ -245,6 +245,36 @@ def test_logic_report_at_scale_never_lists_sections(
         assert d["liar_cycle"]["contradiction"] is not None
 
 
+def test_default_seed_search_runs_once_per_candidate(monkeypatch):
+    """The report reuses the cycle its default-seed scan found: on a
+    Hardy-like 9-cycle the 16 events of the eight equal contexts close no
+    cycle, and the second event of the last context does, so 18 searches."""
+    n = 9
+    m = _binary_cycle(
+        n, lambda k, eq: Fraction(1, 4) if k == n - 1 else Fraction(int(eq), 2)
+    )
+    seeds = []
+    run = logic._LiarSearch.run
+
+    def counted(self, seed):
+        seeds.append(seed)
+        return run(self, seed)
+
+    monkeypatch.setattr(logic._LiarSearch, "run", counted)
+    d = model_report(m, "hardy_like", sections=frozenset({"cycle"})).as_dict()
+    seed = d["liar_cycle"]["seed"]
+    chosen = (tuple(seed["context"]), tuple(seed["outcome"]))
+    candidates = [
+        (ctx, t)
+        for ctx in m.scenario.contexts
+        for t in m.scenario.joint_outcomes(ctx)
+        if m.tables[ctx].exact[t] > 0
+    ]
+    assert seeds == candidates[: candidates.index(chosen) + 1]
+    assert len(seeds) == 18
+    assert len(d["liar_cycle"]["steps"]) == n - 1
+
+
 def test_scenario_report():
     scn = parse_file(corpus_text("hardy")).scenario
     d = scenario_report(scn, "bare").as_dict()
