@@ -3,9 +3,11 @@
 The decomposition question "how much of this empirical model is explained by
 a global distribution" is a small dense LP: maximize the total weight b >= 0
 over deterministic global assignments subject to incidence * b <= table
-probabilities, row by row. The solver is a plain two-phase tableau simplex
-with Bland's rule on a numpy tableau; float64 and exact Fraction (object
-dtype, zero tolerance) arithmetic share the same pivoting code.
+probabilities, row by row. It has few rows and very many columns, so the
+solver is a two-phase revised simplex with Bland's rule: the standard-form
+matrix is built once, one product with the duals prices every column, and
+each pivot updates only the m x m basis inverse. Float64 and exact Fraction
+(object dtype, zero tolerance) arithmetic share the same pivoting code.
 
 For exact tables the float-optimal basis is certified in integers. One
 fraction-free (Bareiss) Gauss-Jordan elimination of [K | P | I], K the square
@@ -156,43 +158,60 @@ class SimplexResult:
     basis: tuple[int, ...] | None  # standard-form column indices, one per row
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """Row by row and in place, so that no temporary as large as the
-    tableau is allocated."""
-    T[row] = T[row] / T[row, col]
-    pr = T[row]
-    for i, f in enumerate(T[:, col].tolist()):
-        if i != row and f != 0:
-            T[i] -= f * pr
-    basis[row] = col
+def _update(
+    Binv: np.ndarray, x_B: np.ndarray, d: np.ndarray, row: int
+) -> None:
+    """Pivot on d[row] in place, d = B^-1 M_j the entering column: the
+    rank-one update of the basis inverse and of the basic solution."""
+    pr = Binv[row] / d[row]
+    xr = x_B[row] / d[row]
+    Binv -= d[:, None] * pr
+    x_B -= d * xr
+    Binv[row] = pr
+    x_B[row] = xr
 
 
-def _bland_iterate(T: np.ndarray, basis: list[int], c: np.ndarray, eps) -> str:
-    """Run Bland-rule pivots to optimality or unboundedness, in place: the
-    first column with reduced cost above eps enters, the row with the least
-    ratio leaves, ties within eps to the least basic column."""
+def _bland_iterate(
+    M: np.ndarray,
+    c: np.ndarray,
+    Binv: np.ndarray,
+    x_B: np.ndarray,
+    basis: np.ndarray,
+    eps,
+) -> str:
+    """Run Bland-rule pivots to optimality or unboundedness, updating Binv,
+    x_B and basis in place. The duals y = c_B B^-1 price every column of M
+    in one product; the first column with reduced cost above eps enters, the
+    row with the least ratio leaves, ties within eps to the least basic
+    column."""
+    c_B = c[basis]
     while True:
-        reduced = c - (c[basis] @ T)[:-1]
+        reduced = c - (c_B @ Binv) @ M
         reduced[basis] = 0
-        entering = np.flatnonzero(reduced > eps)
-        if not entering.size:
+        positive = reduced > eps
+        enter = int(positive.argmax())
+        if not positive[enter]:
             return "Optimal"
-        enter = int(entering[0])
-        col = T[:, enter]
+        d = Binv @ M[:, enter]
+        cand = np.flatnonzero(d > eps)
         leave = -1
-        best = None
-        for i in np.flatnonzero(col > eps).tolist():
-            ratio = T[i, -1] / col[i]
+        best = least = None
+        for i, ratio, b in zip(
+            cand.tolist(),
+            (x_B[cand] / d[cand]).tolist(),
+            basis[cand].tolist(),
+        ):
             if (
                 best is None
                 or ratio < best - eps
-                or (abs(ratio - best) <= eps and basis[i] < basis[leave])
+                or (abs(ratio - best) <= eps and b < least)
             ):
-                best = ratio
-                leave = i
+                best, least, leave = ratio, b, i
         if leave < 0:
             return "Unbounded"
-        _pivot(T, basis, leave, enter)
+        _update(Binv, x_B, d, leave)
+        basis[leave] = enter
+        c_B[leave] = c[enter]
 
 
 _to_fractions = np.frompyfunc(Fraction, 1, 1)
@@ -206,93 +225,106 @@ def _array(values, exact: bool) -> np.ndarray:
 
 
 def _solve(lp: LinearProgram, exact: bool, eps) -> SimplexResult:
+    """Two-phase revised simplex with Bland's rule. The standard-form matrix
+    M is built once and never pivoted; each pivot updates the m x m basis
+    inverse B^-1 and the basic solution x_B."""
     n = lp.nvars
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    dtype = object if exact else float
     objective = _array(lp.objective, exact)
     m = len(lp.rhs)
     if m == 0:
         if any(v > eps for v in objective):
             return SimplexResult("Unbounded", None, None, None)
         return SimplexResult("Optimal", zero, (zero,) * n, ())
-    rhs = _array(lp.rhs, exact)
+    x_B = _array(lp.rhs, exact)
     senses = list(lp.senses)
-    flipped = np.flatnonzero(rhs < 0).tolist()
+    flipped = np.flatnonzero(x_B < 0).tolist()
     for i in flipped:
-        rhs[i] = -rhs[i]
+        x_B[i] = -x_B[i]
         senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
 
     # standard form: x columns, then one slack/surplus per inequality, then
-    # one artificial per row that needs it; the float tableau takes the
-    # matrix as it is, without an intermediate float copy
+    # one artificial per row that needs it; the float matrix takes lp.matrix
+    # as it is, without an intermediate float copy. The starting basis, the
+    # slack of each <= row and the artificial of every other row, is I.
     n_slack = sum(1 for s in senses if s != "=")
     total = n + n_slack
-    needs_art = [s != "<=" for s in senses]
-    n_art = sum(needs_art)
-    width = total + n_art + 1
-    T = np.full((m, width), zero, dtype=object if exact else float)
-    T[:, :n] = _array(lp.matrix, exact).reshape(m, n) if exact else lp.matrix
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
+    M = np.full((m, total + len(art_rows)), zero, dtype=dtype)
+    M[:, :n] = _array(lp.matrix, exact).reshape(m, n) if exact else lp.matrix
     for i in flipped:
-        T[i, :n] = -T[i, :n]
-    T[:, -1] = rhs
-    basis: list[int] = []
-    art_cols: list[int] = []
+        M[i, :n] = -M[i, :n]
+    basis = np.empty(m, dtype=np.intp)
     slack_seen = 0
     for i in range(m):
         if senses[i] != "=":
             slack_col = n + slack_seen
-            T[i, slack_col] = one if senses[i] == "<=" else -one
+            M[i, slack_col] = one if senses[i] == "<=" else -one
+            basis[i] = slack_col
             slack_seen += 1
-        if needs_art[i]:
-            col = total + len(art_cols)
-            T[i, col] = one
-            art_cols.append(col)
-            basis.append(col)
-        else:
-            basis.append(slack_col)
+    for k, i in enumerate(art_rows):
+        M[i, total + k] = one
+        basis[i] = total + k
+    Binv = np.full((m, m), zero, dtype=dtype)
+    np.fill_diagonal(Binv, one)
 
-    if art_cols:
-        c1 = np.full(total + n_art, zero, dtype=T.dtype)
-        c1[art_cols] = -one
-        status = _bland_iterate(T, basis, c1, eps)
+    if art_rows:
+        c1 = np.full(M.shape[1], zero, dtype=dtype)
+        c1[total:] = -one
+        status = _bland_iterate(M, c1, Binv, x_B, basis, eps)
         if status != "Optimal":
             raise RuntimeError(
                 f"phase 1 ended {status}, but its optimum is bounded by 0"
             )
-        art_set = set(art_cols)
-        infeas = -sum(T[i, -1] for i in range(m) if basis[i] in art_set)
+        infeas = -sum(x_B[i] for i in range(m) if basis[i] >= total)
         if infeas < -eps:
             return SimplexResult("Infeasible", None, None, None)
-        # drive leftover artificials out of the basis, dropping redundant rows
-        keep_rows: list[int] = []
+        # drive leftover artificials out of the basis; a basic artificial
+        # whose row of B^-1 M is 0 marks a redundant row r. Its basic column
+        # is e_r, so column r of B^-1 is e_i and deleting row i and column r
+        # of B^-1 leaves the inverse of the basis without row r.
+        drop: list[int] = []
         for i in range(m):
-            if basis[i] in art_set:
-                piv = np.flatnonzero(abs(T[i, :total]) > eps)
+            if basis[i] >= total:
+                piv = np.flatnonzero(abs(Binv[i] @ M[:, :total]) > eps)
                 if not piv.size:
+                    drop.append(i)
                     continue
-                _pivot(T, basis, i, int(piv[0]))
-            keep_rows.append(i)
-        T = np.hstack((T[keep_rows, :total], T[keep_rows, -1:]))
-        basis = [basis[i] for i in keep_rows]
+                j = int(piv[0])
+                _update(Binv, x_B, Binv @ M[:, j], i)
+                basis[i] = j
+        keep = [i for i in range(m) if i not in drop]
+        dropped_rows = {art_rows[basis[i] - total] for i in drop}
+        rows = [r for r in range(m) if r not in dropped_rows]
+        Binv = Binv[np.ix_(keep, rows)]
+        x_B = x_B[keep]
+        basis = basis[keep]
+        M = M[rows, :total]
 
-    c2 = np.concatenate((objective, np.full(n_slack, zero, dtype=T.dtype)))
-    status = _bland_iterate(T, basis, c2, eps)
+    c2 = np.concatenate((objective, np.full(n_slack, zero, dtype=dtype)))
+    status = _bland_iterate(M, c2, Binv, x_B, basis, eps)
     if status != "Optimal":
         return SimplexResult(status, None, None, None)
-    x = np.full(total, zero, dtype=T.dtype)
-    x[basis] = T[:, -1]
-    x = x.tolist()
-    value = sum(v * w for v, w in zip(c2.tolist(), x))
-    return SimplexResult("Optimal", value, tuple(x[:n]), tuple(basis))
+    x = np.full(total, zero, dtype=dtype)
+    x[basis] = x_B
+    # c_B . x_B, summed in column order
+    cols = np.sort(basis)
+    value = sum((c2[cols] * x[cols]).tolist(), zero)
+    return SimplexResult(
+        "Optimal", value, tuple(x[:n].tolist()), tuple(basis.tolist())
+    )
 
 
 def simplex(lp: LinearProgram) -> SimplexResult:
-    """Floating-point two-phase simplex with Bland's rule, feasibility and
-    optimality tolerances at EPS_LP."""
+    """Floating-point two-phase revised simplex with Bland's rule,
+    feasibility and optimality tolerances at EPS_LP."""
     return _solve(lp, False, EPS_LP)
 
 
 def simplex_exact(lp: LinearProgram) -> SimplexResult:
-    """Same pivoting over exact Fractions (zero tolerance)."""
+    """The same revised simplex and pivot rule over exact Fractions (zero
+    tolerance)."""
     return _solve(lp, True, Fraction(0))
 
 
@@ -325,10 +357,15 @@ class FractionResult:
 def _program(
     inc: IncidenceMatrix, m: EmpiricalModel, exact: bool
 ) -> LinearProgram:
+    """The float program of a model with exact tables takes its right-hand
+    side from them, so that it poses the same model as the exact one even
+    where snapping moved a probability."""
+    from_exact = exact or m.exact_available
     rhs = []
     for ctx, tup in inc.rows:
         dist = m.tables[ctx]
-        rhs.append(dist.exact[tup] if exact else dist[tup])
+        p = dist.exact[tup] if from_exact else dist[tup]
+        rhs.append(p if exact else float(p))
     one = Fraction(1) if exact else 1.0
     return LinearProgram(
         (one,) * len(inc.assignments),

@@ -270,6 +270,32 @@ def test_ncf_engine_failure_exits_1(monkeypatch):
         assert "Traceback" not in err
 
 
+def test_ncf_solves_the_snapped_tables(tmp_path):
+    """White-noise odd 5-cycle at v = 1 - 2/3**20 written with decimal
+    floats: its entries (1 - v)/4, about 1.4e-10, snap to 0, so the exact
+    tables are the odd 5-cycle with NCF 0. The float LP must pose that
+    model too, not the decimal one with NCF 5/3**20."""
+    from fractions import Fraction
+
+    n, v = 5, 1 - Fraction(2, 3**20)
+    hi, lo = float((1 + v) / 4), float((1 - v) / 4)
+    lines = ["scenario snapped"]
+    lines += [f"observable S{i} outcomes 0 1" for i in range(1, n + 1)]
+    lines += [f"context S{i} S{i % n + 1}" for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        equal, unequal = (hi, lo) if i < n else (lo, hi)
+        lines.append(f"table S{i} S{i % n + 1}")
+        lines += [f"  0 0 {equal!r}", f"  0 1 {unequal!r}"]
+        lines += [f"  1 0 {unequal!r}", f"  1 1 {equal!r}"]
+    path = tmp_path / "snapped.scn"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, err = call(["ncf", str(path), "--format", "json"])
+    assert (rc, err) == (0, "")
+    fraction = json.loads(out)["fraction"]
+    assert fraction["ncf"] == {"exact": "0", "value": 0.0}
+    assert fraction["witness"] == []
+
+
 def test_custom_eps_is_reported():
     rc, out, _ = call(["demo", "hardy", "--eps", "1e-6"])
     assert rc == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,10 +25,13 @@ from contextuality.ncpoly import (
     simplex,
     simplex_exact,
 )
+from contextuality.qstate import SiteBasis, StateVector
 from contextuality.scenario import (
     Distribution,
     EmpiricalModel,
+    MeasurementRecipe,
     Observable,
+    QuantumRealization,
     Scenario,
     realize,
     snap_to_rationals,
@@ -230,6 +234,34 @@ def test_simplex_redundant_equalities():
     res = simplex(lp)
     assert res.status == "Optimal"
     assert res.value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_simplex_drops_redundant_rows_whose_artificials_moved():
+    # rows 2 and 3 repeat rows 1 and 0; phase 1 leaves their artificials
+    # basic at other positions than their rows, so dropping them must delete
+    # the columns of the basis inverse named by the rows, or phase 2 prices
+    # with wrong duals. x1 = x3 and x2 = (3 x1 - 4)/2 leave 5 x1 - 4 to
+    # maximize under x1 <= 2: the optimum is 6 at (2, 1, 2).
+    rows = (
+        (-2, 0, 2),
+        (-2, 2, -1),
+        (4, -4, 2),
+        (1, 0, -1),
+        (0, 2, 1),
+        (2, 0, 2),
+    )
+    for solve, num in ((simplex, float), (simplex_exact, Fraction)):
+        lp = LinearProgram(
+            tuple(map(num, (1, 2, 1))),
+            tuple(tuple(map(num, row)) for row in rows),
+            ("=",) * 4 + ("<=",) * 2,
+            tuple(map(num, (0, -4, 8, 0, 5, 8))),
+        )
+        res = solve(lp)
+        assert res.status == "Optimal"
+        assert len(res.basis) == 4
+        assert res.value == pytest.approx(6, abs=1e-9)
+        assert res.x == pytest.approx((2, 1, 2), abs=1e-9)
 
 
 def test_simplex_survives_the_classic_cycling_program():
@@ -550,6 +582,84 @@ def _white_noise_odd_cycle(n: int, v: Fraction) -> EmpiricalModel:
             {tup: float(p) for tup, p in exact.items()}, exact
         )
     return EmpiricalModel(m.scenario, tables)
+
+
+def _chained_bell(n: int, phi: float) -> EmpiricalModel:
+    """Bell pair (|00> + |11>)/sqrt 2 with S(j+1) measured on qubit j % 2 at
+    Bloch angle j*pi/n + phi in the x-z plane: the odd n-cycle's quantum
+    realization, irrational tables, NCF = n(1 - cos(pi/n))/2."""
+    sc = Scenario(
+        tuple(Observable(f"S{j}", ("0", "1")) for j in range(1, n + 1)),
+        tuple((f"S{j}", f"S{j % n + 1}") for j in range(1, n + 1)),
+    )
+    r = 1 / np.sqrt(2)
+    state = StateVector((2, 2), np.array([r, 0, 0, r], dtype=complex))
+    recipes = {}
+    for j in range(n):
+        half = (j * np.pi / n + phi) / 2
+        c, s = np.cos(half), np.sin(half)
+        basis = SiteBasis(((c, s), (-s, c)), ("0", "1"))
+        recipes[f"S{j + 1}"] = MeasurementRecipe((j % 2,), basis)
+    return realize(QuantumRealization(state, recipes), sc)
+
+
+NOISE_LEVELS = (Fraction(1), Fraction(9, 10), Fraction(4, 5), Fraction(2, 3))
+
+
+def _pinned_basis_models():
+    for name in CORPUS_NCF:
+        yield f"corpus {name}", _corpus_model(name)
+    for n in range(3, 10):
+        for v in NOISE_LEVELS:
+            yield f"odd {n} {v}", _white_noise_odd_cycle(n, v)
+    for n in (6, 8):
+        yield f"chained_bell {n}", _chained_bell(n, 0.3)
+
+
+def test_simplex_pivot_path_is_pinned():
+    """Bland's rule and its tie-break fix the pivot path and with it the
+    optimal basis, the float witness and every printed witness. The bases in
+    simplex_bases.json were pinned from the tableau simplex that the revised
+    simplex replaced; a change to the entering or leaving rule shows here
+    instead of as silently different witnesses."""
+    pinned = json.loads(
+        (Path(__file__).parent / "simplex_bases.json").read_text()
+    )
+    models = dict(_pinned_basis_models())
+    assert set(models) == set(pinned)
+    for key, m in models.items():
+        assert list(simplex(ncf_program(m)).basis) == pinned[key], key
+    for n in (6, 8):
+        res = contextual_fraction(models[f"chained_bell {n}"])
+        assert res.ncf_exact is None
+        assert res.ncf == pytest.approx(n * (1 - np.cos(np.pi / n)) / 2)
+
+
+def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
+    """With the integer certificate failing, simplex_exact solves every
+    program from scratch and must reach the same exact optimum and, on the
+    corpus, the same witness in the same order."""
+    fallbacks = []
+    exact_simplex = ncpoly.simplex_exact
+
+    def counted(lp):
+        fallbacks.append(lp)
+        return exact_simplex(lp)
+
+    monkeypatch.setattr(ncpoly, "_certify", lambda inc, p, basis: None)
+    monkeypatch.setattr(ncpoly, "simplex_exact", counted)
+    for name, (ncf, witness) in CORPUS_NCF.items():
+        res = contextual_fraction(_corpus_model(name))
+        assert res.ncf_exact == ncf, name
+        assert list(res.witness_exact.items()) == list(witness.items()), name
+    for n in range(3, 7):
+        for v in NOISE_LEVELS:
+            res = contextual_fraction(_white_noise_odd_cycle(n, v))
+            expected = min(Fraction(1), n * (1 - v) / 2)
+            assert res.ncf_exact == expected, (n, v)
+            assert sum(res.witness_exact.values()) == expected
+            assert res.ncf == float(expected)
+    assert len(fallbacks) == len(CORPUS_NCF) + 4 * len(NOISE_LEVELS)
 
 
 def test_integer_certificate_pins_exact_fractions(monkeypatch):
