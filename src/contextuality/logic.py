@@ -59,9 +59,6 @@ class GlobalAssignment:
     def __getitem__(self, label: str) -> str:
         return self.values[self.labels.index(label)]
 
-    def restrict(self, context: Sequence[str]) -> tuple[str, ...]:
-        return tuple(self[l] for l in context)
-
     def as_dict(self) -> dict[str, str]:
         return dict(zip(self.labels, self.values))
 

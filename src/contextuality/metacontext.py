@@ -102,12 +102,6 @@ class ObserverChain:
             dim *= a.basis.n_outcomes
         object.__setattr__(self, "agents", agents)
 
-    def compound_sites(self) -> tuple[int, ...]:
-        sites = list(self.base.sites)
-        for a in self.agents:
-            sites.append(a.basis.n_outcomes)
-        return tuple(sites)
-
 
 @dataclass(frozen=True)
 class Cut:

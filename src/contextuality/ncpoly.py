@@ -3,11 +3,13 @@
 The decomposition question "how much of this empirical model is explained by
 a global distribution" is a small dense LP: maximize the total weight b >= 0
 over deterministic global assignments subject to incidence * b <= table
-probabilities, row by row. It has few rows and very many columns, so the
-solver is a two-phase revised simplex with Bland's rule: the standard-form
-matrix is built once, one product with the duals prices every column, and
-each pivot updates only the m x m basis inverse. Float64 and exact Fraction
-(object dtype, zero tolerance) arithmetic share the same pivoting code.
+probabilities, row by row. Every row is an upper bound with a nonnegative
+right-hand side, so the slack basis is feasible and the solver needs one
+phase only. The program has few rows and very many columns, so the solver
+is a revised simplex with Bland's rule: the matrix [A | I] is built once, one
+product with the duals prices every column, and each pivot updates only the
+m x m basis inverse. Float64 and exact Fraction (object dtype, zero
+tolerance) arithmetic share the same pivoting code.
 
 For exact tables the float-optimal basis is certified in integers. One
 fraction-free (Bareiss) Gauss-Jordan elimination of [K | P | I], K the square
@@ -111,38 +113,33 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
     return IncidenceMatrix(labels, tuple(rows), assignments, mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective . x  subject to  row_i . x  (sense_i)  rhs_i, x >= 0.
+    """maximize objective . x  subject to  matrix x <= rhs, x >= 0, with
+    rhs >= 0.
 
-    The matrix is a tuple of rows or a two-dimensional ndarray."""
+    The matrix is stored as a two-dimensional ndarray of shape
+    (len(rhs), len(objective)); an ndarray is kept as it is. Programs
+    compare by identity, since an ndarray has no single truth value."""
 
     objective: tuple
-    matrix: tuple[tuple, ...] | np.ndarray
-    senses: tuple[str, ...]
+    matrix: np.ndarray
     rhs: tuple
 
     def __post_init__(self) -> None:
         objective = tuple(self.objective)
-        if isinstance(self.matrix, np.ndarray):
-            if self.matrix.ndim != 2:
-                raise ValueError("matrix must be two-dimensional")
-            matrix = self.matrix
-        else:
-            matrix = tuple(tuple(row) for row in self.matrix)
-        senses = tuple(self.senses)
         rhs = tuple(self.rhs)
-        if not (len(matrix) == len(senses) == len(rhs)):
-            raise ValueError("matrix, senses and rhs must have equal length")
-        for row in matrix:
-            if len(row) != len(objective):
-                raise ValueError("matrix width must match the objective")
-        for s in senses:
-            if s not in ("<=", "=", ">="):
-                raise ValueError(f"unknown sense {s!r}")
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim != 2:
+            raise ValueError("matrix must be two-dimensional")
+        if len(matrix) != len(rhs):
+            raise ValueError("matrix and rhs must have equal length")
+        if matrix.shape[1] != len(objective):
+            raise ValueError("matrix width must match the objective")
+        if any(b < 0 for b in rhs):
+            raise ValueError("rhs must be nonnegative")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "senses", senses)
         object.__setattr__(self, "rhs", rhs)
 
     @property
@@ -152,7 +149,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
-    status: str  # Optimal | Infeasible | Unbounded
+    status: str  # Optimal | Unbounded
     value: object | None
     x: tuple | None
     basis: tuple[int, ...] | None  # standard-form column indices, one per row
@@ -225,106 +222,46 @@ def _array(values, exact: bool) -> np.ndarray:
 
 
 def _solve(lp: LinearProgram, exact: bool, eps) -> SimplexResult:
-    """Two-phase revised simplex with Bland's rule. The standard-form matrix
-    M is built once and never pivoted; each pivot updates the m x m basis
-    inverse B^-1 and the basic solution x_B."""
-    n = lp.nvars
+    """Revised simplex with Bland's rule from the slack basis. The matrix
+    M = [A | I] is built once and never pivoted; each pivot updates the
+    m x m basis inverse B^-1 and the basic solution x_B. Column n + i is the
+    slack of row i, and the slack basis B = I is feasible since rhs >= 0."""
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     dtype = object if exact else float
-    objective = _array(lp.objective, exact)
-    m = len(lp.rhs)
-    if m == 0:
-        if any(v > eps for v in objective):
-            return SimplexResult("Unbounded", None, None, None)
-        return SimplexResult("Optimal", zero, (zero,) * n, ())
+    m, n = lp.matrix.shape
+    # the float matrix takes lp.matrix as it is, without an intermediate
+    # float copy
+    M = np.full((m, n + m), zero, dtype=dtype)
+    M[:, :n] = _array(lp.matrix, exact) if exact else lp.matrix
+    basis = np.arange(n, n + m)
+    M[np.arange(m), basis] = one
+    Binv = M[:, n:].copy()
     x_B = _array(lp.rhs, exact)
-    senses = list(lp.senses)
-    flipped = np.flatnonzero(x_B < 0).tolist()
-    for i in flipped:
-        x_B[i] = -x_B[i]
-        senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    # standard form: x columns, then one slack/surplus per inequality, then
-    # one artificial per row that needs it; the float matrix takes lp.matrix
-    # as it is, without an intermediate float copy. The starting basis, the
-    # slack of each <= row and the artificial of every other row, is I.
-    n_slack = sum(1 for s in senses if s != "=")
-    total = n + n_slack
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    M = np.full((m, total + len(art_rows)), zero, dtype=dtype)
-    M[:, :n] = _array(lp.matrix, exact).reshape(m, n) if exact else lp.matrix
-    for i in flipped:
-        M[i, :n] = -M[i, :n]
-    basis = np.empty(m, dtype=np.intp)
-    slack_seen = 0
-    for i in range(m):
-        if senses[i] != "=":
-            slack_col = n + slack_seen
-            M[i, slack_col] = one if senses[i] == "<=" else -one
-            basis[i] = slack_col
-            slack_seen += 1
-    for k, i in enumerate(art_rows):
-        M[i, total + k] = one
-        basis[i] = total + k
-    Binv = np.full((m, m), zero, dtype=dtype)
-    np.fill_diagonal(Binv, one)
-
-    if art_rows:
-        c1 = np.full(M.shape[1], zero, dtype=dtype)
-        c1[total:] = -one
-        status = _bland_iterate(M, c1, Binv, x_B, basis, eps)
-        if status != "Optimal":
-            raise RuntimeError(
-                f"phase 1 ended {status}, but its optimum is bounded by 0"
-            )
-        infeas = -sum(x_B[i] for i in range(m) if basis[i] >= total)
-        if infeas < -eps:
-            return SimplexResult("Infeasible", None, None, None)
-        # drive leftover artificials out of the basis; a basic artificial
-        # whose row of B^-1 M is 0 marks a redundant row r. Its basic column
-        # is e_r, so column r of B^-1 is e_i and deleting row i and column r
-        # of B^-1 leaves the inverse of the basis without row r.
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] >= total:
-                piv = np.flatnonzero(abs(Binv[i] @ M[:, :total]) > eps)
-                if not piv.size:
-                    drop.append(i)
-                    continue
-                j = int(piv[0])
-                _update(Binv, x_B, Binv @ M[:, j], i)
-                basis[i] = j
-        keep = [i for i in range(m) if i not in drop]
-        dropped_rows = {art_rows[basis[i] - total] for i in drop}
-        rows = [r for r in range(m) if r not in dropped_rows]
-        Binv = Binv[np.ix_(keep, rows)]
-        x_B = x_B[keep]
-        basis = basis[keep]
-        M = M[rows, :total]
-
-    c2 = np.concatenate((objective, np.full(n_slack, zero, dtype=dtype)))
-    status = _bland_iterate(M, c2, Binv, x_B, basis, eps)
+    c = np.concatenate(
+        (_array(lp.objective, exact), np.full(m, zero, dtype=dtype))
+    )
+    status = _bland_iterate(M, c, Binv, x_B, basis, eps)
     if status != "Optimal":
         return SimplexResult(status, None, None, None)
-    x = np.full(total, zero, dtype=dtype)
+    x = np.full(n + m, zero, dtype=dtype)
     x[basis] = x_B
     # c_B . x_B, summed in column order
     cols = np.sort(basis)
-    value = sum((c2[cols] * x[cols]).tolist(), zero)
+    value = sum((c[cols] * x[cols]).tolist(), zero)
     return SimplexResult(
         "Optimal", value, tuple(x[:n].tolist()), tuple(basis.tolist())
     )
 
 
 def simplex(lp: LinearProgram) -> SimplexResult:
-    """Floating-point two-phase revised simplex with Bland's rule,
-    feasibility and optimality tolerances at EPS_LP."""
+    """Floating-point revised simplex with Bland's rule from the slack
+    basis, ratio-test and optimality tolerances at EPS_LP."""
     return _solve(lp, False, EPS_LP)
 
 
 def simplex_exact(lp: LinearProgram) -> SimplexResult:
-    """The same revised simplex and pivot rule over exact Fractions (zero
-    tolerance)."""
+    """The same slack-basis revised simplex and pivot rule over exact
+    Fractions (zero tolerance)."""
     return _solve(lp, True, Fraction(0))
 
 
@@ -367,12 +304,7 @@ def _program(
         p = dist.exact[tup] if from_exact else dist[tup]
         rhs.append(p if exact else float(p))
     one = Fraction(1) if exact else 1.0
-    return LinearProgram(
-        (one,) * len(inc.assignments),
-        inc.matrix,
-        ("<=",) * len(inc.rows),
-        tuple(rhs),
-    )
+    return LinearProgram((one,) * len(inc.assignments), inc.matrix, rhs)
 
 
 def ncf_program(m: EmpiricalModel, exact: bool = False) -> LinearProgram:
@@ -529,7 +461,8 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     inc = incidence(m.scenario)
     lp = _program(inc, m, exact=False)
     res = simplex(lp)
-    if res.status != "Optimal":  # pragma: no cover - b=0 is always feasible
+    # b = 0 is feasible, and the rows of any one context bound sum(b) by 1
+    if res.status != "Optimal":  # pragma: no cover
         raise RuntimeError(f"decomposition LP ended {res.status}")
     ncf = min(max(float(res.value), 0.0), 1.0)
     x = np.array(res.x, dtype=float)

@@ -76,6 +76,8 @@ class Scenario:
         observables = tuple(self.observables)
         contexts = tuple(tuple(str(l) for l in c) for c in self.contexts)
         labels = [o.label for o in observables]
+        if not contexts:
+            raise ValueError("a scenario needs at least one context")
         if len(set(labels)) != len(labels):
             raise ValueError("observable labels must be distinct")
         known = set(labels)
@@ -106,19 +108,6 @@ class Scenario:
             if o.label == label:
                 return o
         raise KeyError(label)
-
-    def observable_index(self, label: str) -> int:
-        for i, o in enumerate(self.observables):
-            if o.label == label:
-                return i
-        raise KeyError(label)
-
-    def context_index(self, context: Sequence[str]) -> int:
-        ctx = tuple(context)
-        for i, c in enumerate(self.contexts):
-            if c == ctx:
-                return i
-        raise KeyError(ctx)
 
     def joint_outcomes(self, context: Sequence[str]) -> list[tuple[str, ...]]:
         """Every joint outcome tuple of a context, in declared-outcome

@@ -149,119 +149,40 @@ def test_incidence_guard_rejects_huge_scenarios():
 
 def test_lp_shape_validation():
     with pytest.raises(ValueError, match="equal length"):
-        LinearProgram((1.0,), ((1.0,),), ("<=", "<="), (1.0,))
+        LinearProgram((1.0,), ((1.0,),), (1.0, 1.0))
     with pytest.raises(ValueError, match="width"):
-        LinearProgram((1.0, 1.0), ((1.0,),), ("<=",), (1.0,))
-    with pytest.raises(ValueError, match="sense"):
-        LinearProgram((1.0,), ((1.0,),), ("<",), (1.0,))
+        LinearProgram((1.0, 1.0), ((1.0,),), (1.0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        LinearProgram((1.0,), ((1.0,),), (-1.0,))
 
 
 def test_simplex_box():
-    lp = LinearProgram(
-        (1.0, 1.0),
-        ((1.0, 0.0), (0.0, 1.0)),
-        ("<=", "<="),
-        (2.0, 3.0),
-    )
+    lp = LinearProgram((1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), (2.0, 3.0))
     res = simplex(lp)
     assert res.status == "Optimal"
     assert res.value == pytest.approx(5.0, abs=1e-9)
     assert res.x == pytest.approx((2.0, 3.0), abs=1e-9)
+    # without rows, a nonpositive objective is optimal at x = 0
+    for solve, num in ((simplex, float), (simplex_exact, Fraction)):
+        res = solve(LinearProgram((num(0), num(-1)), np.zeros((0, 2)), ()))
+        assert res.status == "Optimal"
+        assert res.value == 0 and res.x == (0, 0) and res.basis == ()
 
 
 def test_simplex_prefers_the_better_corner():
-    lp = LinearProgram(
-        (2.0, 1.0),
-        ((1.0, 1.0), (1.0, 0.0)),
-        ("<=", "<="),
-        (4.0, 2.0),
-    )
+    lp = LinearProgram((2.0, 1.0), ((1.0, 1.0), (1.0, 0.0)), (4.0, 2.0))
     res = simplex(lp)
     assert res.status == "Optimal"
     assert res.value == pytest.approx(6.0, abs=1e-9)
 
 
-def test_simplex_equality_and_negative_rhs():
-    # -x - y <= -3 normalizes to x + y >= 3
-    lp = LinearProgram(
-        (-1.0, -1.0),
-        ((-1.0, -1.0), (1.0, 0.0)),
-        ("<=", "<="),
-        (-3.0, 5.0),
-    )
-    res = simplex(lp)
-    assert res.status == "Optimal"
-    assert res.value == pytest.approx(-3.0, abs=1e-9)
-
-    lp = LinearProgram(
-        (1.0, 0.0),
-        ((1.0, 1.0), (1.0, 0.0)),
-        ("=", "<="),
-        (3.0, 1.0),
-    )
-    res = simplex(lp)
-    assert res.status == "Optimal"
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_simplex_infeasible():
-    lp = LinearProgram(
-        (1.0,),
-        ((1.0,), (1.0,)),
-        ("<=", ">="),
-        (1.0, 2.0),
-    )
-    assert simplex(lp).status == "Infeasible"
-
-
 def test_simplex_unbounded():
-    lp = LinearProgram(
-        (1.0, 0.0),
-        ((0.0, 1.0),),
-        ("<=",),
-        (1.0,),
-    )
+    lp = LinearProgram((1.0, 0.0), ((0.0, 1.0),), (1.0,))
     assert simplex(lp).status == "Unbounded"
-
-
-def test_simplex_redundant_equalities():
-    lp = LinearProgram(
-        (1.0, 1.0),
-        ((1.0, 1.0), (2.0, 2.0), (1.0, 0.0)),
-        ("=", "=", "<="),
-        (2.0, 4.0, 1.5),
-    )
-    res = simplex(lp)
-    assert res.status == "Optimal"
-    assert res.value == pytest.approx(2.0, abs=1e-9)
-
-
-def test_simplex_drops_redundant_rows_whose_artificials_moved():
-    # rows 2 and 3 repeat rows 1 and 0; phase 1 leaves their artificials
-    # basic at other positions than their rows, so dropping them must delete
-    # the columns of the basis inverse named by the rows, or phase 2 prices
-    # with wrong duals. x1 = x3 and x2 = (3 x1 - 4)/2 leave 5 x1 - 4 to
-    # maximize under x1 <= 2: the optimum is 6 at (2, 1, 2).
-    rows = (
-        (-2, 0, 2),
-        (-2, 2, -1),
-        (4, -4, 2),
-        (1, 0, -1),
-        (0, 2, 1),
-        (2, 0, 2),
-    )
+    # without rows, a positive objective is unbounded
     for solve, num in ((simplex, float), (simplex_exact, Fraction)):
-        lp = LinearProgram(
-            tuple(map(num, (1, 2, 1))),
-            tuple(tuple(map(num, row)) for row in rows),
-            ("=",) * 4 + ("<=",) * 2,
-            tuple(map(num, (0, -4, 8, 0, 5, 8))),
-        )
-        res = solve(lp)
-        assert res.status == "Optimal"
-        assert len(res.basis) == 4
-        assert res.value == pytest.approx(6, abs=1e-9)
-        assert res.x == pytest.approx((2, 1, 2), abs=1e-9)
+        lp = LinearProgram((num(0), num(1)), np.zeros((0, 2)), ())
+        assert solve(lp).status == "Unbounded"
 
 
 def test_simplex_survives_the_classic_cycling_program():
@@ -273,7 +194,6 @@ def test_simplex_survives_the_classic_cycling_program():
             (0.5, -1.5, -0.5, 1.0),
             (1.0, 0.0, 0.0, 0.0),
         ),
-        ("<=", "<=", "<="),
         (0.0, 0.0, 1.0),
     )
     res = simplex(lp)
@@ -286,13 +206,18 @@ def test_simplex_survives_the_classic_cycling_program():
         method="highs",
     )
     assert res.value == pytest.approx(-ref.fun, abs=1e-7)
+    # every entry is a binary fraction, so the exact run, Bland's rule at
+    # zero tolerance, solves the same program
+    res = simplex_exact(lp)
+    assert res.status == "Optimal"
+    assert res.value == Fraction(1)
+    assert res.basis == (4, 0, 2)
 
 
 def test_simplex_exact_returns_fractions():
     lp = LinearProgram(
         (Fraction(1), Fraction(3)),
         ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))),
-        ("<=", "<="),
         (Fraction(3, 2), Fraction(1, 3)),
     )
     res = simplex_exact(lp)
@@ -302,23 +227,10 @@ def test_simplex_exact_returns_fractions():
 
 
 def _scipy_reference(lp: LinearProgram):
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for row, s, b in zip(lp.matrix, lp.senses, lp.rhs):
-        if s == "<=":
-            A_ub.append(list(row))
-            b_ub.append(b)
-        elif s == ">=":
-            A_ub.append([-v for v in row])
-            b_ub.append(-b)
-        else:
-            A_eq.append(list(row))
-            b_eq.append(b)
     return linprog(
         [-c for c in lp.objective],
-        A_ub=A_ub or None,
-        b_ub=b_ub or None,
-        A_eq=A_eq or None,
-        b_eq=b_eq or None,
+        A_ub=lp.matrix,
+        b_ub=lp.rhs,
         method="highs",
     )
 
@@ -334,36 +246,12 @@ def test_simplex_matches_scipy_on_random_inequality_programs():
             A = rng.uniform(-1.0, 1.0, size=(m, n))
         b = rng.uniform(0.0, 2.0, size=m)
         c = rng.uniform(-1.0, 1.0, size=n)
-        lp = LinearProgram(
-            tuple(c), tuple(map(tuple, A)), ("<=",) * m, tuple(b)
-        )
+        lp = LinearProgram(tuple(c), A, tuple(b))
         res = simplex(lp)
         ref = _scipy_reference(lp)
         if res.status == "Unbounded":
             assert ref.status == 3
             continue
-        assert res.status == "Optimal" and ref.status == 0
-        assert res.value == pytest.approx(-ref.fun, abs=1e-6)
-
-
-def test_simplex_matches_scipy_on_random_equality_programs():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(1, n))
-        A = rng.uniform(-1.0, 1.0, size=(k, n))
-        x0 = rng.uniform(0.0, 1.0, size=n)
-        b = A @ x0
-        c = rng.uniform(-1.0, 1.0, size=n)
-        rows = list(map(tuple, A)) + [
-            tuple(1.0 if j == i else 0.0 for j in range(n))
-            for i in range(n)
-        ]
-        senses = ("=",) * k + ("<=",) * n
-        rhs = tuple(b) + (2.0,) * n
-        lp = LinearProgram(tuple(c), tuple(rows), senses, rhs)
-        res = simplex(lp)
-        ref = _scipy_reference(lp)
         assert res.status == "Optimal" and ref.status == 0
         assert res.value == pytest.approx(-ref.fun, abs=1e-6)
 
@@ -375,7 +263,6 @@ def test_ncf_program_shape(hardy_model):
     lp = ncf_program(hardy_model)
     assert lp.nvars == 16
     assert len(lp.matrix) == 16
-    assert set(lp.senses) == {"<="}
     assert lp.objective == (1.0,) * 16
     inc = incidence(hardy_model.scenario)
     for (ctx, tup), b in zip(inc.rows, lp.rhs):

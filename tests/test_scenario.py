@@ -51,6 +51,11 @@ def test_scenario_rejects_uncovered_observable():
         Scenario(obs, (("X",),))
 
 
+def test_scenario_rejects_empty():
+    with pytest.raises(ValueError, match="at least one context"):
+        Scenario((), ())
+
+
 def test_singleton_context_is_permitted():
     sc = Scenario((Observable("X", ("0", "1")),), (("X",),))
     assert sc.joint_outcomes(("X",)) == [("0",), ("1",)]
