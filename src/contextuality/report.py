@@ -8,12 +8,16 @@ and the text rendering of a re-parsed JSON report is byte-identical to the
 original. Probabilities carry a float value plus, whenever the model's
 tables are exact rationals (directly or after snapping small denominators),
 the exact `p/q` string alongside.
+
+JSON is written by a small direct writer (`_encode`) whose bytes equal
+`json.dumps(report, indent=2, sort_keys=True)`. With an indent the stdlib
+always falls back to its pure-Python encoder.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from .builders import CertainImplication, certain_implications
@@ -494,5 +498,70 @@ def render_text(r: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(o, nl: str = "\n") -> str:
+    """o as `json.dumps(o, indent=2, sort_keys=True)` writes it, where nl is
+    the newline and indent of the line o starts on. Values of exact builtin
+    types are written inline; dict keys must be str."""
+    t = type(o)
+    if t is dict:
+        keys = sorted(o)
+        values, ends = [o[k] for k in keys], "{}"
+    elif t is list or t is tuple:
+        keys, values, ends = None, o, "[]"
+    else:
+        return _encode_other(o, nl)
+    if not values:
+        return ends
+    inner = nl + "  "
+    parts = []
+    append = parts.append
+    for v in values:
+        t = type(v)
+        if t is str:
+            append(_encode_str(v))
+        elif t is float:
+            r = _float_repr(v)
+            append(_NONFINITE.get(r, r))
+        elif t is int:
+            append(_int_repr(v))
+        elif v is None:
+            append("null")
+        elif t is bool:
+            append("true" if v else "false")
+        else:
+            append(_encode(v, inner))
+    if keys is not None:
+        parts = [_encode_str(k) + ": " + p for k, p in zip(keys, parts)]
+    return ends[0] + inner + ("," + inner).join(parts) + nl + ends[1]
+
+
+def _encode_other(o, nl: str) -> str:
+    """Anything but an exact dict, list or tuple, in json's isinstance
+    order, so that subclasses encode as json encodes them."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, float):
+        r = _float_repr(o)
+        return _NONFINITE.get(r, r)
+    if isinstance(o, (list, tuple)):
+        return _encode(list(o), nl)
+    if isinstance(o, dict):
+        return _encode(dict(o.items()), nl)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def render_json(r: AnalysisReport) -> str:
-    return json.dumps(r.as_dict(), indent=2, sort_keys=True) + "\n"
+    return _encode(r.as_dict()) + "\n"

@@ -8,8 +8,9 @@ observable; realize() turns it into an empirical model through the Born rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -71,6 +72,7 @@ class Scenario:
 
     observables: tuple[Observable, ...]
     contexts: tuple[ContextKey, ...]
+    _by_label: dict[str, Observable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         observables = tuple(self.observables)
@@ -102,12 +104,10 @@ class Scenario:
             )
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "_by_label", {o.label: o for o in observables})
 
     def observable(self, label: str) -> Observable:
-        for o in self.observables:
-            if o.label == label:
-                return o
-        raise KeyError(label)
+        return self._by_label[label]
 
     def joint_outcomes(self, context: Sequence[str]) -> list[tuple[str, ...]]:
         """Every joint outcome tuple of a context, in declared-outcome
@@ -141,7 +141,13 @@ class EmpiricalModel:
                     f"table for context {ctx} does not cover exactly its "
                     f"joint outcomes"
                 )
-            # canonical row order: declared-outcome lexicographic
+            # canonical row order: declared-outcome lexicographic; a table
+            # already in that order is kept as it is
+            if list(dist.probs) == expected and (
+                dist.exact is None or list(dist.exact) == expected
+            ):
+                tables[ctx] = dist
+                continue
             probs = {t: dist[t] for t in expected}
             exact = None
             if dist.exact is not None:
@@ -158,6 +164,10 @@ class EmpiricalModel:
     @property
     def exact_available(self) -> bool:
         return all(d.exact is not None for d in self.tables.values())
+
+    @functools.cached_property
+    def _no_disturbance_result(self) -> tuple[float, list[NoDisturbanceRecord]]:
+        return _no_disturbance(self)
 
 
 @dataclass(frozen=True)
@@ -288,7 +298,16 @@ def no_disturbance(
     """Largest marginal disagreement across all context pairs.
 
     Returns (max violation, one record per context pair with shared
-    observables). A single-context model trivially passes with (0.0, [])."""
+    observables). A single-context model trivially passes with (0.0, []).
+    The result is computed once per model and memoized on it; each call
+    returns a fresh record list."""
+    worst, records = m._no_disturbance_result
+    return worst, list(records)
+
+
+def _no_disturbance(
+    m: EmpiricalModel,
+) -> tuple[float, list[NoDisturbanceRecord]]:
     records: list[NoDisturbanceRecord] = []
     contexts = m.scenario.contexts
     worst = 0.0

@@ -270,6 +270,23 @@ def test_ncf_engine_failure_exits_1(monkeypatch):
         assert "Traceback" not in err
 
 
+def test_ncf_json_computes_no_disturbance_once(monkeypatch):
+    import contextuality.scenario as scenario
+
+    models = []
+    real = scenario._no_disturbance
+
+    def counted(m):
+        models.append(m)
+        return real(m)
+
+    monkeypatch.setattr(scenario, "_no_disturbance", counted)
+    rc, out, err = call(["ncf", str(DATA_DIR / "hardy.scn"), "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["no_disturbance"]["pass"] is True
+    assert len(models) == 1
+
+
 def test_ncf_solves_the_snapped_tables(tmp_path):
     """White-noise odd 5-cycle at v = 1 - 2/3**20 written with decimal
     floats: its entries (1 - v)/4, about 1.4e-10, snap to 0, so the exact

@@ -6,13 +6,18 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import logic
 from contextuality.builders import fr_realization, hardy_realization
 from contextuality.report import (
+    ALL_SECTIONS,
     DEFAULT_ASSUMPTION_SETS,
     AnalysisReport,
+    _encode,
     chain_report,
     model_report,
     render_json,
@@ -402,3 +407,70 @@ def test_default_assumption_sets_shape():
         parts = label.split(",")
         assert dropped not in parts
         assert len(parts) == 3
+
+
+# ------------------------------------------------------------- JSON writer
+
+# the section sets of the ncf and cycles commands
+NCF_SECTIONS = frozenset({"nd", "ncf"})
+CYCLES_SECTIONS = frozenset({"sentences", "cycle"})
+
+
+def _every_corpus_report():
+    for name in CORPUS:
+        f = parse_file(corpus_text(name))
+        if f.scenario is not None:
+            yield scenario_report(f.scenario, name)
+        if f.chain is not None:
+            yield chain_report(f.chain, name)
+        model = f.model
+        if model is None and f.realization is not None:
+            model = realize(f.realization, f.scenario)
+        if model is not None:
+            for sections in (ALL_SECTIONS, NCF_SECTIONS, CYCLES_SECTIONS):
+                yield model_report(model, name, sections=sections)
+
+
+def test_render_json_equals_json_dumps_on_corpus():
+    reports = list(_every_corpus_report())
+    assert len(reports) == 8 + 1 + 8 * 3
+    for rep in reports:
+        want = json.dumps(rep.as_dict(), indent=2, sort_keys=True) + "\n"
+        assert render_json(rep) == want
+
+
+class _Label(str):
+    pass
+
+
+_any_text = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+_leaves = st.one_of(
+    _any_text,
+    _any_text.map(_Label),
+    st.integers(-(2**100), 2**100),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.none(),
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_any_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+    for bad in (object(), [value, object()], {"k": [value, {"v": object()}]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _encode(bad)

@@ -124,6 +124,45 @@ def test_realize_applies_outcome_map(hardy_scenario, hardy_realization):
     assert m.table(("A_c", "B_c"))[("0", "1")] == pytest.approx(1 / 3, abs=1e-12)
 
 
+def test_scenario_observable_lookup(hardy_scenario):
+    assert hardy_scenario.observable("B_d") == Observable("B_d", ("+", "-"))
+    with pytest.raises(KeyError) as info:
+        hardy_scenario.observable("C")
+    assert info.value.args == ("C",)
+
+
+def _rational_tables(sc):
+    tables = {}
+    for ctx in sc.contexts:
+        outcomes = sc.joint_outcomes(ctx)
+        exact = {t: Fraction(k + 1, 10) for k, t in enumerate(outcomes)}
+        tables[ctx] = Distribution({t: float(v) for t, v in exact.items()}, exact)
+    return tables
+
+
+def test_canonical_tables_are_kept(hardy_scenario):
+    tables = _rational_tables(hardy_scenario)
+    m = EmpiricalModel(hardy_scenario, tables)
+    for ctx in hardy_scenario.contexts:
+        assert m.tables[ctx] is tables[ctx]
+
+
+def test_shuffled_tables_come_back_in_canonical_order(hardy_scenario):
+    tables = _rational_tables(hardy_scenario)
+    reordered = {}
+    for i, (ctx, d) in enumerate(tables.items()):
+        probs = dict(reversed(d.probs.items())) if i % 2 == 0 else d.probs
+        exact = dict(reversed(d.exact.items()))  # exact rows out of order too
+        reordered[ctx] = Distribution(probs, exact)
+    m = EmpiricalModel(hardy_scenario, reordered)
+    for ctx in hardy_scenario.contexts:
+        expected = hardy_scenario.joint_outcomes(ctx)
+        assert m.tables[ctx] is not reordered[ctx]
+        assert list(m.tables[ctx].probs) == expected
+        assert list(m.tables[ctx].exact) == expected
+        assert m.tables[ctx] == tables[ctx]
+
+
 # ------------------------------------------------------------ no_disturbance
 
 
@@ -164,6 +203,13 @@ def test_single_context_trivially_passes():
         sc, {("X",): Distribution({("0",): 0.25, ("1",): 0.75})}
     )
     assert no_disturbance(m) == (0.0, [])
+
+
+def test_no_disturbance_records_cannot_be_mutated_through_the_memo(hardy_model):
+    worst, records = no_disturbance(hardy_model)
+    kept = list(records)
+    records.clear()
+    assert no_disturbance(hardy_model) == (worst, kept)
 
 
 def test_randomized_realizations_pass_no_disturbance(hardy_scenario):
