@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .qstate import Distribution
 from .scenario import (
@@ -72,105 +72,119 @@ def _guard(sc: Scenario) -> None:
 
 
 class _Plan:
-    """Backtracking over observables in scenario order, outcomes in declared
-    order. A context is checked as soon as its last observable gets a value.
+    """One table over frontier states that answers every section question
+    about one support, built layer by layer without recursion.
 
-    Whether a partial assignment at position i completes depends only on i
-    and on the frontier: the positions before i that a context completing at
-    i or later still reads (for an n-cycle, two observables). Every search
-    below memoizes on (i, frontier values), so its cost grows with the number
-    of frontier states, not with the number of global sections."""
+    Observables are taken in scenario order, outcomes in declared order, and
+    a context is checked at its last observable. The frontier before
+    position i is the earlier positions that a context ending at i or later
+    still reads (two for an n-cycle); a state is the frontier's values, and
+    whether a partial assignment completes depends only on i and its state.
+    The forward pass records, for each reachable state, its consistent edges
+    (value, next state, tuples of the contexts checked there); the backward
+    pass counts each state's completions. Cost grows with the number of
+    frontier states, not with the number of global sections."""
 
     def __init__(self, p: PossibilisticModel):
         sc = p.scenario
         _guard(sc)
         self.labels = tuple(o.label for o in sc.observables)
-        self.outcomes = [o.outcomes for o in sc.observables]
+        self.supports = p.supports
         n = len(self.labels)
         position = {l: i for i, l in enumerate(self.labels)}
-        # (context, support, positions) in declared context order
-        self.contexts = [
-            (ctx, p.supports[ctx], tuple(position[l] for l in ctx))
-            for ctx in sc.contexts
-        ]
-        self.ctx_at: list[list[tuple[frozenset, tuple[int, ...]]]] = [
+        checks: list[list[tuple[ContextKey, frozenset, tuple[int, ...]]]] = [
             [] for _ in range(n)
         ]
         last_read = list(range(n))
-        for _, sup, idxs in self.contexts:
+        for ctx in sc.contexts:
+            idxs = tuple(position[l] for l in ctx)
             last = max(idxs)
-            self.ctx_at[last].append((sup, idxs))
+            checks[last].append((ctx, p.supports[ctx], idxs))
             for k in idxs:
                 last_read[k] = max(last_read[k], last)
-        self.frontier = [
-            tuple(k for k in range(i) if last_read[k] >= i) for i in range(n + 1)
-        ]
+        self.contexts_at = [[ctx for ctx, _, _ in at] for at in checks]
 
-    def choices(self, fixed: Mapping[str, str]) -> list[tuple[str, ...]]:
-        return [
-            (fixed[l],) if l in fixed else outs
-            for l, outs in zip(self.labels, self.outcomes)
-        ]
+        # edges[i]: state before position i -> [(value, next state, rows)]
+        self.edges: list[dict[tuple[str, ...], list]] = []
+        layer: dict[tuple[str, ...], list] = {(): []}
+        frontier: tuple[int, ...] = ()
+        for i, obs in enumerate(sc.observables):
+            here = frontier + (i,)
+            frontier = tuple(k for k in here if last_read[k] > i)
+            at = {k: j for j, k in enumerate(here)}
+            keep = [at[k] for k in frontier]
+            tests = [(sup, [at[k] for k in idxs]) for _, sup, idxs in checks[i]]
+            following: dict[tuple[str, ...], list] = {}
+            for state, out in layer.items():
+                for v in obs.outcomes:
+                    row = state + (v,)
+                    rows = tuple(tuple(row[j] for j in js) for _, js in tests)
+                    if all(r in sup for r, (sup, _) in zip(rows, tests)):
+                        nxt = tuple(row[j] for j in keep)
+                        out.append((v, nxt, rows))
+                        following.setdefault(nxt, [])
+            self.edges.append(layer)
+            layer = following
 
-    def count(self) -> int:
-        """Number of global sections; completions are counted per frontier
-        state, and no section is built."""
+        # counts[i]: state before position i -> number of completions
+        self.counts = [{(): 1}]
+        for edges in reversed(self.edges):
+            after = self.counts[-1]
+            self.counts.append(
+                {s: sum(after[nxt] for _, nxt, _ in out) for s, out in edges.items()}
+            )
+        self.counts.reverse()
+        self.count: int = self.counts[0][()]
+
+    def covered(self) -> set[tuple[ContextKey, tuple[str, ...]]]:
+        """The (context, tuple) events some global section restricts to: the
+        tuples on every edge into a state that completes."""
+        covered = set()
+        for layer, ctxs, after in zip(self.edges, self.contexts_at, self.counts[1:]):
+            for out in layer.values():
+                for _, nxt, rows in out:
+                    if after[nxt]:
+                        covered.update(zip(ctxs, rows))
+        return covered
+
+    def classification(self) -> Classification:
+        if not self.count:
+            return Classification.STRONGLY_CONTEXTUAL
+        covered = self.covered()
+        if all((ctx, t) in covered for ctx, sup in self.supports.items() for t in sup):
+            return Classification.GLOBALLY_EXTENDABLE
+        return Classification.LOGICALLY_CONTEXTUAL
+
+    def sections(self) -> list[tuple[str, ...]]:
+        """Every global section in lexicographic order. The walk keeps one
+        iterator of completing edges per position on an explicit stack and
+        fills one value list, so each section is copied out once."""
+        if not self.count:
+            return []
         n = len(self.labels)
         values = [""] * n
-        memo: list[dict[tuple[str, ...], int]] = [{} for _ in range(n)]
-
-        def completions(i: int) -> int:
-            if i == n:
-                return 1
-            key = tuple(values[k] for k in self.frontier[i])
-            total = memo[i].get(key)
-            if total is None:
-                total = 0
-                for v in self.outcomes[i]:
-                    values[i] = v
-                    if self._consistent_at(i, values):
-                        total += completions(i + 1)
-                memo[i][key] = total
-            return total
-
-        return completions(0)
-
-    def sections(
-        self, choices: Sequence[tuple[str, ...]], first_only: bool
-    ) -> list[tuple[str, ...]]:
-        """Global sections drawing each value from `choices`, in
-        lexicographic order; only the first one when `first_only`. A frontier
-        state whose subtree held no section is recorded dead and never
-        entered again."""
-        n = len(self.labels)
-        values = [""] * n
-        dead: list[set[tuple[str, ...]]] = [set() for _ in range(n)]
         found: list[tuple[str, ...]] = []
-
-        def dfs(i: int) -> bool:
-            if i == n:
-                found.append(tuple(values))
-                return first_only
-            key = tuple(values[k] for k in self.frontier[i])
-            if key in dead[i]:
-                return False
-            before = len(found)
-            for v in choices[i]:
+        stack = [self._completing(0, ())]
+        while stack:
+            i = len(stack) - 1
+            for v, nxt in stack[-1]:
                 values[i] = v
-                if self._consistent_at(i, values) and dfs(i + 1):
-                    return True
-            if len(found) == before:
-                dead[i].add(key)
-            return False
-
-        dfs(0)
+                if i + 1 == n:
+                    found.append(tuple(values))
+                else:
+                    stack.append(self._completing(i + 1, nxt))
+                    break
+            else:
+                stack.pop()
         return found
 
-    def _consistent_at(self, i: int, values: list[str]) -> bool:
-        for sup, idxs in self.ctx_at[i]:
-            if tuple(values[k] for k in idxs) not in sup:
-                return False
-        return True
+    def _completing(
+        self, i: int, state: tuple[str, ...]
+    ) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """(value, next state) of each edge out of `state` at position i
+        into a state that completes, in declared outcome order."""
+        after = self.counts[i + 1]
+        return ((v, nxt) for v, nxt, _ in self.edges[i][state] if after[nxt])
 
 
 def global_sections(p: PossibilisticModel) -> list[GlobalAssignment]:
@@ -180,18 +194,15 @@ def global_sections(p: PossibilisticModel) -> list[GlobalAssignment]:
     can hold up to 2**24 of them. Raises ValueError when the assignment space
     exceeds the 2**24 guard."""
     plan = _Plan(p)
-    return [
-        GlobalAssignment(plan.labels, v)
-        for v in plan.sections(plan.choices({}), first_only=False)
-    ]
+    return [GlobalAssignment(plan.labels, v) for v in plan.sections()]
 
 
 def count_global_sections(p: PossibilisticModel) -> int:
-    """len(global_sections(p)), counted without building any section: time
-    and memory grow with the frontier states of the search, not with the
-    count. Raises ValueError when the assignment space exceeds the 2**24
-    guard, like global_sections."""
-    return _Plan(p).count()
+    """len(global_sections(p)), read off the frontier-state table without
+    building any section: time and memory grow with the frontier states, not
+    with the count. Raises ValueError when the assignment space exceeds the
+    2**24 guard, like global_sections."""
+    return _Plan(p).count
 
 
 def _check_seed(p: PossibilisticModel, context, outcome) -> tuple[ContextKey, tuple[str, ...]]:
@@ -209,45 +220,24 @@ def _check_seed(p: PossibilisticModel, context, outcome) -> tuple[ContextKey, tu
 def extends_to_global(
     p: PossibilisticModel, context: Sequence[str], outcome: Sequence[str]
 ) -> bool:
-    """Does this locally possible outcome occur in some global section? The
-    search stops at the first section found. Raises ValueError when the
-    assignment space exceeds the 2**24 guard."""
+    """Does this locally possible outcome occur in some global section? True
+    when the frontier-state table has an edge restricting the context to the
+    outcome that leads to a state which completes. Raises ValueError when
+    the assignment space exceeds the 2**24 guard."""
     ctx, t = _check_seed(p, context, outcome)
-    plan = _Plan(p)
-    return bool(plan.sections(plan.choices(dict(zip(ctx, t))), first_only=True))
+    return (ctx, t) in _Plan(p).covered()
 
 
 def classify(p: PossibilisticModel) -> Classification:
     """GloballyExtendable / LogicallyContextual / StronglyContextual
     (Abramsky & Brandenburger, NJP 13, 113036 (2011)).
 
-    StronglyContextual when no global section exists; LogicallyContextual
-    when some possible event is covered by none. Sections are never
-    enumerated: for each support tuple not yet covered, in declared context
-    and outcome order, one search finds a single section extending it, and
-    every tuple that section restricts to is marked covered. Raises
-    ValueError when the assignment space exceeds the 2**24 guard."""
-    plan = _Plan(p)
-    witnesses = plan.sections(plan.choices({}), first_only=True)
-    if not witnesses:
-        return Classification.STRONGLY_CONTEXTUAL
-    covered: set[tuple[ContextKey, tuple[str, ...]]] = set()
-
-    def cover(section: tuple[str, ...]) -> None:
-        covered.update(
-            (ctx, tuple(section[k] for k in idxs)) for ctx, _, idxs in plan.contexts
-        )
-
-    cover(witnesses[0])
-    for ctx, sup, _ in plan.contexts:
-        for t in p.scenario.joint_outcomes(ctx):
-            if t not in sup or (ctx, t) in covered:
-                continue
-            hit = plan.sections(plan.choices(dict(zip(ctx, t))), first_only=True)
-            if not hit:
-                return Classification.LOGICALLY_CONTEXTUAL
-            cover(hit[0])
-    return Classification.GLOBALLY_EXTENDABLE
+    StronglyContextual when the frontier-state table counts no global
+    section; LogicallyContextual when some support tuple lies on no edge
+    into a completing state, that is, no section restricts to it. Sections
+    are never enumerated. Raises ValueError when the assignment space
+    exceeds the 2**24 guard."""
+    return _Plan(p).classification()
 
 
 # ------------------------------------------------------------- Liar cycles

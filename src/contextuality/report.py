@@ -21,13 +21,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from .builders import CertainImplication, certain_implications
-from .logic import (
-    LiarCycle,
-    _LiarSearch,
-    classify,
-    count_global_sections,
-    liar_cycles,
-)
+from .logic import LiarCycle, _LiarSearch, _Plan, liar_cycles
 from .metacontext import (
     AssumptionSet,
     ObserverChain,
@@ -298,8 +292,9 @@ def model_report(
             "tolerance": ND_PASS_TOL,
         }
     if "logic" in sections:
-        values["classification"] = classify(p).value
-        values["global_sections"] = count_global_sections(p)
+        plan = _Plan(p)
+        values["classification"] = plan.classification().value
+        values["global_sections"] = plan.count
     if "sentences" in sections:
         values["sentences"] = [
             _sentence_dict(s) for s in certain_implications(work)

@@ -6,7 +6,7 @@ one, block rows indented):
     scenario <name>
     observable <label> outcomes <l1> <l2> ...
     context <label1> <label2> ...
-    table <context-index-or-labels>
+    table <context-labels-or-index>
       <outcome tuple> <probability>     # decimal or p/q
     state <dim per site ...>
       amp <flat-index> <re> <im>
@@ -17,7 +17,9 @@ one, block rows indented):
 
 A file carries either probability tables (one per declared context) or a
 state block with one measure line per observable; a state plus chain lines
-defines an observer chain instead. Rational probability literals are kept
+defines an observer chain instead. A table header names its context by
+labels; a lone number is read as a 0-based context index only when no
+declared context has that label. Rational probability literals are kept
 exactly alongside their float values; a table whose literals sum to exactly
 1 stays exact end to end.
 """
@@ -254,7 +256,14 @@ class _Parser:
         args = toks[1:]
         if not args:
             raise ParseError("table needs a context index or its labels", ln, col)
-        if len(args) == 1 and args[0][0].isdigit():
+        ctx = tuple(t[0] for t in args)
+        if ctx not in self.contexts:
+            # a lone number is an index only when no context has it as label
+            if len(args) != 1 or not args[0][0].isdecimal():
+                raise ParseError(
+                    f"table for undeclared context ({' '.join(ctx)})",
+                    *args[0][1:],
+                )
             idx = int(args[0][0])
             if idx >= len(self.contexts):
                 raise ParseError(
@@ -263,13 +272,6 @@ class _Parser:
                     *args[0][1:],
                 )
             ctx = self.contexts[idx]
-        else:
-            ctx = tuple(t[0] for t in args)
-            if ctx not in self.contexts:
-                raise ParseError(
-                    f"table for undeclared context ({' '.join(ctx)})",
-                    *args[0][1:],
-                )
         if ctx in self.tables:
             raise ParseError(f"duplicate table for context ({' '.join(ctx)})", ln, col)
         block = _TableBlock(ctx, ln)

@@ -81,18 +81,21 @@ def test_global_sections_match_oracle_on_random_supports():
         assert [s.values for s in global_sections(p)] == sections_bruteforce(p)
 
 
-def _random_support(rng: random.Random) -> PossibilisticModel:
-    """2-5 observables with 2-3 outcomes each; 1-5 contexts of size 1-3
-    drawn in random order, so they overlap and list their observables out
-    of scenario order; each support keeps a random share of its tuples."""
+def _random_support(
+    rng: random.Random, min_outcomes: int = 2, max_context: int = 3
+) -> PossibilisticModel:
+    """2-5 observables with min_outcomes-3 outcomes each; 1-5 contexts of
+    size 1-max_context drawn in random order, so they overlap and list their
+    observables out of scenario order; each support keeps a random share of
+    its tuples."""
     obs = tuple(
-        Observable(f"X{i}", tuple("abc"[: rng.randint(2, 3)]))
+        Observable(f"X{i}", tuple("abc"[: rng.randint(min_outcomes, 3)]))
         for i in range(rng.randint(2, 5))
     )
     labels = [o.label for o in obs]
     ctxs: dict[frozenset, tuple[str, ...]] = {}
     for _ in range(rng.randint(1, 5)):
-        ctx = tuple(rng.sample(labels, rng.randint(1, min(3, len(labels)))))
+        ctx = tuple(rng.sample(labels, rng.randint(1, min(max_context, len(labels)))))
         ctxs.setdefault(frozenset(ctx), ctx)
     for l in labels:
         if not any(l in c for c in ctxs.values()):
@@ -126,6 +129,43 @@ def test_memoized_search_matches_oracle_on_random_scenarios():
             for t in p.supports[ctx]:
                 assert extends_to_global(p, ctx, t) == (t in covered[ctx])
     assert classes == set(Classification)
+
+
+def test_frontier_table_matches_oracle_with_one_outcome_observables_and_wide_contexts():
+    """100 more draws, now with one-outcome observables and contexts of four
+    observables, checked against the oracle like the draws above."""
+    rng = random.Random(61)
+    classes = set()
+    outcome_counts, context_sizes = set(), set()
+    for _ in range(100):
+        p = _random_support(rng, min_outcomes=1, max_context=4)
+        outcome_counts.update(len(o.outcomes) for o in p.scenario.observables)
+        context_sizes.update(len(c) for c in p.scenario.contexts)
+        want = sections_bruteforce(p)
+        assert [s.values for s in global_sections(p)] == want
+        assert count_global_sections(p) == len(want)
+        cls = classify(p)
+        assert cls.value == classification_bruteforce(p)
+        classes.add(cls)
+        covered = covered_events(p, want)
+        for ctx in p.scenario.contexts:
+            for t in p.supports[ctx]:
+                assert extends_to_global(p, ctx, t) == (t in covered[ctx])
+    assert classes == set(Classification)
+    assert 1 in outcome_counts and 4 in context_sizes
+
+
+def test_long_chain_needs_no_recursion():
+    """1200 one-outcome observables linked by 1199 two-observable contexts:
+    more positions than the interpreter's recursion limit allows frames."""
+    n = 1200
+    obs = tuple(Observable(f"X{i}", ("0",)) for i in range(n))
+    ctxs = tuple((f"X{i}", f"X{i + 1}") for i in range(n - 1))
+    p = PossibilisticModel(Scenario(obs, ctxs), {c: frozenset({("0", "0")}) for c in ctxs})
+    assert count_global_sections(p) == 1
+    assert classify(p) is Classification.GLOBALLY_EXTENDABLE
+    assert len(global_sections(p)) == 1
+    assert extends_to_global(p, ctxs[600], ("0", "0"))
 
 
 def test_extends_to_global(hardy_support):

@@ -167,6 +167,41 @@ def test_table_by_index_matches_labels_form():
     assert parse_model(by_index).tables == parse_model(HARDY_TEXT).tables
 
 
+DIGIT_LABEL_TEXT = (
+    "scenario s\nobservable 7 outcomes a b\nobservable 1 outcomes a b\n"
+    "context 7\ncontext 7 1\n"
+)
+
+
+def test_table_header_prefers_a_digit_context_label():
+    m = parse_model(
+        DIGIT_LABEL_TEXT
+        + "table 7\n  a 1/3\n  b 2/3\n"
+        + "table 7 1\n  a a 1/3\n  a b 0\n  b a 0\n  b b 2/3\n"
+    )
+    assert m.tables[("7",)].exact[("a",)] == Fraction(1, 3)
+    text = serialize_model(m, "s")
+    assert "table 7\n" in text
+    parsed = parse_model(text)
+    assert parsed.tables == m.tables
+    assert serialize_model(parsed, "s") == text
+
+
+def test_table_header_reads_a_lone_number_as_index_when_no_label_matches():
+    m = parse_model(
+        DIGIT_LABEL_TEXT
+        + "table 1\n  a a 1/3\n  a b 0\n  b a 0\n  b b 2/3\n"
+        + "table 0\n  a 1/3\n  b 2/3\n"
+    )
+    assert m.tables[("7", "1")].exact[("b", "b")] == Fraction(2, 3)
+    assert m.tables[("7",)].exact[("b",)] == Fraction(2, 3)
+
+
+def test_table_header_with_non_ascii_digit_is_a_located_parse_error():
+    text = "scenario s\nobservable X outcomes a b\ncontext X\ntable ²\n  a 1\n  b 0\n"
+    expect_error(text, "undeclared context (²)", line=4, col=7)
+
+
 def test_context_with_undeclared_observable_names_label_and_line():
     text = "scenario s\nobservable A outcomes 0 1\ncontext A Bogus\n"
     err = expect_error(text, "Bogus", line=3)
