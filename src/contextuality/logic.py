@@ -281,11 +281,12 @@ class LiarCycle:
         for step in self.steps:
             if not step.holds_in(p):
                 return False
-            if prev is not None and step.premise != prev:
-                # chains are linear: each premise is the previous conclusion
-                # (the first premise must come from the seed)
-                return False
-            if prev is None and step.premise[0] not in established:
+            # chains are linear: the first premise is a seed value and each
+            # later premise is the previous conclusion
+            if prev is None:
+                if established.get(step.premise[0]) != step.premise[1]:
+                    return False
+            elif step.premise != prev:
                 return False
             prev = step.conclusion
         obs, old, new = self.contradiction
@@ -307,18 +308,31 @@ def liar_cycles(
     closes without conflict.
 
     The seed premise may assign several observables (its whole context); each
-    subsequent step is a single-observable implication. Ties are broken by
+    subsequent step is a single-observable implication. A contradiction is a
+    forced value that clashes with the seed or with the chain that forced it,
+    so every value it involves lies in the seed's implication closure (the
+    (observable, value) nodes reachable through forced values): when no
+    observable takes two values there, the answer is None. Ties are broken by
     scenario context order and in-context observable order, which makes the
     result deterministic.
     """
     return _LiarSearch(p).run(seed)
 
 
+Node = tuple[str, str]  # (observable, value)
+
+
 class _LiarSearch:
     """liar_cycles on one model for any number of seeds. The forced-value
-    table, keyed by (context, observable, value) and listing the (observable,
-    value) pairs that value forces in that context in context order, is
-    filled as the searches reach it and shared by all of them."""
+    table maps a node (observable, value) to the [(context, forced node)]
+    it forces, contexts in scenario order and forced nodes in context order;
+    it is filled as the searches reach it and shared by all of them.
+
+    `closure` walks the same table. `run` reports a conflict only between a
+    forced node and a seed or path node, all of them reachable from the
+    seed, so a seed whose closure gives no observable two values has no
+    cycle; the converse fails, since two reachable values may lie on no
+    single chain."""
 
     def __init__(self, p: PossibilisticModel):
         self.p = p
@@ -326,36 +340,55 @@ class _LiarSearch:
         for c in p.scenario.contexts:
             for label in c:
                 self.contexts_of.setdefault(label, []).append(c)
-        self.forced: dict[tuple[ContextKey, str, str], list[tuple[str, str]]] = {}
+        self.forced: dict[Node, list[tuple[ContextKey, Node]]] = {}
 
-    def forced_by(self, c: ContextKey, x_obs: str, x_val: str) -> list[tuple[str, str]]:
-        key = (c, x_obs, x_val)
-        pairs = self.forced.get(key)
-        if pairs is None:
-            ix = c.index(x_obs)
-            rows = [r for r in self.p.supports[c] if r[ix] == x_val]
-            pairs = []
-            for iy, y_obs in enumerate(c):
-                y_vals = {r[iy] for r in rows}
-                if iy != ix and len(y_vals) == 1:
-                    pairs.append((y_obs, next(iter(y_vals))))
-            self.forced[key] = pairs
-        return pairs
+    def forced_by(self, node: Node) -> list[tuple[ContextKey, Node]]:
+        edges = self.forced.get(node)
+        if edges is None:
+            x_obs, x_val = node
+            edges = []
+            for c in self.contexts_of[x_obs]:
+                ix = c.index(x_obs)
+                rows = [r for r in self.p.supports[c] if r[ix] == x_val]
+                for iy, y_obs in enumerate(c):
+                    if iy != ix:
+                        y_vals = {r[iy] for r in rows}
+                        if len(y_vals) == 1:
+                            edges.append((c, (y_obs, y_vals.pop())))
+            self.forced[node] = edges
+        return edges
+
+    def closure(self, nodes: Sequence[Node]) -> frozenset[Node] | None:
+        """The implication closure of `nodes`: every node reachable from them
+        through forced values; None as soon as some observable takes two
+        values in it."""
+        value = dict(nodes)
+        stack = list(nodes)
+        while stack:
+            for _, (y_obs, y_val) in self.forced_by(stack.pop()):
+                had = value.get(y_obs)
+                if had is None:
+                    value[y_obs] = y_val
+                    stack.append((y_obs, y_val))
+                elif had != y_val:
+                    return None
+        return frozenset(value.items())
 
     def run(self, seed: tuple[Sequence[str], Sequence[str]]) -> LiarCycle | None:
         ctx, t = _check_seed(self.p, *seed)
         seed_vals = dict(zip(ctx, t))
-        # node = (observable, value); parent links rebuild the linear chain
-        parent: dict[tuple[str, str], tuple[tuple[str, str] | None, ImplicationStep | None]] = {}
-        queue: deque[tuple[str, str]] = deque()
+        # parent links rebuild the linear chain; a step is built only for a
+        # node reached the first time or for the step that closes the cycle
+        parent: dict[Node, tuple[Node | None, ImplicationStep | None]] = {}
+        queue: deque[Node] = deque()
         for node in zip(ctx, t):
             if node not in parent:
                 parent[node] = (None, None)
                 queue.append(node)
 
-        def chain_to(node: tuple[str, str]) -> list[ImplicationStep]:
+        def chain_to(node: Node) -> list[ImplicationStep]:
             steps: list[ImplicationStep] = []
-            cur: tuple[str, str] | None = node
+            cur: Node | None = node
             while cur is not None:
                 up, step = parent[cur]
                 if step is not None:
@@ -364,8 +397,8 @@ class _LiarSearch:
             steps.reverse()
             return steps
 
-        def value_on_path(node: tuple[str, str], obs: str) -> str | None:
-            cur: tuple[str, str] | None = node
+        def value_on_path(node: Node, obs: str) -> str | None:
+            cur: Node | None = node
             while cur is not None:
                 if cur[0] == obs:
                     return cur[1]
@@ -374,24 +407,57 @@ class _LiarSearch:
 
         while queue:
             x_node = queue.popleft()
-            x_obs, x_val = x_node
-            for c in self.contexts_of[x_obs]:
-                for y_obs, y_val in self.forced_by(c, x_obs, x_val):
-                    if y_obs in seed_vals and seed_vals[y_obs] != y_val:
-                        established = seed_vals[y_obs]
-                    else:
-                        established = value_on_path(x_node, y_obs)
-                    step = ImplicationStep(c, x_node, (y_obs, y_val))
-                    if established is not None and established != y_val:
-                        return LiarCycle(
-                            (ctx, t),
-                            tuple(chain_to(x_node)) + (step,),
-                            (y_obs, established, y_val),
-                        )
-                    if (y_obs, y_val) not in parent:
-                        parent[(y_obs, y_val)] = (x_node, step)
-                        queue.append((y_obs, y_val))
+            for c, y_node in self.forced_by(x_node):
+                y_obs, y_val = y_node
+                if y_obs in seed_vals and seed_vals[y_obs] != y_val:
+                    established = seed_vals[y_obs]
+                else:
+                    established = value_on_path(x_node, y_obs)
+                if established is not None and established != y_val:
+                    return LiarCycle(
+                        (ctx, t),
+                        tuple(chain_to(x_node)) + (ImplicationStep(c, x_node, y_node),),
+                        (y_obs, established, y_val),
+                    )
+                if y_node not in parent:
+                    parent[y_node] = (x_node, ImplicationStep(c, x_node, y_node))
+                    queue.append(y_node)
         return None
+
+
+def _default_seed(p: PossibilisticModel) -> LiarCycle | None:
+    """Liar cycle of the first possible event, in declared context and
+    outcome order, whose liar_cycles is not None; None when there is none.
+
+    Only candidates that can close a cycle are searched. A contradiction
+    needs two values of one observable in the candidate's implication
+    closure, so a candidate whose closure takes one value per observable is
+    skipped without a search. Such a closure is remembered: it is closed
+    under forced values, so the closure of any later candidate whose nodes
+    all lie in it lies in it too, and that candidate is skipped without any
+    work. A candidate whose closure does hold a conflict is searched, and
+    may still yield None when no single chain reaches the conflict."""
+    search = _LiarSearch(p)
+    sc = p.scenario
+    # node -> the conflict-free closures found so far that hold it
+    safe: dict[Node, list[frozenset[Node]]] = {}
+    for ctx in sc.contexts:
+        support = p.supports[ctx]
+        for t in sc.joint_outcomes(ctx):
+            if t not in support:
+                continue
+            nodes = tuple(zip(ctx, t))
+            if any(held.issuperset(nodes) for held in safe.get(nodes[0], ())):
+                continue
+            closure = search.closure(nodes)
+            if closure is not None:
+                for node in closure:
+                    safe.setdefault(node, []).append(closure)
+                continue
+            cycle = search.run((ctx, t))
+            if cycle is not None:
+                return cycle
+    return None
 
 
 # ------------------------------------------------------------ cycle models

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from .builders import CertainImplication, certain_implications
-from .logic import LiarCycle, _LiarSearch, _Plan, liar_cycles
+from .logic import LiarCycle, _Plan, _default_seed, liar_cycles
 from .metacontext import (
     AssumptionSet,
     ObserverChain,
@@ -152,19 +152,6 @@ def _work_model(m: EmpiricalModel) -> EmpiricalModel:
     if m.exact_available:
         return m
     return snap_to_rationals(m) or m
-
-
-def _default_seed(m: EmpiricalModel, p) -> LiarCycle | None:
-    """Liar cycle of the first possible event, in declared context and
-    outcome order, whose propagation closes one."""
-    search = _LiarSearch(p)
-    for ctx in m.scenario.contexts:
-        for t in m.scenario.joint_outcomes(ctx):
-            if t in p.supports[ctx]:
-                cycle = search.run((ctx, t))
-                if cycle is not None:
-                    return cycle
-    return None
 
 
 def _cycle_dict(m: EmpiricalModel, cycle: LiarCycle) -> dict:
@@ -303,7 +290,7 @@ def model_report(
     cycle = None
     if "cycle" in sections or "claims" in sections:
         if seed is None:
-            cycle = _default_seed(work, p)
+            cycle = _default_seed(p)
         else:
             chosen = (tuple(seed[0]), tuple(seed[1]))
             cycle = liar_cycles(p, chosen)

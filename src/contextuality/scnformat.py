@@ -163,7 +163,7 @@ class _TableBlock:
 @dataclass
 class _BasisSpec:
     kind: str
-    labels: tuple[str, ...] | None
+    labels: tuple[str, ...]  # empty when the line gives none
     line: int
     vecs: list[list[complex]] = field(default_factory=list)
 
@@ -188,7 +188,7 @@ class _Parser:
         self.amps: dict[int, complex] = {}
         self.measures: dict[str, _MeasureSpec] = {}
         self.agents: list[tuple[str, _BasisSpec]] = []
-        # open block: ("table", _TableBlock) | ("state",) | ("vecs", _BasisSpec)
+        # open block: ("table", _TableBlock) | ("state", dims) | ("vecs", _BasisSpec)
         self.block: tuple | None = None
 
     # ------------------------------------------------------- statements
@@ -290,7 +290,7 @@ class _Parser:
                 raise ParseError(f"site dimension must be >= 2, got {d}", *t[1:])
         self.state_dims = dims
         self.state_line = ln
-        self.block = ("state",)
+        self.block = ("state", dims)
 
     def _basis_tail(self, toks: list[Token], start: int, ln: int) -> _BasisSpec:
         """Parse 'basis <kind> [labels <l1> ...]' starting at toks[start]."""
@@ -305,13 +305,13 @@ class _Parser:
                 f"{', '.join(_BASIS_KINDS)})",
                 *toks[start + 1][1:],
             )
-        labels: tuple[str, ...] | None = None
+        labels: tuple[str, ...] = ()
         rest = toks[start + 2 :]
         if rest:
             if rest[0][0] != "labels" or len(rest) < 2:
                 raise ParseError("expected 'labels <l1> <l2> ...'", *rest[0][1:])
             labels = tuple(t[0] for t in rest[1:])
-        if kind == "explicit" and labels is None:
+        if kind == "explicit" and not labels:
             raise ParseError("explicit basis requires labels", ln, toks[start + 1][2])
         return _BasisSpec(kind, labels, ln)
 
@@ -360,7 +360,7 @@ class _Parser:
         if kind == "table":
             self._table_row(self.block[1], toks)
         elif kind == "state":
-            self._amp_row(toks)
+            self._amp_row(self.block[1], toks)
         else:
             self._vec_row(self.block[1], toks)
 
@@ -386,12 +386,11 @@ class _Parser:
             raise ParseError(f"duplicate table row ({' '.join(key)})", ln, col)
         block.rows[key] = _parse_prob(toks[-1])
 
-    def _amp_row(self, toks: list[Token]) -> None:
+    def _amp_row(self, dims: tuple[int, ...], toks: list[Token]) -> None:
         head, ln, col = toks[0]
         if head != "amp" or len(toks) != 4:
             raise ParseError("expected 'amp <flat-index> <re> <im>'", ln, col)
-        assert self.state_dims is not None
-        total = int(np.prod(self.state_dims))
+        total = int(np.prod(dims))
         idx = _parse_int(toks[1], "amplitude index")
         if not (0 <= idx < total):
             raise ParseError(
@@ -445,7 +444,6 @@ class _Parser:
                     spec.line,
                 )
             return diagonal_basis(labels)
-        assert spec.labels is not None
         if len(spec.vecs) != len(spec.labels):
             raise ParseError(
                 f"{owner}: explicit basis has {len(spec.vecs)} vec rows for "
@@ -464,13 +462,12 @@ class _Parser:
         except ValueError as e:
             raise ParseError(f"{owner}: {e}", spec.line) from None
 
-    def _build_state(self) -> StateVector:
-        assert self.state_dims is not None
-        vec = np.zeros(int(np.prod(self.state_dims)), dtype=complex)
+    def _build_state(self, dims: tuple[int, ...]) -> StateVector:
+        vec = np.zeros(int(np.prod(dims)), dtype=complex)
         for idx, a in self.amps.items():
             vec[idx] = a
         try:
-            return StateVector(self.state_dims, vec)
+            return StateVector(dims, vec)
         except ValueError as e:
             raise ParseError(f"state block: {e}", self.state_line) from None
 
@@ -564,31 +561,29 @@ class _Parser:
             except ValueError as e:
                 raise ParseError(str(e)) from None
         has_tables = bool(self.tables)
-        has_state = self.state_dims is not None
-        if has_tables and (has_state or self.measures or self.agents):
+        dims = self.state_dims
+        if has_tables and (dims is not None or self.measures or self.agents):
             raise ParseError("file mixes probability tables with a state block")
-        if (self.measures or self.agents) and not has_state:
+        if (self.measures or self.agents) and dims is None:
             raise ParseError("measure and chain lines require a state block")
-        if has_state and not (self.measures or self.agents):
+        if dims is not None and not (self.measures or self.agents):
             raise ParseError("state block has no measure or chain lines", self.state_line)
-        if not has_tables and not has_state:
+        if dims is None:
+            # a table names a declared context, so tables come with a scenario
             if scenario is None:
                 raise ParseError("file declares no observables, tables, or state")
-            return ScenarioFile(self.name, scenario, None, None, None)
+            model = self._build_tables(scenario) if has_tables else None
+            return ScenarioFile(self.name, scenario, model, None, None)
 
-        model = realization = chain = None
-        if has_tables:
-            assert scenario is not None
-            model = self._build_tables(scenario)
-        else:
-            state = self._build_state()
-            if self.measures:
-                if scenario is None:
-                    raise ParseError("measure lines require observable declarations")
-                realization = self._build_realization(scenario, state)
-            if self.agents:
-                chain = self._build_chain(state)
-        return ScenarioFile(self.name, scenario, model, realization, chain)
+        state = self._build_state(dims)
+        realization = chain = None
+        if self.measures:
+            if scenario is None:
+                raise ParseError("measure lines require observable declarations")
+            realization = self._build_realization(scenario, state)
+        if self.agents:
+            chain = self._build_chain(state)
+        return ScenarioFile(self.name, scenario, None, realization, chain)
 
 
 def parse_file(text: str) -> ScenarioFile:
@@ -600,10 +595,8 @@ def parse_model(text: str):
     """Parse a file and return its most derived object: EmpiricalModel,
     QuantumRealization, ObserverChain, or bare Scenario."""
     f = parse_file(text)
-    for obj in (f.model, f.realization, f.chain, f.scenario):
-        if obj is not None:
-            return obj
-    raise AssertionError("unreachable: parser produced an empty file")
+    derived = (f.model, f.realization, f.chain)
+    return next((obj for obj in derived if obj is not None), f.scenario)
 
 
 # ------------------------------------------------------------- serializing

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -19,6 +20,8 @@ from contextuality.logic import (
     cycle_model,
     extends_to_global,
     global_sections,
+    _default_seed,
+    _LiarSearch,
     liar_cycles,
 )
 from contextuality.qstate import (
@@ -36,6 +39,14 @@ from contextuality.scenario import (
     support_of,
 )
 
+from liar_pins import (
+    PINS,
+    answers,
+    candidates,
+    cycle_json,
+    pinned_models,
+    random_support as _random_support,
+)
 from oracles import classification_bruteforce, covered_events, sections_bruteforce
 
 # The Hardy support admits exactly these five sections; frozen from the
@@ -79,36 +90,6 @@ def test_global_sections_match_oracle_on_random_supports():
             sups[ctx] = chosen
         p = PossibilisticModel(sc, sups)
         assert [s.values for s in global_sections(p)] == sections_bruteforce(p)
-
-
-def _random_support(
-    rng: random.Random, min_outcomes: int = 2, max_context: int = 3
-) -> PossibilisticModel:
-    """2-5 observables with min_outcomes-3 outcomes each; 1-5 contexts of
-    size 1-max_context drawn in random order, so they overlap and list their
-    observables out of scenario order; each support keeps a random share of
-    its tuples."""
-    obs = tuple(
-        Observable(f"X{i}", tuple("abc"[: rng.randint(min_outcomes, 3)]))
-        for i in range(rng.randint(2, 5))
-    )
-    labels = [o.label for o in obs]
-    ctxs: dict[frozenset, tuple[str, ...]] = {}
-    for _ in range(rng.randint(1, 5)):
-        ctx = tuple(rng.sample(labels, rng.randint(1, min(max_context, len(labels)))))
-        ctxs.setdefault(frozenset(ctx), ctx)
-    for l in labels:
-        if not any(l in c for c in ctxs.values()):
-            ctxs[frozenset((l,))] = (l,)
-    sc = Scenario(obs, tuple(ctxs.values()))
-    keep = rng.uniform(0.3, 0.9)
-    sups = {}
-    for ctx in sc.contexts:
-        joint = sc.joint_outcomes(ctx)
-        sups[ctx] = frozenset(t for t in joint if rng.random() < keep) or frozenset(
-            {rng.choice(joint)}
-        )
-    return PossibilisticModel(sc, sups)
 
 
 def test_memoized_search_matches_oracle_on_random_scenarios():
@@ -338,6 +319,85 @@ def test_liar_cycles_sound_on_arbitrary_random_supports():
                 if cycle is not None:
                     assert cycle.verify(p)
                     assert not extends_to_global(p, ctx, t)
+
+
+def test_verify_rejects_a_first_premise_that_is_not_a_seed_value():
+    """S1=1 => S2=1 holds in the odd 3-cycle and ends on a value clashing with
+    the seed S2=0, but S1=1 is not the seed's S1=0, so nothing links the
+    chain to the seed."""
+    p = cycle_model(3, "odd")
+    forged = LiarCycle(
+        (("S1", "S2"), ("0", "0")),
+        (ImplicationStep(("S1", "S2"), ("S1", "1"), ("S2", "1")),),
+        ("S2", "0", "1"),
+    )
+    assert forged.steps[0].holds_in(p)
+    assert not forged.verify(p)
+    real = liar_cycles(p, (("S1", "S2"), ("0", "0")))
+    assert real.verify(p)
+
+
+def test_liar_search_answers_are_pinned():
+    """liar_cycles for every possible event and the default-seed scan, on
+    400 random supports and full-support, odd and Hardy-like cycles up to
+    n = 24, against the answers pinned in liar_cycles.json; the scan is the
+    first event, in declared order, whose liar_cycles is not None, and every
+    cycle found passes verify."""
+    pinned = json.loads(PINS.read_text())
+    models = dict(pinned_models())
+    assert set(models) == set(pinned)
+    for key, p in models.items():
+        assert answers(p) == pinned[key], key
+        cycles = [liar_cycles(p, e) for e in candidates(p)]
+        assert all(c.verify(p) for c in cycles if c is not None), key
+        first = next((c for c in cycles if c is not None), None)
+        assert _default_seed(p) == first, key
+        assert cycle_json(first) == pinned[key]["default"], key
+
+
+def test_default_seed_searches_past_a_conflicting_closure(monkeypatch):
+    """(A, B) = (0, 0) forces X = 0 through A and X = 1 through B: its
+    closure holds a conflict, but no single chain reaches it, so its search
+    finds nothing. (A, B) = (1, 1) forces nothing and is skipped unsearched,
+    (2, 2) is searched and again finds nothing, and the fourth candidate
+    (A, X) = (0, 0) closes A=0 => B=0 => X=1 against the seed."""
+    obs = (
+        Observable("A", ("0", "1", "2")),
+        Observable("B", ("0", "1", "2")),
+        Observable("X", ("0", "1")),
+    )
+    sc = Scenario(obs, (("A", "B"), ("A", "X"), ("B", "X")))
+    p = PossibilisticModel(
+        sc,
+        {
+            ("A", "B"): frozenset({("0", "0"), ("1", "1"), ("2", "2")}),
+            ("A", "X"): frozenset({("0", "0"), ("1", "0"), ("1", "1"), ("2", "1")}),
+            ("B", "X"): frozenset({("0", "1"), ("1", "1"), ("1", "0"), ("2", "0")}),
+        },
+    )
+    seeds = []
+    run = _LiarSearch.run
+
+    def counted(self, seed):
+        seeds.append(seed)
+        return run(self, seed)
+
+    monkeypatch.setattr(_LiarSearch, "run", counted)
+    cycle = _default_seed(p)
+    assert seeds == [
+        (("A", "B"), ("0", "0")),
+        (("A", "B"), ("2", "2")),
+        (("A", "X"), ("0", "0")),
+    ]
+    assert cycle.seed == seeds[-1]
+    assert liar_cycles(p, seeds[0]) is None
+    assert not extends_to_global(p, *seeds[0])
+    assert cycle.steps == (
+        ImplicationStep(("A", "B"), ("A", "0"), ("B", "0")),
+        ImplicationStep(("B", "X"), ("B", "0"), ("X", "1")),
+    )
+    assert cycle.contradiction == ("X", "0", "1")
+    assert cycle.verify(p)
 
 
 def test_classification_never_weakens_when_support_shrinks():

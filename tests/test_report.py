@@ -251,9 +251,12 @@ def test_logic_report_at_scale_never_lists_sections(
 
 
 def test_default_seed_search_runs_once_per_candidate(monkeypatch):
-    """The report reuses the cycle its default-seed scan found: on a
-    Hardy-like 9-cycle the 16 events of the eight equal contexts close no
-    cycle, and the second event of the last context does, so 18 searches."""
+    """The report reuses the cycle its default-seed scan found, and the scan
+    searches only candidates whose implication closure holds a conflict: on
+    a Hardy-like 9-cycle the 16 events of the eight equal contexts and the
+    first event of the last context close no cycle and force one value per
+    observable, so the one search is for the second event of the last
+    context, the 18th candidate, which closes the cycle."""
     n = 9
     m = _binary_cycle(
         n, lambda k, eq: Fraction(1, 4) if k == n - 1 else Fraction(int(eq), 2)
@@ -275,8 +278,8 @@ def test_default_seed_search_runs_once_per_candidate(monkeypatch):
         for t in m.scenario.joint_outcomes(ctx)
         if m.tables[ctx].exact[t] > 0
     ]
-    assert seeds == candidates[: candidates.index(chosen) + 1]
-    assert len(seeds) == 18
+    assert seeds == [chosen]
+    assert candidates.index(chosen) == 17
     assert len(d["liar_cycle"]["steps"]) == n - 1
 
 

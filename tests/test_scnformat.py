@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contextuality
 from contextuality.builders import fr_realization
 from contextuality.builders import hardy_realization as build_hardy
 from contextuality.metacontext import Agent, ObserverChain
@@ -459,3 +462,17 @@ def test_parse_error_formatting():
     assert str(ParseError("boom")) == "boom"
     err = ParseError("boom", 3, 7)
     assert (err.line, err.col, err.message) == (3, 7, "boom")
+
+
+def test_package_has_no_assert_statements():
+    """No assert steers the package's control flow: `python -O` strips them,
+    so the parser and the engines must work without any."""
+    found = []
+    for path in sorted(Path(contextuality.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
