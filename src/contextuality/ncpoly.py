@@ -24,6 +24,7 @@ simplex run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,14 +70,29 @@ class IncidenceMatrix:
 
     Rows: (context, joint outcome tuple), contexts in declared order, tuples
     in declared-outcome lexicographic order. Columns: global assignments in
-    the same lexicographic order over scenario observables. Entry 1 iff the
-    assignment restricts to the row's tuple.
+    the same lexicographic order over scenario observables, outcomes[i]
+    holding observable i's outcomes. Entry 1 iff the assignment restricts to
+    the row's tuple.
     """
 
     labels: tuple[str, ...]
     rows: tuple[tuple[ContextKey, tuple[str, ...]], ...]
-    assignments: tuple[tuple[str, ...], ...]
+    outcomes: tuple[tuple[str, ...], ...]
     matrix: np.ndarray
+
+    def assignment(self, col: int) -> tuple[str, ...]:
+        """The assignment of column col: its mixed-radix digits, last
+        observable least significant, are the outcome indices."""
+        values = []
+        for outs in reversed(self.outcomes):
+            col, digit = divmod(col, len(outs))
+            values.append(outs[digit])
+        return tuple(reversed(values))
+
+    @functools.cached_property
+    def assignments(self) -> tuple[tuple[str, ...], ...]:
+        """Every column's assignment, built on first use only."""
+        return tuple(itertools.product(*self.outcomes))
 
 
 def incidence(sc: Scenario) -> IncidenceMatrix:
@@ -89,9 +105,7 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
             f"assignment space {ncols} exceeds the 2**20 incidence guard"
         )
     labels = tuple(o.label for o in sc.observables)
-    assignments = tuple(
-        itertools.product(*[o.outcomes for o in sc.observables])
-    )
+    outcomes = tuple(o.outcomes for o in sc.observables)
     cols = np.arange(ncols)
     digits: dict[str, np.ndarray] = {}
     stride = ncols
@@ -110,7 +124,7 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
     for hit in hits:
         mat[hit, cols] = 1
     mat.setflags(write=False)
-    return IncidenceMatrix(labels, tuple(rows), assignments, mat)
+    return IncidenceMatrix(labels, tuple(rows), outcomes, mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +318,7 @@ def _program(
         p = dist.exact[tup] if from_exact else dist[tup]
         rhs.append(p if exact else float(p))
     one = Fraction(1) if exact else 1.0
-    return LinearProgram((one,) * len(inc.assignments), inc.matrix, rhs)
+    return LinearProgram((one,) * inc.matrix.shape[1], inc.matrix, rhs)
 
 
 def ncf_program(m: EmpiricalModel, exact: bool = False) -> LinearProgram:
@@ -435,7 +449,7 @@ def _certify(
         return None
     denom = d * scale
     witness = {
-        inc.assignments[j]: Fraction(v, denom)
+        inc.assignment(j): Fraction(v, denom)
         for j, v in zip(S, X.tolist())
         if v
     }
@@ -468,7 +482,7 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     x = np.array(res.x, dtype=float)
     _validate_witness(inc, lp.rhs, x, ncf)
     cols = np.flatnonzero(x > EPS_LP)
-    witness = {inc.assignments[j]: float(x[j]) for j in cols}
+    witness = {inc.assignment(j): float(x[j]) for j in cols.tolist()}
 
     ncf_exact = None
     witness_exact = None
@@ -483,7 +497,7 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
                 )
             value = exact_res.value
             witness_exact = {
-                a: w for a, w in zip(inc.assignments, exact_res.x) if w != 0
+                inc.assignment(j): w for j, w in enumerate(exact_res.x) if w != 0
             }
         else:
             value, witness_exact = certified

@@ -39,6 +39,7 @@ from .scenario import (
     ContextKey,
     EmpiricalModel,
     Scenario,
+    _require_support,
     no_disturbance,
     snap_to_rationals,
     support_of,
@@ -267,7 +268,13 @@ def model_report(
     sections: frozenset[str] = ALL_SECTIONS,
 ) -> AnalysisReport:
     work = _work_model(m)
-    p = support_of(work, eps)
+    # the support is built only for the sections that read it; a degenerate
+    # model is rejected either way
+    if sections.isdisjoint(("logic", "cycle", "claims")):
+        _require_support(work, eps)
+        p = None
+    else:
+        p = support_of(work, eps)
     notes: list[str] = []
     values: dict = {}
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .qstate import (
     Distribution,
-    ProductBasis,
     SiteBasis,
     StateVector,
-    born,
 )
 
 EPS_ND = 1e-9
@@ -233,10 +233,22 @@ class QuantumRealization:
 
 
 def realize(qr: QuantumRealization, sc: Scenario) -> EmpiricalModel:
-    """Born-rule tables for every context of the scenario."""
+    """Born-rule tables for every context of the scenario.
+
+    Each context is one contraction of the state with the conjugated basis
+    tensors of its recipes, with the sites no recipe of the context measures
+    traced out: the same operands and axes as qstate.born over the matching
+    ProductBasis, so the same floats, keyed directly by the recipes' mapped
+    outcome labels. The realization has already checked every recipe's site
+    range and basis dimension."""
+    state = qr.state
+    n = state.nsites
+    amplitudes = state.tensor_view()
     tables: dict[ContextKey, Distribution] = {}
     for ctx in sc.contexts:
-        factors = []
+        operands: list = [amplitudes, list(range(n))]
+        out_axes: list[int] = []
+        keys: list[tuple[str, ...]] = [()]
         used: set[int] = set()
         for label in ctx:
             if label not in qr.recipes:
@@ -248,24 +260,26 @@ def realize(qr: QuantumRealization, sc: Scenario) -> EmpiricalModel:
                     f"context {ctx}: site group overlap at {sorted(overlap)}"
                 )
             used.update(recipe.sites)
+            mapped = recipe.mapped_labels()
             expected = set(sc.observable(label).outcomes)
-            if set(recipe.mapped_labels()) != expected:
+            if set(mapped) != expected:
                 raise ValueError(
                     f"recipe for {label!r} yields outcomes "
-                    f"{recipe.mapped_labels()}, observable declares "
+                    f"{mapped}, observable declares "
                     f"{tuple(sorted(expected))}"
                 )
-            factors.append((recipe.sites, recipe.basis))
-        basis = ProductBasis.for_state_sites(qr.state.nsites, factors)
-        raw = born(qr.state, basis)
-        maps = [qr.recipes[label].outcome_map for label in ctx]
-        probs = {}
-        for key, p in raw.items():
-            mapped = tuple(
-                m[l] if m is not None else l for m, l in zip(maps, key)
-            )
-            probs[mapped] = p
-        tables[ctx] = Distribution(probs)
+            basis = recipe.basis
+            dims = tuple(state.sites[s] for s in recipe.sites)
+            axis = n + len(out_axes)
+            vectors = basis.vectors.reshape((basis.n_outcomes,) + dims)
+            operands += [vectors.conj(), [axis, *recipe.sites]]
+            out_axes.append(axis)
+            keys = [k + (l,) for k in keys for l in mapped]
+        unmeasured = [s for s in range(n) if s not in used]
+        weights = np.abs(np.einsum(*operands, out_axes + unmeasured)) ** 2
+        if unmeasured:
+            weights = weights.sum(axis=tuple(range(len(out_axes), weights.ndim)))
+        tables[ctx] = Distribution(dict(zip(keys, weights.reshape(-1).tolist())))
     return EmpiricalModel(sc, tables)
 
 
@@ -359,18 +373,25 @@ class PossibilisticModel:
         return self.supports[tuple(context)]
 
 
-def support_of(m: EmpiricalModel, eps: float = EPS_SUPPORT) -> PossibilisticModel:
-    """Possibilistic collapse: a tuple is possible iff its probability
-    exceeds eps. Degenerate (all-impossible) contexts are rejected."""
-    supports = {}
+def _require_support(m: EmpiricalModel, eps: float) -> None:
+    """Reject a degenerate model, one with a context whose every entry is at
+    most eps, without building the supports."""
     for ctx, dist in m.tables.items():
-        sup = frozenset(t for t, p in dist.items() if p > eps)
-        if not sup:
+        if not any(p > eps for p in dist.values()):
             raise ValueError(
                 f"support of context {ctx} is empty at eps={eps!r}; "
                 f"degenerate model"
             )
-        supports[ctx] = sup
+
+
+def support_of(m: EmpiricalModel, eps: float = EPS_SUPPORT) -> PossibilisticModel:
+    """Possibilistic collapse: a tuple is possible iff its probability
+    exceeds eps. Degenerate (all-impossible) contexts are rejected."""
+    _require_support(m, eps)
+    supports = {
+        ctx: frozenset(t for t, p in dist.items() if p > eps)
+        for ctx, dist in m.tables.items()
+    }
     return PossibilisticModel(m.scenario, supports)
 
 

@@ -62,8 +62,9 @@ __all__ = [
 
 # looser than the internal 1e-9: files carry rounded decimal literals
 FILE_SUM_TOL = 1e-6
+# amplitudes a state block may declare, the section functions' 2**24 guard
+_MAX_STATE_SIZE = 2**24
 
-_TOKEN = re.compile(r"\S+")
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 _BASIS_KINDS = ("computational", "diagonal", "explicit")
 
@@ -102,11 +103,21 @@ Token = tuple[str, int, int]
 
 
 def _lines(text: str):
+    """(tokens, indented) per line with a token. A token is a maximal run of
+    non-whitespace, as str.split() and the regex \\S+ both define it; its
+    column is where str.find meets it after the previous token, since only
+    whitespace lies in between."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        toks = [(m.group(), ln, m.start() + 1) for m in _TOKEN.finditer(body)]
-        if not toks:
+        words = body.split()
+        if not words:
             continue
+        toks = []
+        end = 0
+        for word in words:
+            start = body.find(word, end)
+            toks.append((word, ln, start + 1))
+            end = start + len(word)
         yield toks, body[0] in " \t"
 
 
@@ -188,7 +199,7 @@ class _Parser:
         self.amps: dict[int, complex] = {}
         self.measures: dict[str, _MeasureSpec] = {}
         self.agents: list[tuple[str, _BasisSpec]] = []
-        # open block: ("table", _TableBlock) | ("state", dims) | ("vecs", _BasisSpec)
+        # open block: ("table", _TableBlock) | ("state", size) | ("vecs", _BasisSpec)
         self.block: tuple | None = None
 
     # ------------------------------------------------------- statements
@@ -288,9 +299,17 @@ class _Parser:
         for t, d in zip(toks[1:], dims):
             if d < 2:
                 raise ParseError(f"site dimension must be >= 2, got {d}", *t[1:])
+        size = math.prod(dims)
+        if size > _MAX_STATE_SIZE:
+            raise ParseError(
+                f"state of {size} amplitudes exceeds the 2**24 state size "
+                f"guard",
+                ln,
+                col,
+            )
         self.state_dims = dims
         self.state_line = ln
-        self.block = ("state", dims)
+        self.block = ("state", size)
 
     def _basis_tail(self, toks: list[Token], start: int, ln: int) -> _BasisSpec:
         """Parse 'basis <kind> [labels <l1> ...]' starting at toks[start]."""
@@ -386,11 +405,10 @@ class _Parser:
             raise ParseError(f"duplicate table row ({' '.join(key)})", ln, col)
         block.rows[key] = _parse_prob(toks[-1])
 
-    def _amp_row(self, dims: tuple[int, ...], toks: list[Token]) -> None:
+    def _amp_row(self, total: int, toks: list[Token]) -> None:
         head, ln, col = toks[0]
         if head != "amp" or len(toks) != 4:
             raise ParseError("expected 'amp <flat-index> <re> <im>'", ln, col)
-        total = int(np.prod(dims))
         idx = _parse_int(toks[1], "amplitude index")
         if not (0 <= idx < total):
             raise ParseError(
@@ -463,7 +481,7 @@ class _Parser:
             raise ParseError(f"{owner}: {e}", spec.line) from None
 
     def _build_state(self, dims: tuple[int, ...]) -> StateVector:
-        vec = np.zeros(int(np.prod(dims)), dtype=complex)
+        vec = np.zeros(math.prod(dims), dtype=complex)
         for idx, a in self.amps.items():
             vec[idx] = a
         try:

@@ -140,3 +140,31 @@ def ncf_vertex_enumeration(model) -> tuple[Fraction, dict]:
         assignments[j]: v for j, v in zip(keep, best_x) if v != 0
     }
     return best, witness
+
+
+def born_by_projectors(qr, ctx) -> dict:
+    """A context's Born table by explicit operators: the density matrix of
+    the measured sites, the unmeasured ones traced out, against the
+    Kronecker product of one rank-one projector per recipe, keyed by the
+    recipes' mapped outcome labels."""
+    import numpy as np
+
+    state = qr.state
+    recipes = [qr.recipes[label] for label in ctx]
+    measured = [s for r in recipes for s in r.sites]
+    rest = [s for s in range(state.nsites) if s not in measured]
+    psi = state.amplitudes.reshape(state.sites).transpose(measured + rest)
+    dm = int(np.prod([state.sites[s] for s in measured]))
+    psi = psi.reshape(dm, -1)
+    rho = psi @ psi.conj().T  # partial trace over the unmeasured sites
+    out = {}
+    for picks in itertools.product(*[range(r.basis.n_outcomes) for r in recipes]):
+        proj = np.ones((1, 1), dtype=complex)
+        key = []
+        for r, i in zip(recipes, picks):
+            v = r.basis.vectors[i]
+            proj = np.kron(proj, np.outer(v, v.conj()))
+            label = r.basis.labels[i]
+            key.append(r.outcome_map[label] if r.outcome_map else label)
+        out[tuple(key)] = float(np.trace(rho @ proj).real)
+    return out

@@ -364,3 +364,55 @@ def test_main_raises_systemexit(monkeypatch):
             main()
     assert exc.value.code == 0
     assert "scenario: hardy" in buf.getvalue()
+
+
+@pytest.mark.parametrize("dims", ["65536 65536 65536 65536 65536", "100000 100000 100000 100000"])
+def test_oversized_state_is_a_located_parse_error(tmp_path, dims):
+    path = tmp_path / "big.scn"
+    path.write_text(
+        "scenario big\nobservable X outcomes 0 1\ncontext X\n"
+        "measure X site 0 basis computational labels 0 1\n\n"
+        f"state {dims}\n  amp 0 1.0 0.0\n",
+        encoding="utf-8",
+    )
+    size = 1
+    for d in dims.split():
+        size *= int(d)
+    rc, out, err = call(["ncf", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: line 6, column 1: state of {size} amplitudes exceeds the "
+        f"2**24 state size guard\n"
+    )
+
+
+def test_support_is_built_only_for_the_sections_that_read_it(monkeypatch):
+    import contextuality.report as report
+
+    calls = []
+    real = report.support_of
+
+    def counted(m, eps):
+        calls.append(eps)
+        return real(m, eps)
+
+    monkeypatch.setattr(report, "support_of", counted)
+    hardy = str(DATA_DIR / "hardy.scn")
+    rc, out, err = call(["ncf", hardy, "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["fraction"] is not None
+    assert calls == []
+    rc, out, err = call(["analyze", hardy, "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert calls == [1e-9]
+    # a degenerate model is still rejected when no section reads the support;
+    # analyze's support_of raises it
+    del calls[:]
+    for command in ("ncf", "analyze"):
+        rc, out, err = call([command, hardy, "--eps", "0.9"])
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: support of context ('A_d', 'B_c') is empty at eps=0.9; "
+            "degenerate model\n"
+        )
+    assert calls == [0.9]

@@ -677,3 +677,57 @@ def test_fraction_result_validation():
         FractionResult(0.5, 0.4, {("0",): 0.5})
     with pytest.raises(ValueError, match="sum to ncf"):
         FractionResult(0.5, 0.5, {("0",): 0.2})
+
+
+# ------------------------------------------------- lazy assignment tuples
+
+
+def test_incidence_decodes_columns_without_the_assignment_tuple():
+    sc = Scenario(
+        (
+            Observable("A", ("a0", "a1")),
+            Observable("B", ("b0", "b1", "b2")),
+            Observable("C", ("c0", "c1", "c2", "c3")),
+        ),
+        (("A", "B"), ("C", "A"), ("B", "C")),
+    )
+    inc = incidence(sc)
+    assert inc.outcomes == (("a0", "a1"), ("b0", "b1", "b2"), ("c0", "c1", "c2", "c3"))
+    decoded = [inc.assignment(j) for j in range(inc.matrix.shape[1])]
+    assert "assignments" not in inc.__dict__
+    assert decoded == list(inc.assignments)
+    assert inc.assignments is inc.assignments  # built once, then cached
+
+
+def _assignments_left_unbuilt(monkeypatch) -> list[IncidenceMatrix]:
+    built = []
+    real = ncpoly.incidence
+
+    def recorded(sc):
+        built.append(real(sc))
+        return built[-1]
+
+    monkeypatch.setattr(ncpoly, "incidence", recorded)
+    return built
+
+
+def test_contextual_fraction_builds_no_assignment_tuple(monkeypatch):
+    """The float witness, the integer certificate and the exact fallback
+    decode only the columns they report: on a chained-Bell 14-cycle (2**14
+    columns) and on exact white-noise odd cycles, the incidence's
+    `assignments` tuple is never built."""
+    built = _assignments_left_unbuilt(monkeypatch)
+    n = 14
+    res = contextual_fraction(_chained_bell(n, 0.3))
+    assert res.ncf == pytest.approx(n * (1 - np.cos(np.pi / n)) / 2, abs=1e-9)
+    assert len(res.witness) > 1
+    res = contextual_fraction(_white_noise_odd_cycle(9, Fraction(4, 5)))
+    assert res.ncf_exact == Fraction(9, 10)
+    monkeypatch.setattr(ncpoly, "_certify", lambda inc, p, basis: None)
+    res = contextual_fraction(_white_noise_odd_cycle(5, Fraction(9, 10)))
+    assert res.ncf_exact == Fraction(1, 4)
+    assert [inc.matrix.shape[1] for inc in built] == [2**14, 2**9, 2**5]
+    assert all("assignments" not in inc.__dict__ for inc in built)
+    # the decoded witnesses are the ones the tuple would give
+    for inc in built:
+        assert all(inc.assignment(j) == a for j, a in enumerate(inc.assignments))

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
 from contextuality.qstate import (
     Distribution,
+    ProductBasis,
+    SiteBasis,
     StateVector,
+    born,
     computational_basis,
     diagonal_basis,
 )
@@ -29,6 +33,7 @@ from contextuality.scenario import (
 )
 
 from conftest import HARDY_CONTEXTS
+from oracles import born_by_projectors
 
 
 # ------------------------------------------------------------------ Scenario
@@ -122,6 +127,72 @@ def test_realize_applies_outcome_map(hardy_scenario, hardy_realization):
     m = realize(qr, hardy_scenario)
     assert m.table(("A_c", "B_c"))[("1", "1")] == pytest.approx(0.0, abs=1e-12)
     assert m.table(("A_c", "B_c"))[("0", "1")] == pytest.approx(1 / 3, abs=1e-12)
+
+
+def _random_realization(rng: np.random.Generator):
+    """2-3 sites of dimension 2-3 and random bases: J measures sites 1 and 0
+    jointly, every context leaves some site unmeasured or measures all, and
+    each recipe may relabel its outcomes, declared in sorted order."""
+    k = int(rng.integers(2, 4))
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=k))
+    amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+    state = StateVector(dims, amps / np.linalg.norm(amps))
+
+    def recipe(sites, name):
+        d = prod(dims[s] for s in sites)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        labels = tuple(f"{name}{i}" for i in range(d))
+        omap = None
+        if rng.random() < 0.5:
+            omap = dict(zip(labels, (f"o{i}" for i in rng.permutation(d))))
+        return MeasurementRecipe(sites, SiteBasis(q.T, labels), omap)
+
+    recipes = {"J": recipe((1, 0), "j"), "A0": recipe((0,), "a"),
+               "B0": recipe((0,), "b"), "A1": recipe((1,), "c")}
+    contexts = [("J",), ("A0", "A1"), ("A1", "B0"), ("B0",)]
+    if k == 3:
+        recipes["A2"] = recipe((2,), "d")
+        contexts[0] = ("J", "A2")
+        contexts.append(("A2", "A0"))
+    sc = Scenario(
+        tuple(
+            Observable(l, tuple(sorted(r.mapped_labels())))
+            for l, r in recipes.items()
+        ),
+        tuple(contexts),
+    )
+    return QuantumRealization(state, recipes), sc
+
+
+def test_realize_is_born_relabeled_float_for_float():
+    """realize's single contraction per context gives exactly the floats of
+    born over the ProductBasis of the context, relabeled; an independent
+    projector-and-partial-trace oracle agrees within 1e-12."""
+    rng = np.random.default_rng(20261018)
+    unmeasured = joint_with_rest = 0
+    for _ in range(60):
+        qr, sc = _random_realization(rng)
+        m = realize(qr, sc)
+        for ctx in sc.contexts:
+            recipes = [qr.recipes[l] for l in ctx]
+            basis = ProductBasis.for_state_sites(
+                qr.state.nsites, [(r.sites, r.basis) for r in recipes]
+            )
+            unmeasured += bool(basis.unmeasured)
+            joint_with_rest += "J" in ctx and len(ctx) == 2
+            maps = [r.outcome_map or {l: l for l in r.basis.labels} for r in recipes]
+            relabeled = {
+                tuple(mp[l] for mp, l in zip(maps, key)): p
+                for key, p in born(qr.state, basis).items()
+            }
+            table = m.table(ctx)
+            assert list(table) == sc.joint_outcomes(ctx)
+            assert dict(table.items()) == relabeled
+            oracle = born_by_projectors(qr, ctx)
+            assert set(oracle) == set(relabeled)
+            for key, p in oracle.items():
+                assert table[key] == pytest.approx(p, abs=1e-12)
+    assert unmeasured and joint_with_rest
 
 
 def test_scenario_observable_lookup(hardy_scenario):

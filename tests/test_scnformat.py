@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contextuality
 from contextuality.builders import fr_realization
@@ -20,6 +23,7 @@ from contextuality.qstate import (
 from contextuality.scenario import realize, snap_to_rationals
 from contextuality.scnformat import (
     ParseError,
+    _lines,
     parse_file,
     parse_model,
     serialize_chain,
@@ -476,3 +480,96 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+# ------------------------------------------------------------ tokenizer
+
+
+def _regex_lines(text: str):
+    """The tokenizer as a regex: every maximal \\S+ run with its 1-based
+    column, comments cut at the first '#'."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        toks = [(m.group(), ln, m.start() + 1) for m in re.finditer(r"\S+", body)]
+        if toks:
+            yield toks, body[0] in " \t"
+
+
+def _assert_same_tokens(text: str) -> None:
+    assert list(_lines(text)) == list(_regex_lines(text))
+
+
+def test_tokenizer_matches_regex_on_corpus_and_workloads(tmp_path):
+    from perfbench import workloads
+
+    data = Path(contextuality.__file__).parent / "data"
+    for path in sorted(data.glob("*.scn")):
+        _assert_same_tokens(path.read_text(encoding="utf-8"))
+    for workload in ("ncf_exact", "ncf_quantum"):
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        workloads.build(workload, 1, workdir, data)
+        texts = [p.read_text(encoding="utf-8") for p in sorted(workdir.glob("*.scn"))]
+        assert texts
+        for text in texts:
+            _assert_same_tokens(text)
+
+
+def test_tokenizer_columns_with_unicode_whitespace():
+    text = (
+        "scenario\xa0s  # note\n"
+        "\t amp\u3000" "0\t1.0\u2003 0.0#x\n"
+        " \xa0\n#only\nab b bb\n"
+    )
+    assert list(_lines(text)) == [
+        ([("scenario", 1, 1), ("s", 1, 10)], False),
+        ([("amp", 2, 3), ("0", 2, 7), ("1.0", 2, 9), ("0.0", 2, 14)], True),
+        ([("ab", 5, 1), ("b", 5, 4), ("bb", 5, 6)], False),
+    ]
+    _assert_same_tokens(text)
+
+
+_PIECES = st.lists(
+    st.one_of(
+        st.sampled_from([" ", "\t", "\xa0", "\u3000", "\u2003", "\x0b", "\x0c", "#", "b", "ab", "bb"]),
+        st.text(min_size=1, max_size=4),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES.map("".join), max_size=6))
+def test_tokenizer_matches_regex_on_random_lines(lines):
+    _assert_same_tokens("\n".join(lines))
+
+
+# ------------------------------------------------------------ state size
+
+
+OVERFLOWING_STATE = (
+    "scenario big\nobservable X outcomes 0 1\ncontext X\n"
+    "measure X site 0 basis computational labels 0 1\n\n"
+    "state 65536 65536 65536 65536 65536\n  amp 0 1.0 0.0\n"
+)
+UNALLOCATABLE_STATE = (
+    "scenario big\nobservable X outcomes 0 1\ncontext X\n"
+    "measure X site 0 basis computational labels 0 1\n\n"
+    "state 100000 100000 100000 100000\n  amp 0 1.0 0.0\n"
+)
+
+
+def test_state_size_is_exact_and_guarded():
+    """65536**5 = 2**80 wrapped to 0 in an int64 product, so the first amp
+    row was reported out of range; 10**20 amplitudes reached numpy's
+    unlocated allocation error. Both stop on the state line."""
+    for text, size in ((OVERFLOWING_STATE, 2**80), (UNALLOCATABLE_STATE, 10**20)):
+        err = expect_error(text, f"state of {size} amplitudes exceeds", 6, 1)
+        assert "2**24" in str(err)
+    text = "scenario s\nobservable X outcomes 0 1\ncontext X\nstate 2 2\n  amp 4 1.0 0.0\n"
+    expect_error(text, "amplitude index 4 out of range for dimension 4", 5, 7)
+    # 2**24 amplitudes pass the guard; the row stops the parse before the
+    # state is allocated
+    text = "scenario s\nobservable X outcomes 0 1\ncontext X\nstate 4096 4096\n  amp 16777216 1.0 0.0\n"
+    expect_error(text, "amplitude index 16777216 out of range for dimension 16777216", 5, 7)
+    expect_error(text.replace("4096 4096", "4096 4097"), "state of 16781312 amplitudes", 4, 1)
