@@ -6,10 +6,9 @@ over deterministic global assignments subject to incidence * b <= table
 probabilities, row by row. Every row is an upper bound with a nonnegative
 right-hand side, so the slack basis is feasible and the solver needs one
 phase only. The program has few rows and very many columns, so the solver
-is a revised simplex with Bland's rule: the matrix [A | I] is built once, one
-product with the duals prices every column, and each pivot updates only the
-m x m basis inverse. Float64 and exact Fraction (object dtype, zero
-tolerance) arithmetic share the same pivoting code.
+is a float64 revised simplex with Bland's rule: the matrix [A | I] is built
+once, one product with the duals prices every column, and each pivot
+updates only the m x m basis inverse.
 
 For exact tables the float-optimal basis is certified in integers. One
 fraction-free (Bareiss) Gauss-Jordan elimination of [K | P | I], K the square
@@ -18,8 +17,11 @@ primal d K^-1 P and the adjugate d K^-1, whose column sums are the dual
 d y. The array is int64 while every entry is below 2**31, so that no step
 can overflow, and is otherwise promoted once to Python ints. The
 certificate checks primal feasibility, dual feasibility and, through the
-basis, complementary slackness. Only when that check fails does the exact
-simplex run.
+basis, complementary slackness. A basis that fails it (after a tie below
+the float tolerance) is repaired by exact dual-simplex pivots with Bland's
+rule on the integer system d B^-1 [P | I] of the whole basis B, each pivot
+the same fraction-free step as the elimination; Fractions appear only in
+the final witness.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scenario import (
-    ContextKey,
-    EmpiricalModel,
-    Scenario,
-    no_disturbance,
-)
+from .scenario import ContextKey, EmpiricalModel, Scenario, no_disturbance
 
 MAX_INCIDENCE_COLUMNS = 2**20
 EPS_LP = 1e-9
@@ -53,8 +50,6 @@ __all__ = [
     "FractionResult",
     "incidence",
     "simplex",
-    "simplex_exact",
-    "ncf_program",
     "contextual_fraction",
 ]
 
@@ -156,55 +151,43 @@ class LinearProgram:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rhs", rhs)
 
-    @property
-    def nvars(self) -> int:
-        return len(self.objective)
-
 
 @dataclass(frozen=True)
 class SimplexResult:
     status: str  # Optimal | Unbounded
-    value: object | None
-    x: tuple | None
+    value: float | None
+    x: tuple[float, ...] | None
     basis: tuple[int, ...] | None  # standard-form column indices, one per row
 
 
-def _update(
-    Binv: np.ndarray, x_B: np.ndarray, d: np.ndarray, row: int
-) -> None:
-    """Pivot on d[row] in place, d = B^-1 M_j the entering column: the
-    rank-one update of the basis inverse and of the basic solution."""
-    pr = Binv[row] / d[row]
-    xr = x_B[row] / d[row]
-    Binv -= d[:, None] * pr
-    x_B -= d * xr
-    Binv[row] = pr
-    x_B[row] = xr
+def simplex(lp: LinearProgram) -> SimplexResult:
+    """Floating-point revised simplex with Bland's rule from the slack basis.
 
-
-def _bland_iterate(
-    M: np.ndarray,
-    c: np.ndarray,
-    Binv: np.ndarray,
-    x_B: np.ndarray,
-    basis: np.ndarray,
-    eps,
-) -> str:
-    """Run Bland-rule pivots to optimality or unboundedness, updating Binv,
-    x_B and basis in place. The duals y = c_B B^-1 price every column of M
-    in one product; the first column with reduced cost above eps enters, the
-    row with the least ratio leaves, ties within eps to the least basic
-    column."""
+    The matrix M = [A | I] is built once and never pivoted; column n + i is
+    the slack of row i, and the slack basis B = I is feasible since
+    rhs >= 0. The duals y = c_B B^-1 price every column in one product; the
+    first column with reduced cost above EPS_LP enters, the row with the
+    least ratio leaves, ties within EPS_LP to the least basic column, and
+    the pivot is a rank-one update of B^-1 and of the basic solution x_B."""
+    m, n = lp.matrix.shape
+    # M takes lp.matrix as it is, without an intermediate float copy
+    M = np.zeros((m, n + m))
+    M[:, :n] = lp.matrix
+    basis = np.arange(n, n + m)
+    M[np.arange(m), basis] = 1.0
+    Binv = np.eye(m)
+    x_B = np.array(lp.rhs, dtype=float)
+    c = np.concatenate((np.array(lp.objective, dtype=float), np.zeros(m)))
     c_B = c[basis]
     while True:
         reduced = c - (c_B @ Binv) @ M
         reduced[basis] = 0
-        positive = reduced > eps
+        positive = reduced > EPS_LP
         enter = int(positive.argmax())
         if not positive[enter]:
-            return "Optimal"
+            break
         d = Binv @ M[:, enter]
-        cand = np.flatnonzero(d > eps)
+        cand = np.flatnonzero(d > EPS_LP)
         leave = -1
         best = least = None
         for i, ratio, b in zip(
@@ -214,69 +197,28 @@ def _bland_iterate(
         ):
             if (
                 best is None
-                or ratio < best - eps
-                or (abs(ratio - best) <= eps and b < least)
+                or ratio < best - EPS_LP
+                or (abs(ratio - best) <= EPS_LP and b < least)
             ):
                 best, least, leave = ratio, b, i
         if leave < 0:
-            return "Unbounded"
-        _update(Binv, x_B, d, leave)
+            return SimplexResult("Unbounded", None, None, None)
+        pr = Binv[leave] / d[leave]
+        xr = x_B[leave] / d[leave]
+        Binv -= d[:, None] * pr
+        x_B -= d * xr
+        Binv[leave] = pr
+        x_B[leave] = xr
         basis[leave] = enter
         c_B[leave] = c[enter]
-
-
-_to_fractions = np.frompyfunc(Fraction, 1, 1)
-
-
-def _array(values, exact: bool) -> np.ndarray:
-    """Float64 array, or object array of Fractions when exact."""
-    if not exact:
-        return np.array(values, dtype=float)
-    return _to_fractions(np.array(values, dtype=object))
-
-
-def _solve(lp: LinearProgram, exact: bool, eps) -> SimplexResult:
-    """Revised simplex with Bland's rule from the slack basis. The matrix
-    M = [A | I] is built once and never pivoted; each pivot updates the
-    m x m basis inverse B^-1 and the basic solution x_B. Column n + i is the
-    slack of row i, and the slack basis B = I is feasible since rhs >= 0."""
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    dtype = object if exact else float
-    m, n = lp.matrix.shape
-    # the float matrix takes lp.matrix as it is, without an intermediate
-    # float copy
-    M = np.full((m, n + m), zero, dtype=dtype)
-    M[:, :n] = _array(lp.matrix, exact) if exact else lp.matrix
-    basis = np.arange(n, n + m)
-    M[np.arange(m), basis] = one
-    Binv = M[:, n:].copy()
-    x_B = _array(lp.rhs, exact)
-    c = np.concatenate(
-        (_array(lp.objective, exact), np.full(m, zero, dtype=dtype))
-    )
-    status = _bland_iterate(M, c, Binv, x_B, basis, eps)
-    if status != "Optimal":
-        return SimplexResult(status, None, None, None)
-    x = np.full(n + m, zero, dtype=dtype)
+    x = np.zeros(n + m)
     x[basis] = x_B
     # c_B . x_B, summed in column order
     cols = np.sort(basis)
-    value = sum((c[cols] * x[cols]).tolist(), zero)
+    value = sum((c[cols] * x[cols]).tolist(), 0.0)
     return SimplexResult(
         "Optimal", value, tuple(x[:n].tolist()), tuple(basis.tolist())
     )
-
-
-def simplex(lp: LinearProgram) -> SimplexResult:
-    """Floating-point revised simplex with Bland's rule from the slack
-    basis, ratio-test and optimality tolerances at EPS_LP."""
-    return _solve(lp, False, EPS_LP)
-
-
-def simplex_exact(lp: LinearProgram) -> SimplexResult:
-    """The same slack-basis revised simplex and pivot rule over exact
-    Fractions (zero tolerance)."""
-    return _solve(lp, True, Fraction(0))
 
 
 # --------------------------------------------------- noncontextual fraction
@@ -305,26 +247,16 @@ class FractionResult:
             raise ValueError("witness weights must sum to ncf")
 
 
-def _program(
-    inc: IncidenceMatrix, m: EmpiricalModel, exact: bool
-) -> LinearProgram:
-    """The float program of a model with exact tables takes its right-hand
-    side from them, so that it poses the same model as the exact one even
-    where snapping moved a probability."""
-    from_exact = exact or m.exact_available
-    rhs = []
-    for ctx, tup in inc.rows:
-        dist = m.tables[ctx]
-        p = dist.exact[tup] if from_exact else dist[tup]
-        rhs.append(p if exact else float(p))
-    one = Fraction(1) if exact else 1.0
-    return LinearProgram((one,) * inc.matrix.shape[1], inc.matrix, rhs)
-
-
-def ncf_program(m: EmpiricalModel, exact: bool = False) -> LinearProgram:
-    """The decomposition LP for a model: maximize total assignment weight
-    under the incidence upper bounds. Its matrix is the incidence ndarray."""
-    return _program(incidence(m.scenario), m, exact)
+def _program(inc: IncidenceMatrix, m: EmpiricalModel) -> LinearProgram:
+    """The decomposition LP: maximize the total assignment weight under the
+    incidence upper bounds. A model with exact tables takes its right-hand
+    side from them, so that the float program poses the same model as the
+    exact certificate even where snapping moved a probability."""
+    rhs = [
+        float(m.tables[ctx].exact[tup] if m.exact_available else m.tables[ctx][tup])
+        for ctx, tup in inc.rows
+    ]
+    return LinearProgram((1.0,) * inc.matrix.shape[1], inc.matrix, rhs)
 
 
 def _validate_witness(
@@ -358,46 +290,68 @@ def _widen(aug: np.ndarray) -> np.ndarray:
     return aug
 
 
+def _pivot(
+    aug: np.ndarray, col: np.ndarray, r: int, d: int
+) -> tuple[int, np.ndarray]:
+    """One fraction-free pivot on col[r] of an integer system aug scaled by
+    d > 0, col the pivot column in the same scale: aug becomes
+    (col[r] aug - outer(col, aug[r])) // d, every division exact, with row r
+    kept, and is negated when col[r] < 0. Returns the new scale |col[r]| and
+    the new array, promoted once to Python ints when an entry reaches
+    _INT64_SAFE. The caller keeps every operand below it in int64."""
+    pr = aug[r].copy()
+    piv = int(col[r])
+    f = col[:, None] * pr
+    # in place, without the multiply or the division by a pivot of 1, the
+    # usual one on 0/1 bases
+    if piv != 1:
+        aug *= piv
+    aug -= f
+    if d != 1:
+        aug //= d
+    aug[r] = pr
+    if piv < 0:
+        piv, aug = -piv, -aug
+    return piv, _widen(aug)
+
+
 def _adjugate_solve(
     K: np.ndarray, b: np.ndarray
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of [K | b | I] for a
-    square integer K. Returns (d, X, adj) with d = |det K| > 0, K X = d b
-    and K adj = d I, so adj is the adjugate of K up to its sign; None when K
-    is singular.
-
-    Each step updates the whole array at once, every division exact; the
-    array stays int64 while its entries are below _INT64_SAFE, checked
-    before each step and after the last, and is otherwise promoted once to
-    Python ints."""
+    square integer K, one _pivot per column. Returns (d, X, adj) with
+    d = |det K| > 0, K X = d b and K adj = d I, so adj is the adjugate of K
+    up to its sign; None when K is singular."""
     k = len(K)
-    aug = np.hstack((K, b.reshape(k, 1), np.eye(k, dtype=np.int64)))
-    prev = 1
-    for col in range(k):
-        aug = _widen(aug)
-        nonzero = aug[col:, col].nonzero()[0]
+    aug = _widen(np.hstack((K, b.reshape(k, 1), np.eye(k, dtype=np.int64))))
+    d = 1
+    for c in range(k):
+        nonzero = aug[c:, c].nonzero()[0]
         if not nonzero.size:
             return None
-        piv = col + int(nonzero[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        pr = aug[col].copy()
-        pv = int(pr[col])
-        # aug = (pv * aug - outer(aug[:, col], pr)) // prev in place, without
-        # the multiply or the division by a pivot of 1, the usual one on 0/1
-        # cores
-        f = aug[:, col, None] * pr
-        if pv != 1:
-            aug *= pv
-        aug -= f
-        if prev != 1:
-            aug //= prev
-        aug[col] = pr
-        prev = pv
-    aug = _widen(aug)
-    if prev < 0:
-        prev, aug = -prev, -aug
-    return prev, aug[:, k], aug[:, k + 1 :]
+        piv = c + int(nonzero[0])
+        if piv != c:
+            aug[[c, piv]] = aug[[piv, c]]
+        d, aug = _pivot(aug, aug[:, c], c, d)
+    return d, aug[:, k], aug[:, k + 1 :]
+
+
+def _scaled(p: tuple[Fraction, ...]) -> tuple[int, np.ndarray]:
+    """(scale, P) with P = p * scale integral, scale the lcm of the
+    denominators; P is int64 while its entries are below _INT64_SAFE."""
+    scale = math.lcm(*(v.denominator for v in p))
+    P = [v.numerator * (scale // v.denominator) for v in p]
+    small = all(-_INT64_SAFE < v < _INT64_SAFE for v in P)
+    return scale, np.array(P, dtype=np.int64 if small else object)
+
+
+def _optimum(
+    inc: IncidenceMatrix, values: list[tuple[int, int]], denom: int
+) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
+    """The exact optimum and witness from the basic assignment columns'
+    (column, value * denom) pairs, in column order."""
+    witness = {inc.assignment(j): Fraction(v, denom) for j, v in values if v}
+    return Fraction(sum(v for _, v in values), denom), witness
 
 
 def _certify(
@@ -425,10 +379,7 @@ def _certify(
     slack_rows = {b - n for b in basis if b >= n}
     N = [r for r in range(nrows) if r not in slack_rows]
     T = sorted(slack_rows)
-    scale = math.lcm(*(v.denominator for v in p))
-    P = [v.numerator * (scale // v.denominator) for v in p]
-    small = all(-_INT64_SAFE < v < _INT64_SAFE for v in P)
-    P = np.array(P, dtype=np.int64 if small else object)
+    scale, P = _scaled(p)
     solved = _adjugate_solve(A[np.ix_(N, S)], P[N])
     if solved is None:
         return None
@@ -447,13 +398,72 @@ def _certify(
     small = max(sum(Y_N.tolist()), d) < 2**53
     if (Y_N.astype(float if small else object) @ A[N] < d).any():
         return None
-    denom = d * scale
-    witness = {
-        inc.assignment(j): Fraction(v, denom)
-        for j, v in zip(S, X.tolist())
-        if v
-    }
-    return Fraction(sum(X.tolist()), denom), witness
+    return _optimum(inc, list(zip(S, X.tolist())), d * scale)
+
+
+def _context_basis(inc: IncidenceMatrix) -> list[int]:
+    """A basis that is always dual feasible: for each row of the first
+    context the first assignment column hitting it, and the slacks of every
+    other row. Every assignment hits exactly one row of a context, so the
+    duals are 1 on the first context and 0 elsewhere, every reduced cost is
+    0 or -1, and the core is the identity."""
+    A = inc.matrix
+    nrows, n = A.shape
+    first = sum(1 for ctx, _ in inc.rows if ctx == inc.rows[0][0])
+    heads = [int(A[r].argmax()) for r in range(first)]
+    return heads + list(range(n + first, n + nrows))
+
+
+def _repair(
+    inc: IncidenceMatrix, p: tuple[Fraction, ...], basis: tuple[int, ...]
+) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
+    """The exact optimum and witness by dual-simplex pivots with Bland's
+    rule, from basis when it is exactly dual feasible and from
+    _context_basis otherwise.
+
+    aug = d B^-1 [P | I], B = [A | I][:, basis] and d = |det B|, stays in
+    integers: column 0 is the scaled primal, and the rows of the rest at
+    basic assignment columns sum to the scaled dual. The leaving row is the
+    negative basic value with the least basic column; the entering column
+    has the least ratio of reduced cost to pivot-row entry among the entries
+    below 0, ties to the least column. Each pivot keeps the dual feasible,
+    so the first primal feasible basis is optimal."""
+    A = inc.matrix
+    nrows, n = A.shape
+    M = np.hstack((A, np.eye(nrows, dtype=A.dtype)))
+    scale, P = _scaled(p)
+
+    def reduced(d, adj, basis):
+        """d times the reduced cost of every column."""
+        red = -(adj[[i for i, b in enumerate(basis) if b < n]].sum(axis=0) @ M)
+        red[:n] += d
+        return red
+
+    basis = list(basis)
+    solved = _adjugate_solve(M[:, basis], P)
+    if solved is None or (reduced(solved[0], solved[2], basis) > 0).any():
+        basis = _context_basis(inc)
+        solved = _adjugate_solve(M[:, basis], P)
+    d, X, adj = solved
+    aug = np.column_stack((X, adj))
+    while (aug[:, 0] < 0).any():
+        r = min(np.flatnonzero(aug[:, 0] < 0).tolist(), key=basis.__getitem__)
+        red = reduced(d, aug[:, 1:], basis)
+        # some entry is below 0, since x = 0 is feasible
+        alpha = aug[r, 1:] @ M
+        cand = np.flatnonzero(alpha < 0)
+        # the exact least ratios are among those whose float is within a few
+        # ulps of the float minimum
+        ratio = red[cand].astype(float) / alpha[cand].astype(float)
+        near = cand[ratio <= ratio.min() * (1 + 1e-9)].tolist()
+        enter = min(near, key=lambda j: (Fraction(int(red[j]), int(alpha[j])), j))
+        col = aug[:, 1:] @ M[:, enter]
+        if np.abs(col).max() >= _INT64_SAFE:
+            aug, col = aug.astype(object), col.astype(object)
+        d, aug = _pivot(aug, col, r, d)
+        basis[r] = enter
+    values = sorted((b, int(aug[i, 0])) for i, b in enumerate(basis) if b < n)
+    return _optimum(inc, values, d * scale)
 
 
 def contextual_fraction(m: EmpiricalModel) -> FractionResult:
@@ -463,9 +473,9 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     ncf is the LP optimum (clamped into [0, 1]); cf = 1 - ncf; the witness is
     revalidated against the tables after solving. One incidence matrix
     serves the float LP, the witness check and the exact path. When exact
-    tables are available the float-optimal basis is certified in integers
-    (the exact simplex runs only if the certificate fails), and the exact
-    optimum must agree with the float one within 1e-9."""
+    tables are available the float-optimal basis is certified in integers,
+    and repaired by exact pivots if the certificate fails; the exact optimum
+    must agree with the float one within 1e-9."""
     worst, _ = no_disturbance(m)
     if worst > EPS_ND_PRECONDITION:
         raise SignallingModelError(
@@ -473,7 +483,7 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
             f"needs a non-signalling model"
         )
     inc = incidence(m.scenario)
-    lp = _program(inc, m, exact=False)
+    lp = _program(inc, m)
     res = simplex(lp)
     # b = 0 is feasible, and the rows of any one context bound sum(b) by 1
     if res.status != "Optimal":  # pragma: no cover
@@ -487,27 +497,14 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     ncf_exact = None
     witness_exact = None
     if m.exact_available:
-        lp_x = _program(inc, m, exact=True)
-        certified = _certify(inc, lp_x.rhs, res.basis)
-        if certified is None:
-            exact_res = simplex_exact(lp_x)
-            if exact_res.status != "Optimal":
-                raise RuntimeError(
-                    f"exact decomposition LP ended {exact_res.status}"
-                )
-            value = exact_res.value
-            witness_exact = {
-                inc.assignment(j): w for j, w in enumerate(exact_res.x) if w != 0
-            }
-        else:
-            value, witness_exact = certified
-        if abs(float(value) - ncf) > EPS_LP:
+        p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
+        ncf_exact, witness_exact = _certify(inc, p, res.basis) or _repair(
+            inc, p, res.basis
+        )
+        if abs(float(ncf_exact) - ncf) > EPS_LP:
             raise RuntimeError(
-                f"exact optimum {value} drifts from float optimum {ncf!r}"
+                f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"
             )
-        ncf_exact = Fraction(value)
-        ncf = float(value)
+        ncf = float(ncf_exact)
         witness = {a: float(w) for a, w in witness_exact.items()}
-    return FractionResult(
-        ncf, 1.0 - ncf, witness, ncf_exact, witness_exact
-    )
+    return FractionResult(ncf, 1.0 - ncf, witness, ncf_exact, witness_exact)

@@ -28,6 +28,7 @@ __all__ = [
     "Distribution",
     "tensor",
     "born",
+    "born_weights",
     "project",
     "premeasure",
     "computational_basis",
@@ -40,6 +41,8 @@ def _complex_matrix(rows: Iterable[Iterable[complex]]) -> np.ndarray:
     arr = np.array([list(r) for r in rows], dtype=complex)
     if arr.ndim != 2:
         raise ValueError("basis vectors must form a 2-D array")
+    if not np.isfinite(arr).all():
+        raise ValueError("basis vectors must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -72,7 +75,8 @@ class StateVector:
                 f"{sites} (expected {prod(sites)})"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > EPS_NORM:
+        # "not <=", so that a NaN norm, which compares false, fails too
+        if not abs(nrm - 1.0) <= EPS_NORM:
             raise ValueError(f"state is not normalized: |psi| = {nrm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "sites", sites)
@@ -257,7 +261,7 @@ class Distribution:
         for key, value in self.probs.items():
             k = tuple(str(x) for x in key)
             v = float(value)
-            if v < -EPS_ZERO or v > 1.0 + EPS_ZERO:
+            if not -EPS_ZERO <= v <= 1.0 + EPS_ZERO:  # NaN fails too
                 raise ValueError(f"probability out of range at {k}: {v!r}")
             clean[k] = min(max(v, 0.0), 1.0)
         total = sum(clean.values())
@@ -311,26 +315,32 @@ def _factor_tensor(basis: SiteBasis, group: tuple[int, ...], state: StateVector)
     return basis.vectors.reshape((basis.n_outcomes,) + dims)
 
 
+def born_weights(
+    state: StateVector,
+    factors: Sequence[tuple[tuple[int, ...], SiteBasis]],
+    unmeasured: Sequence[int],
+) -> np.ndarray:
+    """Born weights of the joint outcomes of disjoint site groups, flat in
+    row-major factor order, with the unmeasured sites traced out: one
+    einsum of the state with each group's conjugated basis tensor, abs()**2,
+    then the sum over the unmeasured axes. born and scenario.realize both
+    contract here, so they give the same floats."""
+    n = state.nsites
+    operands: list = [state.tensor_view(), list(range(n))]
+    for axis, (group, basis) in enumerate(factors, n):
+        operands += [_factor_tensor(basis, group, state).conj(), [axis, *group]]
+    measured = list(range(n, n + len(factors)))
+    weights = np.abs(np.einsum(*operands, measured + list(unmeasured))) ** 2
+    if unmeasured:
+        weights = weights.sum(axis=tuple(range(len(factors), weights.ndim)))
+    return weights.reshape(-1)
+
+
 def born(state: StateVector, basis: ProductBasis) -> Distribution:
     """Joint outcome distribution; unmeasured sites are traced out."""
     basis._check_against(state)
-    n = state.nsites
-    operands: list = [state.tensor_view(), list(range(n))]
-    out_axes: list[int] = []
-    next_axis = n
-    for group, factor in basis.factors:
-        operands.append(_factor_tensor(factor, group, state).conj())
-        operands.append([next_axis] + list(group))
-        out_axes.append(next_axis)
-        next_axis += 1
-    unmeasured_axes = list(basis.unmeasured)
-    amp = np.einsum(*operands, out_axes + unmeasured_axes)
-    weights = np.abs(amp) ** 2
-    if unmeasured_axes:
-        weights = weights.sum(axis=tuple(range(len(out_axes), weights.ndim)))
-    flat = weights.reshape(-1)
-    probs = dict(zip(basis.outcome_tuples(), (float(p) for p in flat)))
-    return Distribution(probs)
+    flat = born_weights(state, basis.factors, basis.unmeasured)
+    return Distribution(dict(zip(basis.outcome_tuples(), flat.tolist())))
 
 
 def _outcome_indices(basis: ProductBasis, outcome: Sequence[str]) -> list[int]:

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .qstate import (
-    Distribution,
-    SiteBasis,
-    StateVector,
-)
+from .qstate import Distribution, SiteBasis, StateVector, born_weights
 
 EPS_ND = 1e-9
 EPS_SUPPORT = 1e-9
@@ -235,19 +229,16 @@ class QuantumRealization:
 def realize(qr: QuantumRealization, sc: Scenario) -> EmpiricalModel:
     """Born-rule tables for every context of the scenario.
 
-    Each context is one contraction of the state with the conjugated basis
-    tensors of its recipes, with the sites no recipe of the context measures
-    traced out: the same operands and axes as qstate.born over the matching
-    ProductBasis, so the same floats, keyed directly by the recipes' mapped
-    outcome labels. The realization has already checked every recipe's site
-    range and basis dimension."""
+    Each context is one qstate.born_weights contraction over its recipes'
+    site groups, with the sites no recipe of the context measures traced
+    out, so the same floats as qstate.born over the matching ProductBasis,
+    keyed directly by the recipes' mapped outcome labels. The realization
+    has already checked every recipe's site range and basis dimension."""
     state = qr.state
     n = state.nsites
-    amplitudes = state.tensor_view()
     tables: dict[ContextKey, Distribution] = {}
     for ctx in sc.contexts:
-        operands: list = [amplitudes, list(range(n))]
-        out_axes: list[int] = []
+        factors: list[tuple[tuple[int, ...], SiteBasis]] = []
         keys: list[tuple[str, ...]] = [()]
         used: set[int] = set()
         for label in ctx:
@@ -268,18 +259,11 @@ def realize(qr: QuantumRealization, sc: Scenario) -> EmpiricalModel:
                     f"{mapped}, observable declares "
                     f"{tuple(sorted(expected))}"
                 )
-            basis = recipe.basis
-            dims = tuple(state.sites[s] for s in recipe.sites)
-            axis = n + len(out_axes)
-            vectors = basis.vectors.reshape((basis.n_outcomes,) + dims)
-            operands += [vectors.conj(), [axis, *recipe.sites]]
-            out_axes.append(axis)
+            factors.append((recipe.sites, recipe.basis))
             keys = [k + (l,) for k in keys for l in mapped]
         unmeasured = [s for s in range(n) if s not in used]
-        weights = np.abs(np.einsum(*operands, out_axes + unmeasured)) ** 2
-        if unmeasured:
-            weights = weights.sum(axis=tuple(range(len(out_axes), weights.ndim)))
-        tables[ctx] = Distribution(dict(zip(keys, weights.reshape(-1).tolist())))
+        weights = born_weights(state, factors, unmeasured)
+        tables[ctx] = Distribution(dict(zip(keys, weights.tolist())))
     return EmpiricalModel(sc, tables)
 
 

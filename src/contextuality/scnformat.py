@@ -130,11 +130,15 @@ def _parse_int(tok: Token, what: str) -> int:
 
 
 def _parse_float(tok: Token, what: str) -> float:
+    """A finite float: NaN and infinities are rejected like non-numbers."""
     text, ln, col = tok
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ParseError(f"invalid {what} {text!r}", ln, col) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"invalid {what} {text!r}", ln, col)
+    return value
 
 
 def _parse_prob(tok: Token) -> tuple[float, Fraction | None]:

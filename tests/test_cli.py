@@ -386,6 +386,33 @@ def test_oversized_state_is_a_located_parse_error(tmp_path, dims):
     )
 
 
+NONFINITE_FILES = {
+    # a NaN amplitude has a NaN norm, which no comparison rejects
+    "amp": (
+        "scenario s\nobservable X outcomes 0 1\ncontext X\n"
+        "measure X site 0 basis computational labels 0 1\n\n"
+        "state 2\n  amp 0 nan 0.0\n  amp 1 1.0 0.0\n",
+        "error: line 7, column 9: invalid amplitude component 'nan'\n",
+    ),
+    "vec": (
+        "scenario s\nobservable X outcomes 0 1\ncontext X\n"
+        "measure X site 0 basis explicit labels 0 1\n"
+        "  vec 1.0 0.0 0.0 0.0\n  vec 0.0 0.0 inf -inf\n\n"
+        "state 2\n  amp 0 1.0 0.0\n",
+        "error: line 6, column 15: invalid vector component 'inf'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NONFINITE_FILES))
+@pytest.mark.parametrize("command", ["ncf", "analyze"])
+def test_nonfinite_numbers_are_located_parse_errors(tmp_path, kind, command):
+    text, err = NONFINITE_FILES[kind]
+    path = tmp_path / f"{kind}.scn"
+    path.write_text(text, encoding="utf-8")
+    assert call([command, str(path)]) == (2, "", err)
+
+
 def test_support_is_built_only_for_the_sections_that_read_it(monkeypatch):
     import contextuality.report as report
 

@@ -21,9 +21,7 @@ from contextuality.ncpoly import (
     SignallingModelError,
     contextual_fraction,
     incidence,
-    ncf_program,
     simplex,
-    simplex_exact,
 )
 from contextuality.qstate import SiteBasis, StateVector
 from contextuality.scenario import (
@@ -163,10 +161,9 @@ def test_simplex_box():
     assert res.value == pytest.approx(5.0, abs=1e-9)
     assert res.x == pytest.approx((2.0, 3.0), abs=1e-9)
     # without rows, a nonpositive objective is optimal at x = 0
-    for solve, num in ((simplex, float), (simplex_exact, Fraction)):
-        res = solve(LinearProgram((num(0), num(-1)), np.zeros((0, 2)), ()))
-        assert res.status == "Optimal"
-        assert res.value == 0 and res.x == (0, 0) and res.basis == ()
+    res = simplex(LinearProgram((0.0, -1.0), np.zeros((0, 2)), ()))
+    assert res.status == "Optimal"
+    assert res.value == 0 and res.x == (0, 0) and res.basis == ()
 
 
 def test_simplex_prefers_the_better_corner():
@@ -180,9 +177,8 @@ def test_simplex_unbounded():
     lp = LinearProgram((1.0, 0.0), ((0.0, 1.0),), (1.0,))
     assert simplex(lp).status == "Unbounded"
     # without rows, a positive objective is unbounded
-    for solve, num in ((simplex, float), (simplex_exact, Fraction)):
-        lp = LinearProgram((num(0), num(1)), np.zeros((0, 2)), ())
-        assert solve(lp).status == "Unbounded"
+    lp = LinearProgram((0.0, 1.0), np.zeros((0, 2)), ())
+    assert simplex(lp).status == "Unbounded"
 
 
 def test_simplex_survives_the_classic_cycling_program():
@@ -206,24 +202,11 @@ def test_simplex_survives_the_classic_cycling_program():
         method="highs",
     )
     assert res.value == pytest.approx(-ref.fun, abs=1e-7)
-    # every entry is a binary fraction, so the exact run, Bland's rule at
-    # zero tolerance, solves the same program
-    res = simplex_exact(lp)
-    assert res.status == "Optimal"
-    assert res.value == Fraction(1)
-    assert res.basis == (4, 0, 2)
 
 
-def test_simplex_exact_returns_fractions():
-    lp = LinearProgram(
-        (Fraction(1), Fraction(3)),
-        ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))),
-        (Fraction(3, 2), Fraction(1, 3)),
-    )
-    res = simplex_exact(lp)
-    assert res.status == "Optimal"
-    assert res.value == Fraction(11, 6)
-    assert res.x == (Fraction(5, 6), Fraction(1, 3))
+def _ncf_lp(m: EmpiricalModel) -> LinearProgram:
+    """The decomposition LP that contextual_fraction solves for m."""
+    return ncpoly._program(incidence(m.scenario), m)
 
 
 def _scipy_reference(lp: LinearProgram):
@@ -260,8 +243,8 @@ def test_simplex_matches_scipy_on_random_inequality_programs():
 
 
 def test_ncf_program_shape(hardy_model):
-    lp = ncf_program(hardy_model)
-    assert lp.nvars == 16
+    lp = _ncf_lp(hardy_model)
+    assert len(lp.objective) == 16
     assert len(lp.matrix) == 16
     assert lp.objective == (1.0,) * 16
     inc = incidence(hardy_model.scenario)
@@ -445,7 +428,7 @@ def test_fraction_matches_scipy_on_random_quantum_models(hardy_scenario):
         )
         m = realize(qr, hardy_scenario)
         res = contextual_fraction(m)
-        ref = _scipy_reference(ncf_program(m))
+        ref = _scipy_reference(_ncf_lp(m))
         assert ref.status == 0
         assert res.ncf == pytest.approx(-ref.fun, abs=1e-7)
         assert 0.0 <= res.ncf <= 1.0
@@ -515,7 +498,7 @@ def test_simplex_pivot_path_is_pinned():
     models = dict(_pinned_basis_models())
     assert set(models) == set(pinned)
     for key, m in models.items():
-        assert list(simplex(ncf_program(m)).basis) == pinned[key], key
+        assert list(simplex(_ncf_lp(m)).basis) == pinned[key], key
     for n in (6, 8):
         res = contextual_fraction(models[f"chained_bell {n}"])
         assert res.ncf_exact is None
@@ -523,18 +506,18 @@ def test_simplex_pivot_path_is_pinned():
 
 
 def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
-    """With the integer certificate failing, simplex_exact solves every
-    program from scratch and must reach the same exact optimum and, on the
-    corpus, the same witness in the same order."""
+    """With the integer certificate failing, the exact repair solves every
+    program and must reach the same exact optimum and, on the corpus, the
+    same witness in the same order."""
     fallbacks = []
-    exact_simplex = ncpoly.simplex_exact
+    repair = ncpoly._repair
 
-    def counted(lp):
-        fallbacks.append(lp)
-        return exact_simplex(lp)
+    def counted(inc, p, basis):
+        fallbacks.append(basis)
+        return repair(inc, p, basis)
 
     monkeypatch.setattr(ncpoly, "_certify", lambda inc, p, basis: None)
-    monkeypatch.setattr(ncpoly, "simplex_exact", counted)
+    monkeypatch.setattr(ncpoly, "_repair", counted)
     for name, (ncf, witness) in CORPUS_NCF.items():
         res = contextual_fraction(_corpus_model(name))
         assert res.ncf_exact == ncf, name
@@ -550,10 +533,10 @@ def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
 
 
 def test_integer_certificate_pins_exact_fractions(monkeypatch):
-    def no_fallback(lp):
+    def no_fallback(inc, p, basis):
         raise AssertionError("the integer certificate failed to certify")
 
-    monkeypatch.setattr(ncpoly, "simplex_exact", no_fallback)
+    monkeypatch.setattr(ncpoly, "_repair", no_fallback)
     with_models = {
         p.stem
         for p in DATA_DIR.glob("*.scn")
@@ -581,6 +564,177 @@ def test_integer_certificate_pins_exact_fractions(monkeypatch):
             assert res.ncf_exact == expected, (n, v)
             assert sum(res.witness_exact.values()) == expected
             assert res.ncf == float(expected)
+
+
+def _slack_repair(m: EmpiricalModel):
+    """_repair started from the slack basis, which is never dual feasible
+    (every assignment column has reduced cost 1), so that it starts from
+    _context_basis."""
+    inc = incidence(m.scenario)
+    p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
+    nrows, n = inc.matrix.shape
+    return ncpoly._repair(inc, p, tuple(range(n, n + nrows)))
+
+
+def _assert_exactly_feasible(m: EmpiricalModel, witness) -> None:
+    """Positive weights whose mass on every table row is at most the row's
+    exact probability."""
+    assert all(w > 0 for w in witness.values())
+    labels = [o.label for o in m.scenario.observables]
+    for ctx in m.scenario.contexts:
+        pos = [labels.index(l) for l in ctx]
+        for tup, p in m.tables[ctx].exact.items():
+            mass = sum(
+                (w for a, w in witness.items() if tuple(a[i] for i in pos) == tup),
+                Fraction(0),
+            )
+            assert mass <= p, (ctx, tup)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_repair_mends_a_rejected_float_basis_without_a_cold_start(monkeypatch, n):
+    """At v = 1/3 + 2**-40 a tie below EPS_LP leaves the float simplex on a
+    basis that the certificate rejects. It is exactly dual feasible, so the
+    repair pivots from it and never builds _context_basis. The NCF is
+    min(1, n(1 - v)/2) = 1."""
+    v = Fraction(1, 3) + Fraction(1, 2**40)
+    m = _white_noise_odd_cycle(n, v)
+    inc = incidence(m.scenario)
+    p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
+    assert ncpoly._certify(inc, p, simplex(_ncf_lp(m)).basis) is None
+
+    def cold(inc):
+        raise AssertionError("the repair started from _context_basis")
+
+    monkeypatch.setattr(ncpoly, "_context_basis", cold)
+    res = contextual_fraction(m)
+    assert res.ncf_exact == min(1, n * (1 - v) / 2) == 1
+    assert sum(res.witness_exact.values()) == res.ncf_exact
+    _assert_exactly_feasible(m, res.witness_exact)
+
+
+def test_repair_from_the_slack_basis_reproduces_the_pins(monkeypatch):
+    """Started cold, from _context_basis, the repair reaches the pinned
+    corpus optimum and witness, in the same order, and the closed form on
+    the white-noise grid."""
+    starts = []
+    context_basis = ncpoly._context_basis
+
+    def counted(inc):
+        starts.append(inc)
+        return context_basis(inc)
+
+    monkeypatch.setattr(ncpoly, "_context_basis", counted)
+    for name, (ncf, witness) in CORPUS_NCF.items():
+        value, witness_exact = _slack_repair(_corpus_model(name))
+        assert value == ncf, name
+        assert list(witness_exact.items()) == list(witness.items()), name
+    for n in range(3, 10):
+        for v in NOISE_LEVELS:
+            m = _white_noise_odd_cycle(n, v)
+            value, witness_exact = _slack_repair(m)
+            assert value == min(Fraction(1), n * (1 - v) / 2), (n, v)
+            assert sum(witness_exact.values()) == value
+            _assert_exactly_feasible(m, witness_exact)
+    assert len(starts) == len(CORPUS_NCF) + 7 * len(NOISE_LEVELS)
+
+
+def test_repair_pivot_rules_are_pinned():
+    """Bland's rule fixes the repair's pivot path and with it the vertex it
+    ends on among degenerate optima. These slack-started witnesses were
+    pinned from the rules as specified: the least basic column leaving, ties
+    to the least entering column, and the first column hitting each row in
+    _context_basis. Changing any one of them moves at least one witness."""
+    sc = cycle_empirical_model(5, "odd").scenario
+    rows = (
+        "3/20 2/5 0 9/20",
+        "3/20 0 0 17/20",
+        "3/20 0 2/5 9/20",
+        "3/20 2/5 0 9/20",
+        "0 3/20 11/20 3/10",
+    )
+    tables = {}
+    for ctx, row in zip(sc.contexts, rows):
+        exact = dict(zip(sc.joint_outcomes(ctx), map(Fraction, row.split())))
+        tables[ctx] = Distribution({t: float(q) for t, q in exact.items()}, exact)
+    twelfth = Fraction(1, 12)
+    pinned = [
+        (
+            EmpiricalModel(sc, tables),
+            [
+                ("00001", Fraction(3, 20)),
+                ("01101", Fraction(1, 4)),
+                ("01111", Fraction(3, 20)),
+                ("11100", Fraction(3, 20)),
+                ("11111", Fraction(3, 10)),
+            ],
+        ),
+        (
+            _white_noise_odd_cycle(9, Fraction(2, 3)),
+            [
+                (a, twelfth)
+                for a in (
+                    "000000111 000001111 000011111 000111111 001111110 "
+                    "011111101 100000011 110000000 111000000 111100000 "
+                    "111110000 111111000"
+                ).split()
+            ],
+        ),
+    ]
+    for m, witness in pinned:
+        value, witness_exact = _slack_repair(m)
+        assert value == 1
+        assert [("".join(a), w) for a, w in witness_exact.items()] == witness
+
+
+def _random_box_mixture(rng, n: int) -> EmpiricalModel:
+    """The odd n-cycle's PR box mixed with up to two deterministic
+    assignments, at random rational weights."""
+    box = cycle_empirical_model(n, "odd")
+    labels = [o.label for o in box.scenario.observables]
+    k = int(rng.integers(0, 3))
+    weights = [Fraction(int(w)) for w in rng.integers(1, 13, k + 1)]
+    weights = [w / sum(weights) for w in weights]
+    points = [tuple(rng.choice(["0", "1"], n)) for _ in range(k)]
+    tables = {}
+    for ctx, dist in box.tables.items():
+        exact = {tup: weights[0] * q for tup, q in dist.exact.items()}
+        for w, a in zip(weights[1:], points):
+            exact[tuple(a[labels.index(l)] for l in ctx)] += w
+        tables[ctx] = Distribution(
+            {tup: float(q) for tup, q in exact.items()}, exact
+        )
+    return EmpiricalModel(box.scenario, tables)
+
+
+def test_forced_repairs_match_vertex_enumeration(monkeypatch):
+    """Seeded random box mixtures: the repair from the float basis (the
+    certificate forced off) and the one from the slack basis both reach the
+    vertex oracle's optimum with an exactly feasible witness. Models whose
+    support leaves more than four assignments alive are skipped, since the
+    oracle enumerates every choice of active constraints."""
+    rng = np.random.default_rng(1104)
+    values = set()
+    for _ in range(120):
+        m = _random_box_mixture(rng, int(rng.integers(3, 6)))
+        inc = incidence(m.scenario)
+        zero = [
+            r for r, (ctx, tup) in enumerate(inc.rows)
+            if m.tables[ctx].exact[tup] == 0
+        ]
+        if (inc.matrix[zero].sum(axis=0) == 0).sum() > 4:
+            continue
+        best, _ = ncf_vertex_enumeration(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(ncpoly, "_certify", lambda inc, p, basis: None)
+            warm = contextual_fraction(m)
+        assert warm.ncf_exact == best
+        cold, witness = _slack_repair(m)
+        assert cold == best == sum(witness.values())
+        for witness in (warm.witness_exact, witness):
+            _assert_exactly_feasible(m, witness)
+        values.add(best)
+    assert len(values) >= 20
 
 
 def test_tiny_optimal_weights_are_validated_and_certified(tmp_path, capsys):

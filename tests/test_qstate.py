@@ -84,6 +84,16 @@ def test_state_rejects_unnormalized():
         StateVector((2,), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_entries_are_rejected(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector((2,), np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        SiteBasis(((1.0, 0.0), (0.0, bad)), ("0", "1"))
+    with pytest.raises(ValueError, match="out of range"):
+        Distribution({("0",): 1.0, ("1",): bad})
+
+
 def test_state_rejects_wrong_length():
     with pytest.raises(ValueError, match="does not match"):
         StateVector((2, 2), np.array([1.0, 0.0]))
