@@ -10,18 +10,15 @@ is a float64 revised simplex with Bland's rule: the matrix [A | I] is built
 once, one product with the duals prices every column, and each pivot
 updates only the m x m basis inverse.
 
-For exact tables the float-optimal basis is certified in integers. One
-fraction-free (Bareiss) Gauss-Jordan elimination of [K | P | I], K the square
-0/1 core of the basis and P the scaled probabilities, gives d = |det K|, the
-primal d K^-1 P and the adjugate d K^-1, whose column sums are the dual
-d y. The array is int64 while every entry is below 2**31, so that no step
-can overflow, and is otherwise promoted once to Python ints. The
-certificate checks primal feasibility, dual feasibility and, through the
-basis, complementary slackness. A basis that fails it (after a tie below
-the float tolerance) is repaired by exact dual-simplex pivots with Bland's
-rule on the integer system d B^-1 [P | I] of the whole basis B, each pivot
-the same fraction-free step as the elimination; Fractions appear only in
-the final witness.
+For exact tables one integer routine takes the float-optimal basis B to
+the exact optimum. One fraction-free (Bareiss) elimination of the square
+0/1 core K of B, with the scaled probabilities P, gives d = |det K| and the
+whole system d B^-1 [P | I] in block form; it is int64 while every entry is
+below 2**31, so that no step can overflow, and Python ints otherwise. If B
+is not exactly dual feasible, a basis that always is replaces it. Exact
+dual-simplex pivots with Bland's rule, each the same fraction-free step,
+then run only while the primal is infeasible, so a float basis that needs
+none is certified as it is. Fractions appear only in the final witness.
 """
 
 from __future__ import annotations
@@ -345,62 +342,6 @@ def _scaled(p: tuple[Fraction, ...]) -> tuple[int, np.ndarray]:
     return scale, np.array(P, dtype=np.int64 if small else object)
 
 
-def _optimum(
-    inc: IncidenceMatrix, values: list[tuple[int, int]], denom: int
-) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
-    """The exact optimum and witness from the basic assignment columns'
-    (column, value * denom) pairs, in column order."""
-    witness = {inc.assignment(j): Fraction(v, denom) for j, v in values if v}
-    return Fraction(sum(v for _, v in values), denom), witness
-
-
-def _certify(
-    inc: IncidenceMatrix, p: tuple[Fraction, ...], basis: tuple[int, ...]
-) -> tuple[Fraction, dict[tuple[str, ...], Fraction]] | None:
-    """Certify the float-optimal basis of the decomposition LP exactly.
-
-    Columns n.. of the standard form are the row slacks. With S the basic
-    assignment columns, T the rows whose slack is basic and N the others,
-    the basis system reduces to the square 0/1 core K = A[N, S]:
-    K x_S = p_N and K^T y_N = 1, with s_T = p_T - A[T, S] x_S and y_T = 0.
-    One fraction-free elimination of [K | P_N | I], with P = p *
-    lcm(denominators), gives d = |det K|, X = d x_S (scaled by the lcm) and
-    adj = d K^-1; the dual Y_N = d y_N is the column sums of adj. Entries
-    stay int64 while they are below 2**31 and become Python ints
-    otherwise. The basis is optimal iff X >= 0, A[T, S] X <= d P_T,
-    Y >= 0 and every assignment column has Y summed over its rows >= d.
-    Returns the exact optimum and witness, or None when the certificate
-    fails."""
-    A = inc.matrix
-    nrows, n = A.shape
-    if len(basis) != nrows:
-        return None
-    S = sorted(b for b in basis if b < n)
-    slack_rows = {b - n for b in basis if b >= n}
-    N = [r for r in range(nrows) if r not in slack_rows]
-    T = sorted(slack_rows)
-    scale, P = _scaled(p)
-    solved = _adjugate_solve(A[np.ix_(N, S)], P[N])
-    if solved is None:
-        return None
-    d, X, adj = solved
-    if (X < 0).any():
-        return None
-    # d * P_T stays in int64 only when d and P_T are both below 2**31
-    P_T = P[T] if P.dtype == X.dtype else P[T].astype(object)
-    if (A[np.ix_(T, S)] @ X > d * P_T).any():
-        return None
-    Y_N = adj.sum(axis=0)
-    if (Y_N < 0).any():
-        return None
-    # A^T Y sums nonnegative integers up to sum(Y_N) (y_T = 0), exactly in
-    # float64 unless the cofactors are huge
-    small = max(sum(Y_N.tolist()), d) < 2**53
-    if (Y_N.astype(float if small else object) @ A[N] < d).any():
-        return None
-    return _optimum(inc, list(zip(S, X.tolist())), d * scale)
-
-
 def _context_basis(inc: IncidenceMatrix) -> list[int]:
     """A basis that is always dual feasible: for each row of the first
     context the first assignment column hitting it, and the slacks of every
@@ -414,56 +355,92 @@ def _context_basis(inc: IncidenceMatrix) -> list[int]:
     return heads + list(range(n + first, n + nrows))
 
 
-def _repair(
+def _basis_system(
+    A: np.ndarray, P: np.ndarray, basis: np.ndarray
+) -> tuple[int, np.ndarray] | None:
+    """(d, d B^-1 [P | I]) for B = [A | I][:, basis], d = |det B|, rows in
+    basis order; None when B is singular. With S the basic assignment
+    columns, T the rows whose slack is basic and N the others, B is block
+    triangular over the core K = A[N, S]: with X = d K^-1 P_N and
+    adj = d K^-1, the row at S is [X | adj on N, 0 on T] and the row at the
+    slack of t is [d P_t - A[t, S] X | -A[t, S] adj on N, d on t]."""
+    nrows, n = A.shape
+    basis = np.asarray(basis)
+    at_S = np.flatnonzero(basis < n)
+    at_T = np.flatnonzero(basis >= n)
+    S, T = basis[at_S], basis[at_T] - n
+    N = np.delete(np.arange(nrows), T)
+    solved = _adjugate_solve(A[N][:, S], P[N])
+    if solved is None:
+        return None
+    d, X, adj = solved
+    top = np.column_stack((X, adj))
+    # d and P_T are below 2**31 when int64, so d P_T cannot overflow
+    bottom = -(A[T][:, S] @ top)
+    bottom[:, 0] += d * P[T].astype(X.dtype)
+    aug = np.zeros((nrows, nrows + 1), dtype=X.dtype)
+    cols = np.concatenate(([0], N + 1))
+    aug[at_S[:, None], cols] = top
+    aug[at_T[:, None], cols] = bottom
+    aug[at_T, T + 1] = d
+    return d, _widen(aug)
+
+
+def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """d c - v [A | I] for an integer row v, c = 1 on the assignment
+    columns and 0 on the slacks, so d times the reduced costs when v is the
+    scaled dual. Float64 while d + sum |v| < 2**53, which bounds every
+    partial sum over a 0/1 column, so exactly; Python ints otherwise."""
+    v = v.astype(float if d + int(np.abs(v).sum()) < 2**53 else object)
+    nz = v.nonzero()[0]
+    return np.concatenate((d - v[nz] @ A[nz], -v))
+
+
+def _exact_optimum(
     inc: IncidenceMatrix, p: tuple[Fraction, ...], basis: tuple[int, ...]
 ) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
-    """The exact optimum and witness by dual-simplex pivots with Bland's
-    rule, from basis when it is exactly dual feasible and from
-    _context_basis otherwise.
-
-    aug = d B^-1 [P | I], B = [A | I][:, basis] and d = |det B|, stays in
-    integers: column 0 is the scaled primal, and the rows of the rest at
-    basic assignment columns sum to the scaled dual. The leaving row is the
-    negative basic value with the least basic column; the entering column
-    has the least ratio of reduced cost to pivot-row entry among the entries
-    below 0, ties to the least column. Each pivot keeps the dual feasible,
-    so the first primal feasible basis is optimal."""
+    """The exact optimum and witness for the exact probabilities p, from
+    the float-optimal basis, or from _context_basis when that basis is not
+    exactly dual feasible. Dual-simplex pivots with Bland's rule run while
+    the primal (column 0 of aug = d B^-1 [P | I]) is infeasible: the leaving
+    row is the negative basic value with the least basic column; the
+    entering column has the least ratio of reduced cost to pivot-row entry
+    among the entries below 0, ties to the least column. Each pivot keeps
+    the dual feasible, so the first primal feasible basis is optimal."""
     A = inc.matrix
-    nrows, n = A.shape
-    M = np.hstack((A, np.eye(nrows, dtype=A.dtype)))
+    n = A.shape[1]
     scale, P = _scaled(p)
-
-    def reduced(d, adj, basis):
-        """d times the reduced cost of every column."""
-        red = -(adj[[i for i, b in enumerate(basis) if b < n]].sum(axis=0) @ M)
-        red[:n] += d
-        return red
-
-    basis = list(basis)
-    solved = _adjugate_solve(M[:, basis], P)
-    if solved is None or (reduced(solved[0], solved[2], basis) > 0).any():
-        basis = _context_basis(inc)
-        solved = _adjugate_solve(M[:, basis], P)
-    d, X, adj = solved
-    aug = np.column_stack((X, adj))
+    basis = np.array(basis)
+    start = _basis_system(A, P, basis)
+    # the scaled dual is the sum of the rows of d B^-1 at basic assignments
+    if start is None or (
+        _priced(start[0], start[1][basis < n, 1:].sum(axis=0), A) > 0
+    ).any():
+        basis = np.array(_context_basis(inc))
+        start = _basis_system(A, P, basis)
+    d, aug = start
     while (aug[:, 0] < 0).any():
-        r = min(np.flatnonzero(aug[:, 0] < 0).tolist(), key=basis.__getitem__)
-        red = reduced(d, aug[:, 1:], basis)
-        # some entry is below 0, since x = 0 is feasible
-        alpha = aug[r, 1:] @ M
+        neg = np.flatnonzero(aug[:, 0] < 0)
+        r = int(neg[basis[neg].argmin()])
+        red = _priced(d, aug[basis < n, 1:].sum(axis=0), A)
+        # row r of d B^-1 [A | I]: some entry is below 0, as x = 0 is feasible
+        alpha = -_priced(0, aug[r, 1:], A)
         cand = np.flatnonzero(alpha < 0)
         # the exact least ratios are among those whose float is within a few
         # ulps of the float minimum
         ratio = red[cand].astype(float) / alpha[cand].astype(float)
         near = cand[ratio <= ratio.min() * (1 + 1e-9)].tolist()
         enter = min(near, key=lambda j: (Fraction(int(red[j]), int(alpha[j])), j))
-        col = aug[:, 1:] @ M[:, enter]
+        col = aug[:, 1:] @ A[:, enter] if enter < n else aug[:, 1 + enter - n]
         if np.abs(col).max() >= _INT64_SAFE:
             aug, col = aug.astype(object), col.astype(object)
         d, aug = _pivot(aug, col, r, d)
         basis[r] = enter
-    values = sorted((b, int(aug[i, 0])) for i, b in enumerate(basis) if b < n)
-    return _optimum(inc, values, d * scale)
+    denom = d * scale
+    assigned = basis < n
+    values = sorted(zip(basis[assigned].tolist(), aug[assigned, 0].tolist()))
+    witness = {inc.assignment(j): Fraction(v, denom) for j, v in values if v}
+    return Fraction(sum(v for _, v in values), denom), witness
 
 
 def contextual_fraction(m: EmpiricalModel) -> FractionResult:
@@ -473,9 +450,9 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     ncf is the LP optimum (clamped into [0, 1]); cf = 1 - ncf; the witness is
     revalidated against the tables after solving. One incidence matrix
     serves the float LP, the witness check and the exact path. When exact
-    tables are available the float-optimal basis is certified in integers,
-    and repaired by exact pivots if the certificate fails; the exact optimum
-    must agree with the float one within 1e-9."""
+    tables are available the float-optimal basis is certified, or repaired
+    by exact pivots, in integers; the exact optimum must agree with the
+    float one within 1e-9."""
     worst, _ = no_disturbance(m)
     if worst > EPS_ND_PRECONDITION:
         raise SignallingModelError(
@@ -498,9 +475,7 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     witness_exact = None
     if m.exact_available:
         p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
-        ncf_exact, witness_exact = _certify(inc, p, res.basis) or _repair(
-            inc, p, res.basis
-        )
+        ncf_exact, witness_exact = _exact_optimum(inc, p, res.basis)
         if abs(float(ncf_exact) - ncf) > EPS_LP:
             raise RuntimeError(
                 f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"

@@ -260,7 +260,12 @@ class Distribution:
         clean: dict[tuple[str, ...], float] = {}
         for key, value in self.probs.items():
             k = tuple(str(x) for x in key)
-            v = float(value)
+            try:
+                v = float(value)
+            except TypeError:
+                raise ValueError(
+                    f"probability at {k} is not a real number: {value!r}"
+                ) from None
             if not -EPS_ZERO <= v <= 1.0 + EPS_ZERO:  # NaN fails too
                 raise ValueError(f"probability out of range at {k}: {v!r}")
             clean[k] = min(max(v, 0.0), 1.0)

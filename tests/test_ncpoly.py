@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -505,19 +506,57 @@ def test_simplex_pivot_path_is_pinned():
         assert res.ncf == pytest.approx(n * (1 - np.cos(np.pi / n)) / 2)
 
 
+def _dual_pivots(monkeypatch) -> list[int]:
+    """Records the leaving row of every dual-simplex pivot of the exact
+    routine: each _pivot call made outside _adjugate_solve's elimination."""
+    pivots = []
+    eliminating = []
+    pivot, solve = ncpoly._pivot, ncpoly._adjugate_solve
+
+    def counted(aug, col, r, d):
+        if not eliminating:
+            pivots.append(r)
+        return pivot(aug, col, r, d)
+
+    def marked(K, b):
+        eliminating.append(K)
+        try:
+            return solve(K, b)
+        finally:
+            eliminating.pop()
+
+    monkeypatch.setattr(ncpoly, "_pivot", counted)
+    monkeypatch.setattr(ncpoly, "_adjugate_solve", marked)
+    return pivots
+
+
+def _slack_started(monkeypatch) -> list:
+    """Hands contextual_fraction's exact routine the slack basis in place of
+    the float-optimal one. The slack basis is never dual feasible, so the
+    routine restarts from _context_basis; records each restart."""
+    starts = []
+    real_simplex, context_basis = ncpoly.simplex, ncpoly._context_basis
+
+    def slack(lp):
+        nrows, n = lp.matrix.shape
+        return dataclasses.replace(real_simplex(lp), basis=tuple(range(n, n + nrows)))
+
+    def counted(inc):
+        starts.append(inc)
+        return context_basis(inc)
+
+    monkeypatch.setattr(ncpoly, "simplex", slack)
+    monkeypatch.setattr(ncpoly, "_context_basis", counted)
+    return starts
+
+
 def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
-    """With the integer certificate failing, the exact repair solves every
-    program and must reach the same exact optimum and, on the corpus, the
-    same witness in the same order."""
-    fallbacks = []
-    repair = ncpoly._repair
-
-    def counted(inc, p, basis):
-        fallbacks.append(basis)
-        return repair(inc, p, basis)
-
-    monkeypatch.setattr(ncpoly, "_certify", lambda inc, p, basis: None)
-    monkeypatch.setattr(ncpoly, "_repair", counted)
+    """Handed the slack basis in place of the float-optimal one, the exact
+    routine restarts from _context_basis and pivots to the same exact
+    optimum on every program and, on the corpus, to the same witness in the
+    same order."""
+    starts = _slack_started(monkeypatch)
+    pivots = _dual_pivots(monkeypatch)
     for name, (ncf, witness) in CORPUS_NCF.items():
         res = contextual_fraction(_corpus_model(name))
         assert res.ncf_exact == ncf, name
@@ -529,14 +568,19 @@ def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
             assert res.ncf_exact == expected, (n, v)
             assert sum(res.witness_exact.values()) == expected
             assert res.ncf == float(expected)
-    assert len(fallbacks) == len(CORPUS_NCF) + 4 * len(NOISE_LEVELS)
+    assert len(starts) == len(CORPUS_NCF) + 4 * len(NOISE_LEVELS)
+    assert pivots
 
 
 def test_integer_certificate_pins_exact_fractions(monkeypatch):
-    def no_fallback(inc, p, basis):
-        raise AssertionError("the integer certificate failed to certify")
+    """The float-optimal basis of every pinned program is exactly optimal:
+    the exact routine keeps it and makes zero dual-simplex pivots."""
 
-    monkeypatch.setattr(ncpoly, "_repair", no_fallback)
+    def no_restart(inc):
+        raise AssertionError("the float basis is not exactly dual feasible")
+
+    monkeypatch.setattr(ncpoly, "_context_basis", no_restart)
+    pivots = _dual_pivots(monkeypatch)
     with_models = {
         p.stem
         for p in DATA_DIR.glob("*.scn")
@@ -564,16 +608,17 @@ def test_integer_certificate_pins_exact_fractions(monkeypatch):
             assert res.ncf_exact == expected, (n, v)
             assert sum(res.witness_exact.values()) == expected
             assert res.ncf == float(expected)
+    assert pivots == []
 
 
 def _slack_repair(m: EmpiricalModel):
-    """_repair started from the slack basis, which is never dual feasible
-    (every assignment column has reduced cost 1), so that it starts from
-    _context_basis."""
+    """The exact routine handed the slack basis, which is never dual
+    feasible (every assignment column has reduced cost 1), so that it
+    starts from _context_basis."""
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     nrows, n = inc.matrix.shape
-    return ncpoly._repair(inc, p, tuple(range(n, n + nrows)))
+    return ncpoly._exact_optimum(inc, p, tuple(range(n, n + nrows)))
 
 
 def _assert_exactly_feasible(m: EmpiricalModel, witness) -> None:
@@ -594,20 +639,25 @@ def _assert_exactly_feasible(m: EmpiricalModel, witness) -> None:
 @pytest.mark.parametrize("n", [7, 9])
 def test_repair_mends_a_rejected_float_basis_without_a_cold_start(monkeypatch, n):
     """At v = 1/3 + 2**-40 a tie below EPS_LP leaves the float simplex on a
-    basis that the certificate rejects. It is exactly dual feasible, so the
-    repair pivots from it and never builds _context_basis. The NCF is
-    min(1, n(1 - v)/2) = 1."""
+    basis that is exactly primal infeasible, so at least one dual-simplex
+    pivot runs. It is exactly dual feasible, so the pivots start from it and
+    _context_basis is never built. The NCF is min(1, n(1 - v)/2) = 1."""
     v = Fraction(1, 3) + Fraction(1, 2**40)
     m = _white_noise_odd_cycle(n, v)
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
-    assert ncpoly._certify(inc, p, simplex(_ncf_lp(m)).basis) is None
+    _, P = ncpoly._scaled(p)
+    basis = list(simplex(_ncf_lp(m)).basis)
+    _, aug = ncpoly._basis_system(inc.matrix, P, basis)
+    assert (aug[:, 0] < 0).any()
 
     def cold(inc):
         raise AssertionError("the repair started from _context_basis")
 
     monkeypatch.setattr(ncpoly, "_context_basis", cold)
+    pivots = _dual_pivots(monkeypatch)
     res = contextual_fraction(m)
+    assert pivots
     assert res.ncf_exact == min(1, n * (1 - v) / 2) == 1
     assert sum(res.witness_exact.values()) == res.ncf_exact
     _assert_exactly_feasible(m, res.witness_exact)
@@ -707,10 +757,10 @@ def _random_box_mixture(rng, n: int) -> EmpiricalModel:
     return EmpiricalModel(box.scenario, tables)
 
 
-def test_forced_repairs_match_vertex_enumeration(monkeypatch):
-    """Seeded random box mixtures: the repair from the float basis (the
-    certificate forced off) and the one from the slack basis both reach the
-    vertex oracle's optimum with an exactly feasible witness. Models whose
+def test_forced_repairs_match_vertex_enumeration():
+    """Seeded random box mixtures: the exact routine from the float basis
+    and the one handed the slack basis both reach the vertex oracle's
+    optimum with an exactly feasible witness. Models whose
     support leaves more than four assignments alive are skipped, since the
     oracle enumerates every choice of active constraints."""
     rng = np.random.default_rng(1104)
@@ -725,9 +775,7 @@ def test_forced_repairs_match_vertex_enumeration(monkeypatch):
         if (inc.matrix[zero].sum(axis=0) == 0).sum() > 4:
             continue
         best, _ = ncf_vertex_enumeration(m)
-        with monkeypatch.context() as patch:
-            patch.setattr(ncpoly, "_certify", lambda inc, p, basis: None)
-            warm = contextual_fraction(m)
+        warm = contextual_fraction(m)
         assert warm.ncf_exact == best
         cold, witness = _slack_repair(m)
         assert cold == best == sum(witness.values())
@@ -824,6 +872,68 @@ def test_adjugate_solve_matches_exact_elimination():
     assert midway > 0
 
 
+def _basis_starts():
+    """(label, incidence, P, basis): the float-optimal basis and
+    _context_basis of every corpus program and white-noise odd cycle,
+    n = 3..9, seeded random mixes of assignment and slack columns in random
+    order, and a program whose scaled probabilities need Python ints."""
+    programs = [(name, _corpus_model(name)) for name in CORPUS_NCF]
+    programs += [
+        (f"odd {n} {v}", _white_noise_odd_cycle(n, v))
+        for n in range(3, 10)
+        for v in NOISE_LEVELS
+    ]
+    programs.append(("huge", _white_noise_odd_cycle(5, Fraction(2**35 - 1, 2**35))))
+    rng = np.random.default_rng(1203)
+    for label, m in programs:
+        inc = incidence(m.scenario)
+        p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
+        _, P = ncpoly._scaled(p)
+        yield label, inc, P, list(simplex(_ncf_lp(m)).basis)
+        yield label, inc, P, ncpoly._context_basis(inc)
+        nrows, n = inc.matrix.shape
+        M = np.hstack((inc.matrix, np.eye(nrows)))
+        # a random walk from _context_basis that swaps in random columns,
+        # skipping swaps that make the basis singular
+        basis = rng.permutation(ncpoly._context_basis(inc)).tolist()
+        for walk in range(2):
+            for step in range(nrows):
+                trial = list(basis)
+                trial[int(rng.integers(nrows))] = int(rng.integers(n + nrows))
+                if len(set(trial)) == nrows:
+                    if np.linalg.matrix_rank(M[:, trial]) == nrows:
+                        basis = trial
+            yield label, inc, P, basis
+        # then one unchecked swap, often singular
+        outside = [j for j in range(n + nrows) if j not in basis]
+        basis[int(rng.integers(nrows))] = int(rng.choice(outside))
+        yield label, inc, P, basis
+
+
+def test_basis_system_is_the_eliminated_basis():
+    """The start assembled from the core's elimination is d B^-1 [P | I],
+    entry for entry and with the same d, as one elimination of the whole
+    basis B = [A | I][:, basis] gives it; both agree on singular bases."""
+    nonsingular = singular = 0
+    for label, inc, P, basis in _basis_starts():
+        A = inc.matrix
+        M = np.hstack((A, np.eye(len(A), dtype=A.dtype)))
+        expected = ncpoly._adjugate_solve(M[:, basis], P)
+        start = ncpoly._basis_system(A, P, basis)
+        if expected is None:
+            assert start is None, (label, basis)
+            singular += 1
+            continue
+        d, X, adj = expected
+        assert start[0] == d, (label, basis)
+        assert start[1].tolist() == np.column_stack((X, adj)).tolist(), (label, basis)
+        if label == "huge":
+            assert P.dtype == object and start[1].dtype == object
+        nonsingular += 1
+    assert nonsingular >= 4 * (len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1)
+    assert singular >= 10
+
+
 def test_fraction_result_validation():
     with pytest.raises(ValueError, match="out of range"):
         FractionResult(1.5, -0.5, {("0",): 1.5})
@@ -866,7 +976,7 @@ def _assignments_left_unbuilt(monkeypatch) -> list[IncidenceMatrix]:
 
 
 def test_contextual_fraction_builds_no_assignment_tuple(monkeypatch):
-    """The float witness, the integer certificate and the exact fallback
+    """The float witness and the exact routine, with and without pivots,
     decode only the columns they report: on a chained-Bell 14-cycle (2**14
     columns) and on exact white-noise odd cycles, the incidence's
     `assignments` tuple is never built."""
@@ -877,9 +987,11 @@ def test_contextual_fraction_builds_no_assignment_tuple(monkeypatch):
     assert len(res.witness) > 1
     res = contextual_fraction(_white_noise_odd_cycle(9, Fraction(4, 5)))
     assert res.ncf_exact == Fraction(9, 10)
-    monkeypatch.setattr(ncpoly, "_certify", lambda inc, p, basis: None)
+    starts = _slack_started(monkeypatch)
+    pivots = _dual_pivots(monkeypatch)
     res = contextual_fraction(_white_noise_odd_cycle(5, Fraction(9, 10)))
     assert res.ncf_exact == Fraction(1, 4)
+    assert len(starts) == 1 and pivots
     assert [inc.matrix.shape[1] for inc in built] == [2**14, 2**9, 2**5]
     assert all("assignments" not in inc.__dict__ for inc in built)
     # the decoded witnesses are the ones the tuple would give

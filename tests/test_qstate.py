@@ -92,6 +92,9 @@ def test_nonfinite_entries_are_rejected(bad):
         SiteBasis(((1.0, 0.0), (0.0, bad)), ("0", "1"))
     with pytest.raises(ValueError, match="out of range"):
         Distribution({("0",): 1.0, ("1",): bad})
+    for value in (complex(0, bad), 0.5 + 0j, None):
+        with pytest.raises(ValueError, match=r"at \('1',\) is not a real number"):
+            Distribution({("0",): 0.5, ("1",): value})
 
 
 def test_state_rejects_wrong_length():

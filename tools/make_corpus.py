@@ -33,7 +33,8 @@ def wigner_chain() -> ObserverChain:
 def corpus() -> dict[str, str]:
     qr, sc = hardy_realization()
     hardy = snap_to_rationals(realize(qr, sc))
-    assert hardy is not None
+    if hardy is None:
+        raise RuntimeError("the Hardy tables do not snap to rationals")
     fr = fr_realization()
     files = {
         "hardy.scn": serialize_model(hardy, "hardy"),
