@@ -25,7 +25,7 @@ from .report import (
     render_text,
     scenario_report,
 )
-from .scenario import realize
+from .scenario import EPS_SUPPORT, realize
 from .scnformat import ParseError, parse_file
 
 __all__ = ["run", "main"]
@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--eps",
         type=float,
-        default=1e-9,
+        default=EPS_SUPPORT,
         help="support threshold for possibilistic analysis (default 1e-9)",
     )
     common.add_argument(

@@ -283,7 +283,6 @@ class Claim:
     agent: str
     meta_context: ContextKey
     proposition: Sentence
-    provenance: Sentence | None = None
 
     def __post_init__(self) -> None:
         mc = tuple(self.meta_context)
@@ -333,9 +332,7 @@ def observer_claims(
             if isinstance(s, CertainImplication)
             else s.context[0]
         )
-        claims.append(
-            Claim(_agent_of(owner), s.context, s, provenance=s)
-        )
+        claims.append(Claim(_agent_of(owner), s.context, s))
     return claims
 
 
@@ -348,21 +345,10 @@ def claims_for_cycle(m: EmpiricalModel, cycle: LiarCycle) -> list[Claim]:
         sentence = CertainImplication(
             step.context, step.premise, step.conclusion
         )
-        claims.append(
-            Claim(
-                _agent_of(step.premise[0]),
-                step.context,
-                sentence,
-                provenance=sentence,
-            )
-        )
+        claims.append(Claim(_agent_of(step.premise[0]), step.context, sentence))
     seed_ctx, seed_event = cycle.seed
     statement = certain_implications(m, queries=[(seed_ctx, seed_event)])[-1]
-    claims.append(
-        Claim(
-            _agent_of(seed_ctx[0]), seed_ctx, statement, provenance=statement
-        )
-    )
+    claims.append(Claim(_agent_of(seed_ctx[0]), seed_ctx, statement))
     return claims
 
 

@@ -1,4 +1,5 @@
-"""Noncontextual-fraction programs and a self-contained simplex solver.
+"""The noncontextual-fraction program, its float simplex and its exact
+certificate.
 
 The decomposition question "how much of this empirical model is explained by
 a global distribution" is a small dense LP: maximize the total weight b >= 0
@@ -6,9 +7,10 @@ over deterministic global assignments subject to incidence * b <= table
 probabilities, row by row. Every row is an upper bound with a nonnegative
 right-hand side, so the slack basis is feasible and the solver needs one
 phase only. The program has few rows and very many columns, so the solver
-is a float64 revised simplex with Bland's rule: the matrix [A | I] is built
-once, one product with the duals prices every column, and each pivot
-updates only the m x m basis inverse.
+is a float64 revised simplex with Bland's rule that takes and returns
+plain arrays: the matrix [A | I] is built once, one product with the duals
+prices every column, and each pivot updates only the m x m basis inverse
+and the basic solution.
 
 For exact tables one integer routine takes the float-optimal basis B to
 the exact optimum. One fraction-free (Bareiss) elimination of the square
@@ -28,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +45,6 @@ __all__ = [
     "EPS_LP",
     "SignallingModelError",
     "IncidenceMatrix",
-    "LinearProgram",
-    "SimplexResult",
     "FractionResult",
     "incidence",
     "simplex",
@@ -67,7 +68,6 @@ class IncidenceMatrix:
     the row's tuple.
     """
 
-    labels: tuple[str, ...]
     rows: tuple[tuple[ContextKey, tuple[str, ...]], ...]
     outcomes: tuple[tuple[str, ...], ...]
     matrix: np.ndarray
@@ -96,7 +96,6 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
         raise ValueError(
             f"assignment space {ncols} exceeds the 2**20 incidence guard"
         )
-    labels = tuple(o.label for o in sc.observables)
     outcomes = tuple(o.outcomes for o in sc.observables)
     cols = np.arange(ncols)
     digits: dict[str, np.ndarray] = {}
@@ -116,80 +115,57 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
     for hit in hits:
         mat[hit, cols] = 1
     mat.setflags(write=False)
-    return IncidenceMatrix(labels, tuple(rows), outcomes, mat)
+    return IncidenceMatrix(tuple(rows), outcomes, mat)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """maximize objective . x  subject to  matrix x <= rhs, x >= 0, with
-    rhs >= 0.
-
-    The matrix is stored as a two-dimensional ndarray of shape
-    (len(rhs), len(objective)); an ndarray is kept as it is. Programs
-    compare by identity, since an ndarray has no single truth value."""
-
-    objective: tuple
-    matrix: np.ndarray
-    rhs: tuple
-
-    def __post_init__(self) -> None:
-        objective = tuple(self.objective)
-        rhs = tuple(self.rhs)
-        matrix = np.asarray(self.matrix)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-        if len(matrix) != len(rhs):
-            raise ValueError("matrix and rhs must have equal length")
-        if matrix.shape[1] != len(objective):
-            raise ValueError("matrix width must match the objective")
-        if any(b < 0 for b in rhs):
-            raise ValueError("rhs must be nonnegative")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", rhs)
-
-
-@dataclass(frozen=True)
-class SimplexResult:
-    status: str  # Optimal | Unbounded
-    value: float | None
-    x: tuple[float, ...] | None
-    basis: tuple[int, ...] | None  # standard-form column indices, one per row
-
-
-def simplex(lp: LinearProgram) -> SimplexResult:
-    """Floating-point revised simplex with Bland's rule from the slack basis.
+def simplex(
+    c: np.ndarray, A: np.ndarray, rhs: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """maximize c . x  subject to  A x <= rhs, x >= 0, for rhs >= 0, by a
+    floating-point revised simplex with Bland's rule from the slack basis.
+    Returns (value, x, basis), basis the standard-form column of each row,
+    or None when the program is unbounded.
 
     The matrix M = [A | I] is built once and never pivoted; column n + i is
     the slack of row i, and the slack basis B = I is feasible since
-    rhs >= 0. The duals y = c_B B^-1 price every column in one product; the
-    first column with reduced cost above EPS_LP enters, the row with the
-    least ratio leaves, ties within EPS_LP to the least basic column, and
-    the pivot is a rank-one update of B^-1 and of the basic solution x_B."""
-    m, n = lp.matrix.shape
-    # M takes lp.matrix as it is, without an intermediate float copy
+    rhs >= 0. aug = B^-1 [rhs | I] holds the basic solution x_B and B^-1.
+    The duals y = c_B B^-1 price every column in one product; the first
+    column with reduced cost above EPS_LP enters, the row with the least
+    ratio leaves, ties within EPS_LP to the least basic column, and the
+    pivot is a rank-one update of aug."""
+    A = np.asarray(A)
+    rhs = np.asarray(rhs, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    if len(A) != len(rhs):
+        raise ValueError("matrix and rhs must have equal length")
+    if A.shape[1] != len(c):
+        raise ValueError("matrix width must match the objective")
+    if (rhs < 0).any():
+        raise ValueError("rhs must be nonnegative")
+    m, n = A.shape
+    # M takes A as it is, without an intermediate float copy
     M = np.zeros((m, n + m))
-    M[:, :n] = lp.matrix
+    M[:, :n] = A
     basis = np.arange(n, n + m)
     M[np.arange(m), basis] = 1.0
-    Binv = np.eye(m)
-    x_B = np.array(lp.rhs, dtype=float)
-    c = np.concatenate((np.array(lp.objective, dtype=float), np.zeros(m)))
+    aug = np.column_stack((rhs, np.eye(m)))
+    c = np.concatenate((np.asarray(c, dtype=float), np.zeros(m)))
     c_B = c[basis]
     while True:
-        reduced = c - (c_B @ Binv) @ M
+        reduced = c - (c_B @ aug[:, 1:]) @ M
         reduced[basis] = 0
         positive = reduced > EPS_LP
         enter = int(positive.argmax())
         if not positive[enter]:
             break
-        d = Binv @ M[:, enter]
+        d = aug[:, 1:] @ M[:, enter]
         cand = np.flatnonzero(d > EPS_LP)
         leave = -1
         best = least = None
         for i, ratio, b in zip(
             cand.tolist(),
-            (x_B[cand] / d[cand]).tolist(),
+            (aug[cand, 0] / d[cand]).tolist(),
             basis[cand].tolist(),
         ):
             if (
@@ -199,23 +175,17 @@ def simplex(lp: LinearProgram) -> SimplexResult:
             ):
                 best, least, leave = ratio, b, i
         if leave < 0:
-            return SimplexResult("Unbounded", None, None, None)
-        pr = Binv[leave] / d[leave]
-        xr = x_B[leave] / d[leave]
-        Binv -= d[:, None] * pr
-        x_B -= d * xr
-        Binv[leave] = pr
-        x_B[leave] = xr
+            return None
+        pr = aug[leave] / d[leave]
+        aug -= d[:, None] * pr
+        aug[leave] = pr
         basis[leave] = enter
         c_B[leave] = c[enter]
     x = np.zeros(n + m)
-    x[basis] = x_B
+    x[basis] = aug[:, 0]
     # c_B . x_B, summed in column order
     cols = np.sort(basis)
-    value = sum((c[cols] * x[cols]).tolist(), 0.0)
-    return SimplexResult(
-        "Optimal", value, tuple(x[:n].tolist()), tuple(basis.tolist())
-    )
+    return sum((c[cols] * x[cols]).tolist(), 0.0), x[:n], basis
 
 
 # --------------------------------------------------- noncontextual fraction
@@ -244,20 +214,8 @@ class FractionResult:
             raise ValueError("witness weights must sum to ncf")
 
 
-def _program(inc: IncidenceMatrix, m: EmpiricalModel) -> LinearProgram:
-    """The decomposition LP: maximize the total assignment weight under the
-    incidence upper bounds. A model with exact tables takes its right-hand
-    side from them, so that the float program poses the same model as the
-    exact certificate even where snapping moved a probability."""
-    rhs = [
-        float(m.tables[ctx].exact[tup] if m.exact_available else m.tables[ctx][tup])
-        for ctx, tup in inc.rows
-    ]
-    return LinearProgram((1.0,) * inc.matrix.shape[1], inc.matrix, rhs)
-
-
 def _validate_witness(
-    inc: IncidenceMatrix, rhs: tuple[float, ...], x: np.ndarray, ncf: float
+    inc: IncidenceMatrix, rhs: np.ndarray, x: np.ndarray, ncf: float
 ) -> None:
     """Recheck the float solution x against the optimum and the tables, on
     all of its positive entries: weights below EPS_LP, which the float
@@ -269,7 +227,7 @@ def _validate_witness(
     if abs(sum(weights.tolist()) - ncf) > EPS_LP:
         raise RuntimeError("witness weights do not sum to the optimum")
     used = inc.matrix[:, cols] @ weights
-    over = np.flatnonzero(used > np.array(rhs, dtype=float) + EPS_LP)
+    over = np.flatnonzero(used > rhs + EPS_LP)
     if over.size:
         ctx, tup = inc.rows[over[0]]
         raise RuntimeError(f"witness exceeds probability at {ctx} {tup}")
@@ -333,7 +291,7 @@ def _adjugate_solve(
     return d, aug[:, k], aug[:, k + 1 :]
 
 
-def _scaled(p: tuple[Fraction, ...]) -> tuple[int, np.ndarray]:
+def _scaled(p: Sequence[Fraction]) -> tuple[int, np.ndarray]:
     """(scale, P) with P = p * scale integral, scale the lcm of the
     denominators; P is int64 while its entries are below _INT64_SAFE."""
     scale = math.lcm(*(v.denominator for v in p))
@@ -397,7 +355,7 @@ def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _exact_optimum(
-    inc: IncidenceMatrix, p: tuple[Fraction, ...], basis: tuple[int, ...]
+    inc: IncidenceMatrix, p: Sequence[Fraction], basis: np.ndarray
 ) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
     """The exact optimum and witness for the exact probabilities p, from
     the float-optimal basis, or from _context_basis when that basis is not
@@ -460,26 +418,28 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
             f"needs a non-signalling model"
         )
     inc = incidence(m.scenario)
-    lp = _program(inc, m)
-    res = simplex(lp)
-    # b = 0 is feasible, and the rows of any one context bound sum(b) by 1
-    if res.status != "Optimal":  # pragma: no cover
-        raise RuntimeError(f"decomposition LP ended {res.status}")
-    ncf = min(max(float(res.value), 0.0), 1.0)
-    x = np.array(res.x, dtype=float)
-    _validate_witness(inc, lp.rhs, x, ncf)
-    cols = np.flatnonzero(x > EPS_LP)
-    witness = {inc.assignment(j): float(x[j]) for j in cols.tolist()}
-
-    ncf_exact = None
-    witness_exact = None
+    # the float program takes its right-hand side from the exact tables when
+    # there are any, so that it poses the same model as the exact routine
+    # even where snapping moved a probability
     if m.exact_available:
-        p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
-        ncf_exact, witness_exact = _exact_optimum(inc, p, res.basis)
-        if abs(float(ncf_exact) - ncf) > EPS_LP:
-            raise RuntimeError(
-                f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"
-            )
-        ncf = float(ncf_exact)
-        witness = {a: float(w) for a, w in witness_exact.items()}
+        p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
+    else:
+        p = [m.tables[ctx][tup] for ctx, tup in inc.rows]
+    rhs = np.array(p, dtype=float)
+    # b = 0 is feasible, and the rows of any one context bound sum(b) by 1,
+    # so the program is never unbounded
+    value, x, basis = simplex(np.ones(inc.matrix.shape[1]), inc.matrix, rhs)
+    ncf = min(max(value, 0.0), 1.0)
+    _validate_witness(inc, rhs, x, ncf)
+    if not m.exact_available:
+        cols = np.flatnonzero(x > EPS_LP)
+        witness = {inc.assignment(j): float(x[j]) for j in cols.tolist()}
+        return FractionResult(ncf, 1.0 - ncf, witness)
+    ncf_exact, witness_exact = _exact_optimum(inc, p, basis)
+    if abs(float(ncf_exact) - ncf) > EPS_LP:
+        raise RuntimeError(
+            f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"
+        )
+    ncf = float(ncf_exact)
+    witness = {a: float(w) for a, w in witness_exact.items()}
     return FractionResult(ncf, 1.0 - ncf, witness, ncf_exact, witness_exact)

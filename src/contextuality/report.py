@@ -36,6 +36,7 @@ from .metacontext import (
 )
 from .ncpoly import EPS_ND_PRECONDITION, SignallingModelError, contextual_fraction
 from .scenario import (
+    EPS_SUPPORT,
     ContextKey,
     EmpiricalModel,
     Scenario,
@@ -262,7 +263,7 @@ def _claims_dict(
 def model_report(
     m: EmpiricalModel,
     name: str,
-    eps: float = 1e-9,
+    eps: float = EPS_SUPPORT,
     seed: tuple[Sequence[str], Sequence[str]] | None = None,
     assumption_sets: Sequence[str] = DEFAULT_ASSUMPTION_SETS,
     sections: frozenset[str] = ALL_SECTIONS,
@@ -327,7 +328,7 @@ def model_report(
     )
 
 
-def chain_report(chain: ObserverChain, name: str, eps: float = 1e-9) -> AnalysisReport:
+def chain_report(chain: ObserverChain, name: str, eps: float = EPS_SUPPORT) -> AnalysisReport:
     """Cut-by-cut comparison under the two canonical final measurements:
     memory-computational (record readout) and the coherent family."""
     families = (
@@ -367,7 +368,7 @@ def chain_report(chain: ObserverChain, name: str, eps: float = 1e-9) -> Analysis
     return AnalysisReport(name=name, kind="chain", eps=eps, cuts=cuts)
 
 
-def scenario_report(sc: Scenario, name: str, eps: float = 1e-9) -> AnalysisReport:
+def scenario_report(sc: Scenario, name: str, eps: float = EPS_SUPPORT) -> AnalysisReport:
     notes = [
         f"bare scenario: {len(sc.observables)} observables, "
         f"{len(sc.contexts)} contexts, no tables or state to analyze"

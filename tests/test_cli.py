@@ -326,6 +326,23 @@ def test_help_exits_0():
     assert rc == 0
 
 
+def test_support_threshold_defaults_read_eps_support():
+    """--eps and the eps= of every report builder default to
+    scenario.EPS_SUPPORT, and --help names that value."""
+    import inspect
+
+    from contextuality import report
+    from contextuality.scenario import EPS_SUPPORT
+
+    assert cli._build_parser().parse_args(["demo", "hardy"]).eps is EPS_SUPPORT
+    for build in (report.model_report, report.chain_report, report.scenario_report):
+        assert inspect.signature(build).parameters["eps"].default is EPS_SUPPORT
+    rc, out, _ = call(["demo", "--help"])
+    assert rc == 0
+    assert "possibilistic analysis (default 1e-9)" in " ".join(out.split())
+    assert float("1e-9") == EPS_SUPPORT
+
+
 def test_parser_built_once_and_reused_verbatim(monkeypatch):
     """One process reuses a single parser; help, usage errors and exit codes
     match a fresh process's for each call in turn."""

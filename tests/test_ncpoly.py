@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -18,7 +17,6 @@ from contextuality.logic import cycle_empirical_model
 from contextuality.ncpoly import (
     FractionResult,
     IncidenceMatrix,
-    LinearProgram,
     SignallingModelError,
     contextual_fraction,
     incidence,
@@ -78,7 +76,6 @@ CORPUS_NCF = {
 def test_incidence_hardy_shape_and_orders(hardy_scenario):
     inc = incidence(hardy_scenario)
     assert inc.matrix.shape == (16, 16)
-    assert inc.labels == ("A_c", "A_d", "B_c", "B_d")
     assert inc.rows[0] == (("A_d", "B_c"), ("+", "0"))
     assert inc.rows[1] == (("A_d", "B_c"), ("+", "1"))
     assert inc.rows[4] == (("A_c", "B_c"), ("0", "0"))
@@ -90,16 +87,17 @@ def test_incidence_hardy_shape_and_orders(hardy_scenario):
     assert all(inc.matrix.sum(axis=1) == 4)
 
 
-def _assert_membership_rule(inc: IncidenceMatrix) -> None:
+def _assert_membership_rule(inc: IncidenceMatrix, sc: Scenario) -> None:
+    labels = [o.label for o in sc.observables]
     for r, (ctx, tup) in enumerate(inc.rows):
-        pos = [inc.labels.index(l) for l in ctx]
+        pos = [labels.index(l) for l in ctx]
         for c, a in enumerate(inc.assignments):
             expected = 1 if tuple(a[i] for i in pos) == tup else 0
             assert inc.matrix[r, c] == expected
 
 
 def test_incidence_restriction_is_the_membership_rule(hardy_scenario):
-    _assert_membership_rule(incidence(hardy_scenario))
+    _assert_membership_rule(incidence(hardy_scenario), hardy_scenario)
 
 
 def test_incidence_membership_rule_mixed_radix():
@@ -114,7 +112,6 @@ def test_incidence_membership_rule_mixed_radix():
         (("A", "B"), ("C", "A"), ("B", "C"), ("C",)),
     )
     inc = incidence(sc)
-    assert inc.labels == ("A", "B", "C")
     assert inc.assignments == tuple(
         itertools.product(*[o.outcomes for o in sc.observables])
     )
@@ -122,7 +119,7 @@ def test_incidence_membership_rule_mixed_radix():
         (ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)
     )
     assert inc.matrix.shape == (6 + 8 + 12 + 4, 24)
-    _assert_membership_rule(inc)
+    _assert_membership_rule(inc, sc)
     assert all(inc.matrix.sum(axis=0) == len(sc.contexts))
 
 
@@ -147,76 +144,71 @@ def test_incidence_guard_rejects_huge_scenarios():
 
 
 def test_lp_shape_validation():
+    with pytest.raises(ValueError, match="two-dimensional"):
+        simplex((1.0,), (1.0,), (1.0,))
     with pytest.raises(ValueError, match="equal length"):
-        LinearProgram((1.0,), ((1.0,),), (1.0, 1.0))
+        simplex((1.0,), ((1.0,),), (1.0, 1.0))
     with pytest.raises(ValueError, match="width"):
-        LinearProgram((1.0, 1.0), ((1.0,),), (1.0,))
+        simplex((1.0, 1.0), ((1.0,),), (1.0,))
     with pytest.raises(ValueError, match="nonnegative"):
-        LinearProgram((1.0,), ((1.0,),), (-1.0,))
+        simplex((1.0,), ((1.0,),), (-1.0,))
 
 
 def test_simplex_box():
-    lp = LinearProgram((1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), (2.0, 3.0))
-    res = simplex(lp)
-    assert res.status == "Optimal"
-    assert res.value == pytest.approx(5.0, abs=1e-9)
-    assert res.x == pytest.approx((2.0, 3.0), abs=1e-9)
+    value, x, basis = simplex(
+        np.ones(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 3.0])
+    )
+    assert value == pytest.approx(5.0, abs=1e-9)
+    assert x == pytest.approx((2.0, 3.0), abs=1e-9)
+    assert isinstance(x, np.ndarray) and isinstance(basis, np.ndarray)
     # without rows, a nonpositive objective is optimal at x = 0
-    res = simplex(LinearProgram((0.0, -1.0), np.zeros((0, 2)), ()))
-    assert res.status == "Optimal"
-    assert res.value == 0 and res.x == (0, 0) and res.basis == ()
+    value, x, basis = simplex(np.array([0.0, -1.0]), np.zeros((0, 2)), np.zeros(0))
+    assert value == 0 and x.tolist() == [0, 0] and basis.tolist() == []
 
 
 def test_simplex_prefers_the_better_corner():
-    lp = LinearProgram((2.0, 1.0), ((1.0, 1.0), (1.0, 0.0)), (4.0, 2.0))
-    res = simplex(lp)
-    assert res.status == "Optimal"
-    assert res.value == pytest.approx(6.0, abs=1e-9)
+    value, _, _ = simplex(
+        np.array([2.0, 1.0]), np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([4.0, 2.0])
+    )
+    assert value == pytest.approx(6.0, abs=1e-9)
 
 
 def test_simplex_unbounded():
-    lp = LinearProgram((1.0, 0.0), ((0.0, 1.0),), (1.0,))
-    assert simplex(lp).status == "Unbounded"
+    assert simplex(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), np.ones(1)) is None
     # without rows, a positive objective is unbounded
-    lp = LinearProgram((0.0, 1.0), np.zeros((0, 2)), ())
-    assert simplex(lp).status == "Unbounded"
+    assert simplex(np.array([0.0, 1.0]), np.zeros((0, 2)), np.zeros(0)) is None
 
 
 def test_simplex_survives_the_classic_cycling_program():
     # degenerate program on which the naive pivot rule loops forever
-    lp = LinearProgram(
-        (10.0, -57.0, -9.0, -24.0),
-        (
-            (0.5, -5.5, -2.5, 9.0),
-            (0.5, -1.5, -0.5, 1.0),
-            (1.0, 0.0, 0.0, 0.0),
-        ),
-        (0.0, 0.0, 1.0),
+    c = np.array([10.0, -57.0, -9.0, -24.0])
+    A = np.array(
+        [
+            [0.5, -5.5, -2.5, 9.0],
+            [0.5, -1.5, -0.5, 1.0],
+            [1.0, 0.0, 0.0, 0.0],
+        ]
     )
-    res = simplex(lp)
-    assert res.status == "Optimal"
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-    ref = linprog(
-        [-c for c in lp.objective],
-        A_ub=lp.matrix,
-        b_ub=lp.rhs,
-        method="highs",
-    )
-    assert res.value == pytest.approx(-ref.fun, abs=1e-7)
+    rhs = np.array([0.0, 0.0, 1.0])
+    value, _, _ = simplex(c, A, rhs)
+    assert value == pytest.approx(1.0, abs=1e-9)
+    ref = _scipy_reference(c, A, rhs)
+    assert value == pytest.approx(-ref.fun, abs=1e-7)
 
 
-def _ncf_lp(m: EmpiricalModel) -> LinearProgram:
-    """The decomposition LP that contextual_fraction solves for m."""
-    return ncpoly._program(incidence(m.scenario), m)
+def _ncf_lp(m: EmpiricalModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decomposition LP (c, A, rhs) that contextual_fraction solves for
+    m: the rhs comes from the exact tables when the model has them."""
+    inc = incidence(m.scenario)
+    rhs = [
+        float(m.tables[ctx].exact[tup] if m.exact_available else m.tables[ctx][tup])
+        for ctx, tup in inc.rows
+    ]
+    return np.ones(inc.matrix.shape[1]), inc.matrix, np.array(rhs)
 
 
-def _scipy_reference(lp: LinearProgram):
-    return linprog(
-        [-c for c in lp.objective],
-        A_ub=lp.matrix,
-        b_ub=lp.rhs,
-        method="highs",
-    )
+def _scipy_reference(c, A, rhs):
+    return linprog(-c, A_ub=A, b_ub=rhs, method="highs")
 
 
 def test_simplex_matches_scipy_on_random_inequality_programs():
@@ -230,27 +222,42 @@ def test_simplex_matches_scipy_on_random_inequality_programs():
             A = rng.uniform(-1.0, 1.0, size=(m, n))
         b = rng.uniform(0.0, 2.0, size=m)
         c = rng.uniform(-1.0, 1.0, size=n)
-        lp = LinearProgram(tuple(c), A, tuple(b))
-        res = simplex(lp)
-        ref = _scipy_reference(lp)
-        if res.status == "Unbounded":
+        res = simplex(c, A, b)
+        ref = _scipy_reference(c, A, b)
+        if res is None:
             assert ref.status == 3
             continue
-        assert res.status == "Optimal" and ref.status == 0
-        assert res.value == pytest.approx(-ref.fun, abs=1e-6)
+        assert ref.status == 0
+        assert res[0] == pytest.approx(-ref.fun, abs=1e-6)
 
 
 # ------------------------------------------------- noncontextual fraction
 
 
-def test_ncf_program_shape(hardy_model):
-    lp = _ncf_lp(hardy_model)
-    assert len(lp.objective) == 16
-    assert len(lp.matrix) == 16
-    assert lp.objective == (1.0,) * 16
-    inc = incidence(hardy_model.scenario)
-    for (ctx, tup), b in zip(inc.rows, lp.rhs):
-        assert b == hardy_model.tables[ctx][tup]
+def test_ncf_program_shape(hardy_model, monkeypatch):
+    """contextual_fraction's simplex call: c all ones, A the incidence
+    matrix itself, and rhs the tables, exact where the model has them."""
+    calls = []
+    real = ncpoly.simplex
+
+    def recorded(c, A, rhs):
+        calls.append((c, A, rhs))
+        return real(c, A, rhs)
+
+    built = _assignments_left_unbuilt(monkeypatch)
+    monkeypatch.setattr(ncpoly, "simplex", recorded)
+    fr = _corpus_model("fr")
+    for m in (hardy_model, fr):
+        contextual_fraction(m)
+    (c, A, rhs), (_, _, fr_rhs) = calls
+    inc = built[0]
+    assert c.tolist() == [1.0] * 16
+    assert A is inc.matrix and A.shape == (16, 16)
+    assert rhs.tolist() == [hardy_model.tables[ctx][tup] for ctx, tup in inc.rows]
+    # a model with exact tables poses them, even where snapping moved a value
+    assert fr_rhs.tolist() == [
+        float(fr.tables[ctx].exact[tup]) for ctx, tup in built[1].rows
+    ]
 
 
 def test_hardy_fraction_float_path(hardy_model):
@@ -429,7 +436,7 @@ def test_fraction_matches_scipy_on_random_quantum_models(hardy_scenario):
         )
         m = realize(qr, hardy_scenario)
         res = contextual_fraction(m)
-        ref = _scipy_reference(_ncf_lp(m))
+        ref = _scipy_reference(*_ncf_lp(m))
         assert ref.status == 0
         assert res.ncf == pytest.approx(-ref.fun, abs=1e-7)
         assert 0.0 <= res.ncf <= 1.0
@@ -499,7 +506,7 @@ def test_simplex_pivot_path_is_pinned():
     models = dict(_pinned_basis_models())
     assert set(models) == set(pinned)
     for key, m in models.items():
-        assert list(simplex(_ncf_lp(m)).basis) == pinned[key], key
+        assert simplex(*_ncf_lp(m))[2].tolist() == pinned[key], key
     for n in (6, 8):
         res = contextual_fraction(models[f"chained_bell {n}"])
         assert res.ncf_exact is None
@@ -537,9 +544,10 @@ def _slack_started(monkeypatch) -> list:
     starts = []
     real_simplex, context_basis = ncpoly.simplex, ncpoly._context_basis
 
-    def slack(lp):
-        nrows, n = lp.matrix.shape
-        return dataclasses.replace(real_simplex(lp), basis=tuple(range(n, n + nrows)))
+    def slack(c, A, rhs):
+        value, x, _ = real_simplex(c, A, rhs)
+        nrows, n = A.shape
+        return value, x, np.arange(n, n + nrows)
 
     def counted(inc):
         starts.append(inc)
@@ -647,7 +655,7 @@ def test_repair_mends_a_rejected_float_basis_without_a_cold_start(monkeypatch, n
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     _, P = ncpoly._scaled(p)
-    basis = list(simplex(_ncf_lp(m)).basis)
+    basis = simplex(*_ncf_lp(m))[2].tolist()
     _, aug = ncpoly._basis_system(inc.matrix, P, basis)
     assert (aug[:, 0] < 0).any()
 
@@ -889,7 +897,7 @@ def _basis_starts():
         inc = incidence(m.scenario)
         p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
         _, P = ncpoly._scaled(p)
-        yield label, inc, P, list(simplex(_ncf_lp(m)).basis)
+        yield label, inc, P, simplex(*_ncf_lp(m))[2].tolist()
         yield label, inc, P, ncpoly._context_basis(inc)
         nrows, n = inc.matrix.shape
         M = np.hstack((inc.matrix, np.eye(nrows)))
