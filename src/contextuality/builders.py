@@ -234,25 +234,31 @@ def certain_implications(
     joint event, earliest row on ties) or a (context, event) pair (reports
     that event's table probability).
     """
+    sc = m.scenario
     sentences: list[Sentence] = []
-    for ctx in m.scenario.contexts:
-        table = m.tables[ctx]
-        rows = list(table.items())
+    for ctx in sc.contexts:
+        rows = list(m.tables[ctx].items())
+        outcomes = [sc.observable(label).outcomes for label in ctx]
         for pi, premise_obs in enumerate(ctx):
-            for va in m.scenario.observable(premise_obs).outcomes:
-                base = sum(p for tup, p in rows if tup[pi] == va)
+            # one sweep groups the rows by premise value, in row order: a sum()
+            # over a list adds as a sum() over the filtered rows did
+            groups: dict[str, list[tuple[tuple[str, ...], float]]] = {}
+            for row in rows:
+                groups.setdefault(row[0][pi], []).append(row)
+            for va in outcomes[pi]:
+                group = groups.get(va, ())
+                base = sum([p for _, p in group])
                 if base <= EPS_ZERO:
                     continue
                 for ci, conclusion_obs in enumerate(ctx):
                     if ci == pi:
                         continue
-                    for vb in m.scenario.observable(conclusion_obs).outcomes:
-                        joint = sum(
-                            p
-                            for tup, p in rows
-                            if tup[pi] == va and tup[ci] == vb
-                        )
-                        if joint / base >= 1.0 - EPS_CERTAIN:
+                    joint: dict[str, list[float]] = {}
+                    for tup, p in group:
+                        joint.setdefault(tup[ci], []).append(p)
+                    for vb in outcomes[ci]:
+                        ps = joint.get(vb)
+                        if ps is not None and sum(ps) / base >= 1.0 - EPS_CERTAIN:
                             sentences.append(
                                 CertainImplication(
                                     ctx,

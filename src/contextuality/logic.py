@@ -11,7 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .qstate import Distribution
 from .scenario import (
@@ -71,6 +72,14 @@ def _guard(sc: Scenario) -> None:
         )
 
 
+def _projection(js: Sequence[int]) -> Callable[[tuple], tuple]:
+    """row -> tuple(row[j] for j in js), built once; a slice stands in for
+    one index or none, where itemgetter would return the item or fail."""
+    if len(js) > 1:
+        return itemgetter(*js)
+    return itemgetter(slice(js[0], js[0] + 1) if js else slice(0, 0))
+
+
 class _Plan:
     """One table over frontier states that answers every section question
     about one support, built layer by layer without recursion.
@@ -83,7 +92,10 @@ class _Plan:
     The forward pass records, for each reachable state, its consistent edges
     (value, next state, tuples of the contexts checked there); the backward
     pass counts each state's completions. Cost grows with the number of
-    frontier states, not with the number of global sections."""
+    frontier states, not with the number of global sections. A row (state
+    plus value) is read through itemgetter projections built once per layer,
+    one per context checked there and one for the next state; the support
+    test stops at the first context tuple that misses."""
 
     def __init__(self, p: PossibilisticModel):
         sc = p.scenario
@@ -112,16 +124,23 @@ class _Plan:
             here = frontier + (i,)
             frontier = tuple(k for k in here if last_read[k] > i)
             at = {k: j for j, k in enumerate(here)}
-            keep = [at[k] for k in frontier]
-            tests = [(sup, [at[k] for k in idxs]) for _, sup, idxs in checks[i]]
+            keep = _projection([at[k] for k in frontier])
+            tests = [
+                (sup, _projection([at[k] for k in idxs])) for _, sup, idxs in checks[i]
+            ]
             following: dict[tuple[str, ...], list] = {}
             for state, out in layer.items():
                 for v in obs.outcomes:
                     row = state + (v,)
-                    rows = tuple(tuple(row[j] for j in js) for _, js in tests)
-                    if all(r in sup for r, (sup, _) in zip(rows, tests)):
-                        nxt = tuple(row[j] for j in keep)
-                        out.append((v, nxt, rows))
+                    rows = []
+                    for sup, project in tests:
+                        r = project(row)
+                        if r not in sup:
+                            break
+                        rows.append(r)
+                    else:
+                        nxt = keep(row)
+                        out.append((v, nxt, tuple(rows)))
                         following.setdefault(nxt, [])
             self.edges.append(layer)
             layer = following
@@ -131,7 +150,7 @@ class _Plan:
         for edges in reversed(self.edges):
             after = self.counts[-1]
             self.counts.append(
-                {s: sum(after[nxt] for _, nxt, _ in out) for s, out in edges.items()}
+                {s: sum([after[nxt] for _, nxt, _ in out]) for s, out in edges.items()}
             )
         self.counts.reverse()
         self.count: int = self.counts[0][()]
@@ -349,12 +368,12 @@ class _LiarSearch:
             edges = []
             for c in self.contexts_of[x_obs]:
                 ix = c.index(x_obs)
+                # one sweep over the support; a column of the rows carrying
+                # x_val that holds one value throughout is forced
                 rows = [r for r in self.p.supports[c] if r[ix] == x_val]
-                for iy, y_obs in enumerate(c):
-                    if iy != ix:
-                        y_vals = {r[iy] for r in rows}
-                        if len(y_vals) == 1:
-                            edges.append((c, (y_obs, y_vals.pop())))
+                for iy, column in enumerate(zip(*rows)):
+                    if iy != ix and column.count(column[0]) == len(rows):
+                        edges.append((c, (c[iy], column[0])))
             self.forced[node] = edges
         return edges
 
@@ -380,11 +399,34 @@ class _LiarSearch:
         # parent links rebuild the linear chain; a step is built only for a
         # node reached the first time or for the step that closes the cycle
         parent: dict[Node, tuple[Node | None, ImplicationStep | None]] = {}
-        queue: deque[Node] = deque()
-        for node in zip(ctx, t):
-            if node not in parent:
-                parent[node] = (None, None)
-                queue.append(node)
+        # each reached node's seed node and depth, each observable's values
+        # reached, and jumps[node][k], the node's ancestor 2**k levels up,
+        # filled only for the nodes a path test lifts through
+        root: dict[Node, Node] = {}
+        depth: dict[Node, int] = {}
+        reached: dict[str, list[str]] = {}
+        jumps: dict[Node, list[Node]] = {}
+        queue: deque[Node] = deque(zip(ctx, t))
+        for node in queue:
+            parent[node], root[node], depth[node] = (None, None), node, 0
+            reached[node[0]] = [node[1]]
+
+        def hop(node: Node, k: int) -> Node:
+            """The ancestor 2**k levels up; the node's depth is at least 2**k."""
+            hops = jumps.setdefault(node, [parent[node][0]])
+            while len(hops) <= k:
+                hops.append(hop(hops[-1], len(hops) - 1))
+            return hops[k]
+
+        def on_path(a: Node, node: Node) -> bool:
+            """Is a the node itself or one of its ancestors (never across seeds)?"""
+            lift = depth[node] - depth[a]
+            if lift < 0 or root[a] != root[node]:
+                return False
+            for k in range(lift.bit_length()):
+                if lift >> k & 1:
+                    node = hop(node, k)
+            return node == a
 
         def chain_to(node: Node) -> list[ImplicationStep]:
             steps: list[ImplicationStep] = []
@@ -397,23 +439,20 @@ class _LiarSearch:
             steps.reverse()
             return steps
 
-        def value_on_path(node: Node, obs: str) -> str | None:
-            cur: Node | None = node
-            while cur is not None:
-                if cur[0] == obs:
-                    return cur[1]
-                cur = parent[cur][0]
-            return None
-
         while queue:
             x_node = queue.popleft()
             for c, y_node in self.forced_by(x_node):
                 y_obs, y_val = y_node
-                if y_obs in seed_vals and seed_vals[y_obs] != y_val:
-                    established = seed_vals[y_obs]
-                else:
-                    established = value_on_path(x_node, y_obs)
-                if established is not None and established != y_val:
+                established = seed_vals.get(y_obs, y_val)
+                if established == y_val:
+                    # a root path holds at most one node per observable (a
+                    # node joins only a path without its observable), so
+                    # only a reached node of another value can clash
+                    for w in reached.get(y_obs, ()):
+                        if w != y_val and on_path((y_obs, w), x_node):
+                            established = w
+                            break
+                if established != y_val:
                     return LiarCycle(
                         (ctx, t),
                         tuple(chain_to(x_node)) + (ImplicationStep(c, x_node, y_node),),
@@ -421,6 +460,9 @@ class _LiarSearch:
                     )
                 if y_node not in parent:
                     parent[y_node] = (x_node, ImplicationStep(c, x_node, y_node))
+                    root[y_node] = root[x_node]
+                    depth[y_node] = depth[x_node] + 1
+                    reached.setdefault(y_obs, []).append(y_val)
                     queue.append(y_node)
         return None
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .builders import (
     CertainImplication,
+    ProbabilityStatement,
     Sentence,
     certain_implications,
     fr_realization,
@@ -347,7 +348,7 @@ def claims_for_cycle(m: EmpiricalModel, cycle: LiarCycle) -> list[Claim]:
         )
         claims.append(Claim(_agent_of(step.premise[0]), step.context, sentence))
     seed_ctx, seed_event = cycle.seed
-    statement = certain_implications(m, queries=[(seed_ctx, seed_event)])[-1]
+    statement = ProbabilityStatement(seed_ctx, seed_event, m.tables[seed_ctx][seed_event])
     claims.append(Claim(_agent_of(seed_ctx[0]), seed_ctx, statement))
     return claims
 

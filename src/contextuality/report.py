@@ -11,12 +11,16 @@ the exact `p/q` string alongside.
 
 JSON is written by a small direct writer (`_encode`) whose bytes equal
 `json.dumps(report, indent=2, sort_keys=True)`. With an indent the stdlib
-always falls back to its pure-Python encoder.
+always falls back to its pure-Python encoder, which yields every piece
+through nested generators; the writer instead appends each piece once to
+one list and joins it once, writes a list of strings in one join, and
+encodes each dict key once per report.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
@@ -495,44 +499,71 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _encode(o, nl: str = "\n") -> str:
     """o as `json.dumps(o, indent=2, sort_keys=True)` writes it, where nl is
-    the newline and indent of the line o starts on. Values of exact builtin
-    types are written inline; dict keys must be str."""
+    the newline and indent of the line o starts on. Dict keys must be str.
+    Every piece is appended to one list, which is joined once."""
+    out: list[str] = []
+    _write(o, nl, out, {})
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list[str], prefixes: dict[str, str]) -> None:
+    """Append the pieces of o to out. Values of exact builtin types are
+    written inline, and a nested list of str in one join; prefixes maps each
+    dict key met so far in this _encode call to its encoded '"key": '."""
+    put = out.append
     t = type(o)
     if t is dict:
-        keys = sorted(o)
-        values, ends = [o[k] for k in keys], "{}"
+        pairs = []
+        for k in sorted(o):
+            prefix = prefixes.get(k)
+            if prefix is None:
+                prefix = prefixes[k] = _encode_str(k) + ": "
+            pairs.append((prefix, o[k]))
+        ends = "{}"
     elif t is list or t is tuple:
-        keys, values, ends = None, o, "[]"
+        pairs, ends = zip(repeat(""), o), "[]"
+    elif isinstance(o, (list, tuple, dict)):  # subclasses, as json encodes them
+        _write(dict(o.items()) if isinstance(o, dict) else list(o), nl, out, prefixes)
+        return
     else:
-        return _encode_other(o, nl)
-    if not values:
-        return ends
+        put(_encode_other(o))
+        return
+    if not o:
+        put(ends)
+        return
     inner = nl + "  "
-    parts = []
-    append = parts.append
-    for v in values:
+    sep = "," + inner
+    deeper = inner + "  "
+    put(ends[0] + inner)
+    for prefix, v in pairs:
         t = type(v)
         if t is str:
-            append(_encode_str(v))
+            put(prefix + _encode_str(v))
         elif t is float:
             r = _float_repr(v)
-            append(_NONFINITE.get(r, r))
+            put(prefix + _NONFINITE.get(r, r))
         elif t is int:
-            append(_int_repr(v))
+            put(prefix + _int_repr(v))
         elif v is None:
-            append("null")
+            put(prefix + "null")
         elif t is bool:
-            append("true" if v else "false")
+            put(prefix + ("true" if v else "false"))
+        elif t is list and v and type(v[0]) is str:
+            try:
+                put(prefix + "[" + deeper + ("," + deeper).join(map(_encode_str, v)) + inner + "]")
+            except TypeError:  # a later item is not a str
+                put(prefix)
+                _write(v, inner, out, prefixes)
         else:
-            append(_encode(v, inner))
-    if keys is not None:
-        parts = [_encode_str(k) + ": " + p for k, p in zip(keys, parts)]
-    return ends[0] + inner + ("," + inner).join(parts) + nl + ends[1]
+            put(prefix)
+            _write(v, inner, out, prefixes)
+        put(sep)
+    out[-1] = nl + ends[1]  # in place of the separator after the last item
 
 
-def _encode_other(o, nl: str) -> str:
-    """Anything but an exact dict, list or tuple, in json's isinstance
-    order, so that subclasses encode as json encodes them."""
+def _encode_other(o) -> str:
+    """Anything but a dict, list or tuple, in json's isinstance order, so
+    that subclasses encode as json encodes them."""
     if isinstance(o, str):
         return _encode_str(o)
     if o is None:
@@ -546,10 +577,6 @@ def _encode_other(o, nl: str) -> str:
     if isinstance(o, float):
         r = _float_repr(o)
         return _NONFINITE.get(r, r)
-    if isinstance(o, (list, tuple)):
-        return _encode(list(o), nl)
-    if isinstance(o, dict):
-        return _encode(dict(o.items()), nl)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

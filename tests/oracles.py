@@ -168,3 +168,39 @@ def born_by_projectors(qr, ctx) -> dict:
             key.append(r.outcome_map[label] if r.outcome_map else label)
         out[tuple(key)] = float(np.trace(rho @ proj).real)
     return out
+
+
+def certain_implications_nested_sum(m) -> list:
+    """The implications of builders.certain_implications (no queries), by one
+    sum() over the whole table per premise value and one per (premise value,
+    conclusion value): the row-by-row reference the one-sweep version must
+    match float for float."""
+    from contextuality.builders import EPS_CERTAIN, CertainImplication
+    from contextuality.qstate import EPS_ZERO
+
+    sentences = []
+    for ctx in m.scenario.contexts:
+        rows = list(m.tables[ctx].items())
+        for pi, premise_obs in enumerate(ctx):
+            for va in m.scenario.observable(premise_obs).outcomes:
+                base = sum(p for tup, p in rows if tup[pi] == va)
+                if base <= EPS_ZERO:
+                    continue
+                for ci, conclusion_obs in enumerate(ctx):
+                    if ci == pi:
+                        continue
+                    for vb in m.scenario.observable(conclusion_obs).outcomes:
+                        joint = sum(
+                            p
+                            for tup, p in rows
+                            if tup[pi] == va and tup[ci] == vb
+                        )
+                        if joint / base >= 1.0 - EPS_CERTAIN:
+                            sentences.append(
+                                CertainImplication(
+                                    ctx,
+                                    (premise_obs, va),
+                                    (conclusion_obs, vb),
+                                )
+                            )
+    return sentences

@@ -250,6 +250,39 @@ def test_odd_cycle_liar_chain_closes_on_seed(n):
     assert cycle.verify(p)
 
 
+@pytest.mark.parametrize("n", [200, 1000])
+def test_odd_cycle_liar_chain_at_scale(n):
+    """The path test lifts through ancestors instead of walking the chain,
+    so long cycles close in n log n steps."""
+    p = cycle_model(n, "odd")
+    cycle = liar_cycles(p, (("S1", "S2"), ("0", "0")))
+    assert cycle is not None
+    assert len(cycle.steps) == n - 1
+    assert cycle.verify(p)
+
+
+@pytest.mark.parametrize("n", [3, 8, 33, 200])
+def test_liar_chain_closes_on_a_node_far_up_its_own_path(n):
+    """A one-observable seed X = 0 leads into an odd n-cycle through S1 = 0;
+    the chain around the cycle forces S1 = 1, which clashes with the S1 = 0
+    n levels up its own path, neither a seed value nor on a path of another
+    seed node, so only the ancestor test can find it."""
+    cycle = cycle_model(n, "odd")
+    sc = Scenario(
+        (Observable("X", ("0", "1")),) + cycle.scenario.observables,
+        (("X",), ("X", "S1")) + cycle.scenario.contexts,
+    )
+    supports = dict(cycle.supports)
+    supports[("X",)] = frozenset({("0",), ("1",)})
+    supports[("X", "S1")] = frozenset({("0", "0"), ("1", "1")})
+    p = PossibilisticModel(sc, supports)
+    found = liar_cycles(p, (("X",), ("0",)))
+    assert found is not None
+    assert len(found.steps) == n + 1
+    assert found.contradiction == ("S1", "0", "1")
+    assert found.verify(p)
+
+
 def test_even_cycle_has_no_liar_chain():
     p = cycle_model(4, "even")
     assert liar_cycles(p, (("S1", "S2"), ("0", "0"))) is None

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from contextuality.builders import CertainImplication, ProbabilityStatement
+from contextuality import metacontext
+from contextuality.builders import (
+    CertainImplication,
+    ProbabilityStatement,
+    certain_implications,
+)
+from contextuality.logic import _default_seed
 from contextuality.metacontext import (
     Agent,
     AssumptionSet,
@@ -17,6 +24,7 @@ from contextuality.metacontext import (
     Cut,
     ObserverChain,
     check_claims,
+    claims_for_cycle,
     coherent_final_basis,
     compare_cuts,
     computational_final_basis,
@@ -32,6 +40,9 @@ from contextuality.qstate import (
     computational_basis,
     diagonal_basis,
 )
+from contextuality.report import _work_model
+from contextuality.scenario import realize, support_of
+from contextuality.scnformat import parse_file
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -415,3 +426,42 @@ def test_observer_claims_cover_all_sentences():
 def test_observer_claims_generic_labels(hardy_model):
     claims = observer_claims(hardy_model)
     assert claims[0].agent == "O_A_d"
+
+
+def test_claims_for_cycle_reads_the_seed_statement_off_its_table(monkeypatch):
+    """On every corpus model with a liar cycle, the claims are the chain
+    steps plus the statement certain_implications reports for the seed
+    query, and claims_for_cycle builds them without calling it."""
+    cases = []
+    for f in sorted(resources.files("contextuality").joinpath("data").iterdir()):
+        if not f.name.endswith(".scn"):
+            continue
+        parsed = parse_file(f.read_text(encoding="utf-8"))
+        model = parsed.model
+        if model is None and parsed.realization is not None:
+            model = realize(parsed.realization, parsed.scenario)
+        if model is None:
+            continue
+        work = _work_model(model)
+        cycle = _default_seed(support_of(work))
+        if cycle is None:
+            continue
+        statement = certain_implications(work, queries=[cycle.seed])[-1]
+        want = [
+            Claim(
+                metacontext._agent_of(s.premise[0]),
+                s.context,
+                CertainImplication(s.context, s.premise, s.conclusion),
+            )
+            for s in cycle.steps
+        ]
+        want.append(Claim(metacontext._agent_of(cycle.seed[0][0]), cycle.seed[0], statement))
+        cases.append((work, cycle, want))
+    assert len(cases) >= 5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("claims_for_cycle called certain_implications")
+
+    monkeypatch.setattr(metacontext, "certain_implications", refuse)
+    for work, cycle, want in cases:
+        assert claims_for_cycle(work, cycle) == want

@@ -477,3 +477,14 @@ def test_json_writer_matches_json_dumps(value):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             _encode(bad)
+
+
+def test_possibilistic_report_bytes_are_pinned():
+    """render_json of the logic, sentences and cycle sections on cycles and
+    random supports, against SHA-256 digests pinned in report_digests.json."""
+    import report_pins
+
+    pins = json.loads(report_pins.PINS.read_text())
+    got = {key: report_pins.digest(m, key) for key, m in report_pins.pinned_models()}
+    assert got.keys() == pins.keys()
+    assert [key for key in pins if got[key] != pins[key]] == []
