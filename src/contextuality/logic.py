@@ -399,34 +399,16 @@ class _LiarSearch:
         # parent links rebuild the linear chain; a step is built only for a
         # node reached the first time or for the step that closes the cycle
         parent: dict[Node, tuple[Node | None, ImplicationStep | None]] = {}
-        # each reached node's seed node and depth, each observable's values
-        # reached, and jumps[node][k], the node's ancestor 2**k levels up,
-        # filled only for the nodes a path test lifts through
-        root: dict[Node, Node] = {}
-        depth: dict[Node, int] = {}
+        # each reached node's bit, the bits of the nodes on its root path
+        # (never across seeds), and each observable's values reached
+        bit: dict[Node, int] = {}
+        path: dict[Node, int] = {}
         reached: dict[str, list[str]] = {}
-        jumps: dict[Node, list[Node]] = {}
         queue: deque[Node] = deque(zip(ctx, t))
         for node in queue:
-            parent[node], root[node], depth[node] = (None, None), node, 0
+            parent[node] = (None, None)
+            bit[node] = path[node] = 1 << len(bit)
             reached[node[0]] = [node[1]]
-
-        def hop(node: Node, k: int) -> Node:
-            """The ancestor 2**k levels up; the node's depth is at least 2**k."""
-            hops = jumps.setdefault(node, [parent[node][0]])
-            while len(hops) <= k:
-                hops.append(hop(hops[-1], len(hops) - 1))
-            return hops[k]
-
-        def on_path(a: Node, node: Node) -> bool:
-            """Is a the node itself or one of its ancestors (never across seeds)?"""
-            lift = depth[node] - depth[a]
-            if lift < 0 or root[a] != root[node]:
-                return False
-            for k in range(lift.bit_length()):
-                if lift >> k & 1:
-                    node = hop(node, k)
-            return node == a
 
         def chain_to(node: Node) -> list[ImplicationStep]:
             steps: list[ImplicationStep] = []
@@ -449,7 +431,7 @@ class _LiarSearch:
                     # node joins only a path without its observable), so
                     # only a reached node of another value can clash
                     for w in reached.get(y_obs, ()):
-                        if w != y_val and on_path((y_obs, w), x_node):
+                        if w != y_val and path[x_node] & bit[y_obs, w]:
                             established = w
                             break
                 if established != y_val:
@@ -460,8 +442,8 @@ class _LiarSearch:
                     )
                 if y_node not in parent:
                     parent[y_node] = (x_node, ImplicationStep(c, x_node, y_node))
-                    root[y_node] = root[x_node]
-                    depth[y_node] = depth[x_node] + 1
+                    bit[y_node] = 1 << len(bit)
+                    path[y_node] = path[x_node] | bit[y_node]
                     reached.setdefault(y_obs, []).append(y_val)
                     queue.append(y_node)
         return None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -57,7 +58,10 @@ def lift(rng: random.Random, p: PossibilisticModel, exact: bool) -> EmpiricalMod
     """Tables whose support at the default threshold is p's: exact tables
     put a random integer weight on each possible tuple; float tables put a
     random float there and, now and then, 1e-10 on an impossible one, so
-    some conditional masses fall just short of 1."""
+    some conditional masses fall just short of 1. The floats are normalised
+    by a math.fsum total, correctly rounded on every Python version: sum()
+    over floats compensates its rounding since 3.12, and the pinned reports
+    print the table entries in full."""
     sc = p.scenario
     if exact:
         return _exact_model(
@@ -74,7 +78,7 @@ def lift(rng: random.Random, p: PossibilisticModel, exact: bool) -> EmpiricalMod
             t: rng.uniform(0.05, 1.0) if t in p.supports[ctx] else 0.0
             for t in sc.joint_outcomes(ctx)
         }
-        total = sum(probs.values())
+        total = math.fsum(probs.values())
         probs = {t: w / total for t, w in probs.items()}
         for t in probs:
             if not probs[t] and rng.random() < 0.3:

@@ -252,8 +252,8 @@ def test_odd_cycle_liar_chain_closes_on_seed(n):
 
 @pytest.mark.parametrize("n", [200, 1000])
 def test_odd_cycle_liar_chain_at_scale(n):
-    """The path test lifts through ancestors instead of walking the chain,
-    so long cycles close in n log n steps."""
+    """The path test reads one bit of the node's path mask instead of
+    walking the chain back to the seed."""
     p = cycle_model(n, "odd")
     cycle = liar_cycles(p, (("S1", "S2"), ("0", "0")))
     assert cycle is not None
