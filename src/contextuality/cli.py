@@ -26,7 +26,7 @@ from .report import (
     scenario_report,
 )
 from .scenario import EPS_SUPPORT, realize
-from .scnformat import ParseError, parse_file
+from .scnformat import parse_file
 
 __all__ = ["run", "main"]
 
@@ -230,29 +230,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         argv, seed_raw = _extract_seed(argv)
         ns = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        report, code = _execute(ns, seed_raw)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        report, code = _execute(ns, seed_raw)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SignallingModelError as e:
+    # a signalling model (a ValueError, so caught first) or a failed NCF check
+    except (SignallingModelError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except RuntimeError as e:  # the NCF engine's own checks failed
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (_UsageError, OSError, ValueError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = render_json(report) if ns.format == "json" else render_text(report)

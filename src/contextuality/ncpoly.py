@@ -13,14 +13,13 @@ prices every column, and each pivot updates only the m x m basis inverse
 and the basic solution.
 
 For exact tables one integer routine takes the float-optimal basis B to
-the exact optimum. One fraction-free (Bareiss) elimination of the square
-0/1 core K of B, with the scaled probabilities P, gives d = |det K| and the
-whole system d B^-1 [P | I] in block form; it is int64 while every entry is
-below 2**31, so that no step can overflow, and Python ints otherwise. If B
-is not exactly dual feasible, a basis that always is replaces it. Exact
-dual-simplex pivots with Bland's rule, each the same fraction-free step,
-then run only while the primal is infeasible, so a float basis that needs
-none is certified as it is. Fractions appear only in the final witness.
+the exact optimum on d B^-1 [P | I], P the scaled probabilities and
+d = |det K| for the square 0/1 core K of B. The float B^-1 holds K^-1 as a
+block; rounded, it is accepted when K times it is exactly I, so d = 1.
+Else a fraction-free (Bareiss) elimination of K runs, int64 while every
+entry is below 2**31 and Python ints otherwise. If B is not exactly dual
+feasible, a basis that always is replaces it; exact dual-simplex pivots
+with Bland's rule then run while the primal is infeasible.
 """
 
 from __future__ import annotations
@@ -120,11 +119,11 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
 
 def simplex(
     c: np.ndarray, A: np.ndarray, rhs: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray] | None:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
     """maximize c . x  subject to  A x <= rhs, x >= 0, for rhs >= 0, by a
     floating-point revised simplex with Bland's rule from the slack basis.
-    Returns (value, x, basis), basis the standard-form column of each row,
-    or None when the program is unbounded.
+    Returns (value, x, basis, B^-1), basis the standard-form column of each
+    row, or None when the program is unbounded.
 
     The matrix M = [A | I] is built once and never pivoted; column n + i is
     the slack of row i, and the slack basis B = I is feasible since
@@ -185,7 +184,7 @@ def simplex(
     x[basis] = aug[:, 0]
     # c_B . x_B, summed in column order
     cols = np.sort(basis)
-    return sum((c[cols] * x[cols]).tolist(), 0.0), x[:n], basis
+    return sum((c[cols] * x[cols]).tolist(), 0.0), x[:n], basis, aug[:, 1:]
 
 
 # --------------------------------------------------- noncontextual fraction
@@ -291,6 +290,24 @@ def _adjugate_solve(
     return d, aug[:, k], aug[:, k + 1 :]
 
 
+def _core_solve(
+    K: np.ndarray, b: np.ndarray, inverse: np.ndarray | None
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """_adjugate_solve(K, b) for the 0/1 core K, read off its float inverse
+    when that rounds to an integer Ki with K Ki = I exactly: then
+    |det K| = 1, Ki = K^-1 and the result is (1, Ki b, Ki)."""
+    # NaN fails too; below 2**31, K Ki stays far inside int64
+    if inverse is None or not np.abs(inverse).max(initial=0.0) < _INT64_SAFE:
+        return _adjugate_solve(K, b)
+    Ki = np.rint(inverse).astype(np.int64)
+    if not np.array_equal(K @ Ki, np.eye(len(K), dtype=np.int64)):
+        return _adjugate_solve(K, b)
+    bound = len(K) * int(np.abs(Ki).max(initial=0)) * int(np.abs(b).max(initial=0))
+    # int64 while no sum of products can overflow, else Python ints in both
+    X = _widen(Ki @ (b if bound < 2**63 else b.astype(object)))
+    return 1, X, Ki.astype(X.dtype, copy=False)
+
+
 def _scaled(p: Sequence[Fraction]) -> tuple[int, np.ndarray]:
     """(scale, P) with P = p * scale integral, scale the lcm of the
     denominators; P is int64 while its entries are below _INT64_SAFE."""
@@ -314,7 +331,7 @@ def _context_basis(inc: IncidenceMatrix) -> list[int]:
 
 
 def _basis_system(
-    A: np.ndarray, P: np.ndarray, basis: np.ndarray
+    A: np.ndarray, P: np.ndarray, basis: np.ndarray, inverse: np.ndarray | None = None
 ) -> tuple[int, np.ndarray] | None:
     """(d, d B^-1 [P | I]) for B = [A | I][:, basis], d = |det B|, rows in
     basis order; None when B is singular. With S the basic assignment
@@ -328,7 +345,8 @@ def _basis_system(
     at_T = np.flatnonzero(basis >= n)
     S, T = basis[at_S], basis[at_T] - n
     N = np.delete(np.arange(nrows), T)
-    solved = _adjugate_solve(A[N][:, S], P[N])
+    K_inv = None if inverse is None else inverse[at_S][:, N]
+    solved = _core_solve(A[N][:, S], P[N], K_inv)
     if solved is None:
         return None
     d, X, adj = solved
@@ -355,13 +373,14 @@ def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _exact_optimum(
-    inc: IncidenceMatrix, p: Sequence[Fraction], basis: np.ndarray
+    inc: IncidenceMatrix, p: Sequence[Fraction], basis: np.ndarray,
+    inverse: np.ndarray | None = None,
 ) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
     """The exact optimum and witness for the exact probabilities p, from
-    the float-optimal basis, or from _context_basis when that basis is not
-    exactly dual feasible. Dual-simplex pivots with Bland's rule run while
-    the primal (column 0 of aug = d B^-1 [P | I]) is infeasible: the leaving
-    row is the negative basic value with the least basic column; the
+    the float-optimal basis and B^-1, or from _context_basis when that basis
+    is not exactly dual feasible. Dual-simplex pivots with Bland's rule run
+    while the primal (column 0 of aug = d B^-1 [P | I]) is infeasible: the
+    leaving row is the negative basic value with the least basic column; the
     entering column has the least ratio of reduced cost to pivot-row entry
     among the entries below 0, ties to the least column. Each pivot keeps
     the dual feasible, so the first primal feasible basis is optimal."""
@@ -369,7 +388,7 @@ def _exact_optimum(
     n = A.shape[1]
     scale, P = _scaled(p)
     basis = np.array(basis)
-    start = _basis_system(A, P, basis)
+    start = _basis_system(A, P, basis, inverse)
     # the scaled dual is the sum of the rows of d B^-1 at basic assignments
     if start is None or (
         _priced(start[0], start[1][basis < n, 1:].sum(axis=0), A) > 0
@@ -423,19 +442,20 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     # even where snapping moved a probability
     if m.exact_available:
         p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
+        rhs = np.array([q.numerator / q.denominator for q in p])  # float(q)
     else:
         p = [m.tables[ctx][tup] for ctx, tup in inc.rows]
-    rhs = np.array(p, dtype=float)
+        rhs = np.array(p, dtype=float)
     # b = 0 is feasible, and the rows of any one context bound sum(b) by 1,
     # so the program is never unbounded
-    value, x, basis = simplex(np.ones(inc.matrix.shape[1]), inc.matrix, rhs)
+    value, x, basis, inverse = simplex(np.ones(inc.matrix.shape[1]), inc.matrix, rhs)
     ncf = min(max(value, 0.0), 1.0)
     _validate_witness(inc, rhs, x, ncf)
     if not m.exact_available:
         cols = np.flatnonzero(x > EPS_LP)
         witness = {inc.assignment(j): float(x[j]) for j in cols.tolist()}
         return FractionResult(ncf, 1.0 - ncf, witness)
-    ncf_exact, witness_exact = _exact_optimum(inc, p, basis)
+    ncf_exact, witness_exact = _exact_optimum(inc, p, basis, inverse)
     if abs(float(ncf_exact) - ncf) > EPS_LP:
         raise RuntimeError(
             f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -278,7 +278,7 @@ class Distribution:
             if set(exact) != set(clean):
                 raise ValueError("exact table keys do not match float table")
             for k, frac in exact.items():
-                if abs(float(frac) - clean[k]) > EPS_NORM:
+                if abs(frac.numerator / frac.denominator - clean[k]) > EPS_NORM:
                     raise ValueError(
                         f"exact value {frac} disagrees with float {clean[k]!r} at {k}"
                     )
@@ -308,6 +308,13 @@ class Distribution:
 
     def values(self):
         return self.probs.values()
+
+
+def _sums_to_one(fracs: Iterable[Fraction]) -> bool:
+    """Whether the fractions sum to exactly 1: with L the lcm of their
+    denominators, whether sum(num L / den) = L, in integers only."""
+    common = lcm(*(f.denominator for f in fracs))
+    return sum(f.numerator * (common // f.denominator) for f in fracs) == common
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -40,6 +40,7 @@ from .metacontext import (
 )
 from .ncpoly import EPS_ND_PRECONDITION, SignallingModelError, contextual_fraction
 from .scenario import (
+    EPS_ND,
     EPS_SUPPORT,
     ContextKey,
     EmpiricalModel,
@@ -52,7 +53,6 @@ from .scenario import (
 
 __all__ = [
     "EPS_DISPLAY_ZERO",
-    "ND_PASS_TOL",
     "DEFAULT_ASSUMPTION_SETS",
     "AnalysisReport",
     "model_report",
@@ -64,7 +64,6 @@ __all__ = [
 
 # display-only: values this close to zero are float noise, not signal
 EPS_DISPLAY_ZERO = 1e-12
-ND_PASS_TOL = 1e-9
 
 # the full set plus each single-flag drop; shows which toggles carry weight
 DEFAULT_ASSUMPTION_SETS = (
@@ -287,8 +286,8 @@ def model_report(
         violation, _ = no_disturbance(work)
         values["no_disturbance"] = {
             "max_violation": _clean(violation),
-            "pass": bool(violation <= ND_PASS_TOL),
-            "tolerance": ND_PASS_TOL,
+            "pass": bool(violation <= EPS_ND),
+            "tolerance": EPS_ND,
         }
     if "logic" in sections:
         plan = _Plan(p)

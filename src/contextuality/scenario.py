@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .qstate import Distribution, SiteBasis, StateVector, born_weights
+import numpy as np
+
+from .qstate import Distribution, SiteBasis, StateVector, _sums_to_one, born_weights
 
 EPS_ND = 1e-9
 EPS_SUPPORT = 1e-9
@@ -385,18 +387,24 @@ def snap_to_rationals(
     """Attach exact tables when every probability is within tol of a small
     rational and each table's rationals sum to exactly 1; None otherwise.
 
-    The denominator bound is deliberately small: fractions with denominator
-    up to 128 are spaced at least 1/128^2 apart, so a genuinely irrational
-    probability essentially never snaps by accident."""
+    One numpy pass per table takes the first a/q, q <= max_denominator, with
+    |rint(p q)/q - p| <= tol. Fractions with denominators up to N lie at
+    least 1/N^2 apart, so while 2 tol max_denominator^2 < 1 (else
+    ValueError) only the closest, which Fraction.limit_denominator picks,
+    can be within tol; 128 is small, so irrational p essentially never snap."""
+    if not 2 * tol * max_denominator**2 < 1:
+        raise ValueError("snapping needs 2 * tol * max_denominator**2 < 1")
+    q = np.arange(1, max_denominator + 1)
     tables = {}
     for ctx, dist in m.tables.items():
-        exact = {}
-        for key, p in dist.items():
-            frac = Fraction(p).limit_denominator(max_denominator)
-            if abs(float(frac) - p) > tol:
-                return None
-            exact[key] = frac
-        if sum(exact.values()) != 1:
+        p = np.fromiter(dist.values(), float, len(dist))
+        close = np.abs(np.rint(p[:, None] * q) / q - p[:, None]) <= tol
+        if not close.any(axis=1).all():
+            return None
+        q_p = close.argmax(axis=1) + 1
+        fracs = map(Fraction, np.rint(p * q_p).astype(int).tolist(), q_p.tolist())
+        exact = dict(zip(dist.keys(), fracs))
+        if not _sums_to_one(exact.values()):
             return None
         tables[ctx] = Distribution(dict(dist.items()), exact, tol=dist.tol)
     return EmpiricalModel(m.scenario, tables)

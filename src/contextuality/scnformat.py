@@ -37,6 +37,7 @@ from .qstate import (
     Distribution,
     SiteBasis,
     StateVector,
+    _sums_to_one,
     computational_basis,
     diagonal_basis,
 )
@@ -65,7 +66,7 @@ FILE_SUM_TOL = 1e-6
 # amplitudes a state block may declare, the section functions' 2**24 guard
 _MAX_STATE_SIZE = 2**24
 
-_RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
+_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _BASIS_KINDS = ("computational", "diagonal", "explicit")
 
 
@@ -147,14 +148,12 @@ def _parse_prob(tok: Token) -> tuple[float, Fraction | None]:
     text, ln, col = tok
     m = _RATIONAL.match(text)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = int(m.group(1)), int(m.group(2) or 1)
         if den == 0:
             raise ParseError(f"probability {text!r} has a zero denominator", ln, col)
         frac: Fraction | None = Fraction(num, den)
-        value = float(frac)
-    elif re.fullmatch(r"-?\d+", text):
-        frac = Fraction(int(text))
-        value = float(frac)
+        # num / den is float(frac); past 1 it may exceed the float range
+        value = num / den if abs(num) <= den else math.inf
     else:
         try:
             value = float(text)
@@ -511,7 +510,7 @@ class _Parser:
             exact: dict[tuple[str, ...], Fraction] | None = None
             if all(v[1] is not None for v in block.rows.values()):
                 exact = {k: v[1] for k, v in block.rows.items()}
-                if sum(exact.values()) != 1:
+                if not _sums_to_one(exact.values()):
                     exact = None
             try:
                 tables[ctx] = Distribution(probs, exact, tol=FILE_SUM_TOL)

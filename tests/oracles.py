@@ -204,3 +204,24 @@ def certain_implications_nested_sum(m) -> list:
                                 )
                             )
     return sentences
+
+
+def snap_to_rationals_limit_denominator(m, max_denominator=128, tol=1e-9):
+    """snap_to_rationals as one Fraction.limit_denominator call per entry:
+    the closest fraction with denominator at most max_denominator, kept when
+    its float is within tol; each table's fractions must sum to exactly 1."""
+    from contextuality.qstate import Distribution
+    from contextuality.scenario import EmpiricalModel
+
+    tables = {}
+    for ctx, dist in m.tables.items():
+        exact = {}
+        for key, p in dist.items():
+            frac = Fraction(p).limit_denominator(max_denominator)
+            if abs(float(frac) - p) > tol:
+                return None
+            exact[key] = frac
+        if sum(exact.values()) != 1:
+            return None
+        tables[ctx] = Distribution(dict(dist.items()), exact, tol=dist.tol)
+    return EmpiricalModel(m.scenario, tables)

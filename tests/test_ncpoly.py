@@ -36,7 +36,9 @@ from contextuality.scenario import (
 from contextuality.cli import run
 from contextuality.scnformat import parse_file, serialize_model
 
+import ncf_pins
 from conftest import HARDY_CONTEXTS
+from ncf_pins import NOISE_LEVELS, white_noise_odd_cycle
 from oracles import _solve_square, ncf_vertex_enumeration
 
 # regression values, computed with oracles.ncf_vertex_enumeration and pinned
@@ -155,19 +157,24 @@ def test_lp_shape_validation():
 
 
 def test_simplex_box():
-    value, x, basis = simplex(
+    value, x, basis, inverse = simplex(
         np.ones(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 3.0])
     )
     assert value == pytest.approx(5.0, abs=1e-9)
     assert x == pytest.approx((2.0, 3.0), abs=1e-9)
     assert isinstance(x, np.ndarray) and isinstance(basis, np.ndarray)
+    # B = I on the basic columns 0 and 1, in basis order
+    assert basis.tolist() == [0, 1] and inverse.tolist() == [[1, 0], [0, 1]]
     # without rows, a nonpositive objective is optimal at x = 0
-    value, x, basis = simplex(np.array([0.0, -1.0]), np.zeros((0, 2)), np.zeros(0))
+    value, x, basis, inverse = simplex(
+        np.array([0.0, -1.0]), np.zeros((0, 2)), np.zeros(0)
+    )
     assert value == 0 and x.tolist() == [0, 0] and basis.tolist() == []
+    assert inverse.shape == (0, 0)
 
 
 def test_simplex_prefers_the_better_corner():
-    value, _, _ = simplex(
+    value, _, _, _ = simplex(
         np.array([2.0, 1.0]), np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([4.0, 2.0])
     )
     assert value == pytest.approx(6.0, abs=1e-9)
@@ -190,7 +197,7 @@ def test_simplex_survives_the_classic_cycling_program():
         ]
     )
     rhs = np.array([0.0, 0.0, 1.0])
-    value, _, _ = simplex(c, A, rhs)
+    value, _, _, _ = simplex(c, A, rhs)
     assert value == pytest.approx(1.0, abs=1e-9)
     ref = _scipy_reference(c, A, rhs)
     assert value == pytest.approx(-ref.fun, abs=1e-7)
@@ -448,20 +455,6 @@ def _corpus_model(name: str) -> EmpiricalModel:
     return m if m.exact_available else snap_to_rationals(m)
 
 
-def _white_noise_odd_cycle(n: int, v: Fraction) -> EmpiricalModel:
-    m = cycle_empirical_model(n, "odd")
-    tables = {}
-    for ctx, dist in m.tables.items():
-        exact = {
-            tup: v * p + (1 - v) / len(dist.exact)
-            for tup, p in dist.exact.items()
-        }
-        tables[ctx] = Distribution(
-            {tup: float(p) for tup, p in exact.items()}, exact
-        )
-    return EmpiricalModel(m.scenario, tables)
-
-
 def _chained_bell(n: int, phi: float) -> EmpiricalModel:
     """Bell pair (|00> + |11>)/sqrt 2 with S(j+1) measured on qubit j % 2 at
     Bloch angle j*pi/n + phi in the x-z plane: the odd n-cycle's quantum
@@ -481,15 +474,12 @@ def _chained_bell(n: int, phi: float) -> EmpiricalModel:
     return realize(QuantumRealization(state, recipes), sc)
 
 
-NOISE_LEVELS = (Fraction(1), Fraction(9, 10), Fraction(4, 5), Fraction(2, 3))
-
-
 def _pinned_basis_models():
     for name in CORPUS_NCF:
         yield f"corpus {name}", _corpus_model(name)
     for n in range(3, 10):
         for v in NOISE_LEVELS:
-            yield f"odd {n} {v}", _white_noise_odd_cycle(n, v)
+            yield f"odd {n} {v}", white_noise_odd_cycle(n, v)
     for n in (6, 8):
         yield f"chained_bell {n}", _chained_bell(n, 0.3)
 
@@ -545,9 +535,9 @@ def _slack_started(monkeypatch) -> list:
     real_simplex, context_basis = ncpoly.simplex, ncpoly._context_basis
 
     def slack(c, A, rhs):
-        value, x, _ = real_simplex(c, A, rhs)
+        value, x, _, _ = real_simplex(c, A, rhs)
         nrows, n = A.shape
-        return value, x, np.arange(n, n + nrows)
+        return value, x, np.arange(n, n + nrows), np.eye(nrows)
 
     def counted(inc):
         starts.append(inc)
@@ -571,7 +561,7 @@ def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
         assert list(res.witness_exact.items()) == list(witness.items()), name
     for n in range(3, 7):
         for v in NOISE_LEVELS:
-            res = contextual_fraction(_white_noise_odd_cycle(n, v))
+            res = contextual_fraction(white_noise_odd_cycle(n, v))
             expected = min(Fraction(1), n * (1 - v) / 2)
             assert res.ncf_exact == expected, (n, v)
             assert sum(res.witness_exact.values()) == expected
@@ -611,7 +601,7 @@ def test_integer_certificate_pins_exact_fractions(monkeypatch):
             Fraction(2, 3),
             Fraction(2**35 - 1, 2**35),
         ):
-            res = contextual_fraction(_white_noise_odd_cycle(n, v))
+            res = contextual_fraction(white_noise_odd_cycle(n, v))
             expected = min(Fraction(1), n * (1 - v) / 2)
             assert res.ncf_exact == expected, (n, v)
             assert sum(res.witness_exact.values()) == expected
@@ -651,7 +641,7 @@ def test_repair_mends_a_rejected_float_basis_without_a_cold_start(monkeypatch, n
     pivot runs. It is exactly dual feasible, so the pivots start from it and
     _context_basis is never built. The NCF is min(1, n(1 - v)/2) = 1."""
     v = Fraction(1, 3) + Fraction(1, 2**40)
-    m = _white_noise_odd_cycle(n, v)
+    m = white_noise_odd_cycle(n, v)
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     _, P = ncpoly._scaled(p)
@@ -689,7 +679,7 @@ def test_repair_from_the_slack_basis_reproduces_the_pins(monkeypatch):
         assert list(witness_exact.items()) == list(witness.items()), name
     for n in range(3, 10):
         for v in NOISE_LEVELS:
-            m = _white_noise_odd_cycle(n, v)
+            m = white_noise_odd_cycle(n, v)
             value, witness_exact = _slack_repair(m)
             assert value == min(Fraction(1), n * (1 - v) / 2), (n, v)
             assert sum(witness_exact.values()) == value
@@ -728,7 +718,7 @@ def test_repair_pivot_rules_are_pinned():
             ],
         ),
         (
-            _white_noise_odd_cycle(9, Fraction(2, 3)),
+            white_noise_odd_cycle(9, Fraction(2, 3)),
             [
                 (a, twelfth)
                 for a in (
@@ -797,7 +787,7 @@ def test_tiny_optimal_weights_are_validated_and_certified(tmp_path, capsys):
     """At v = 1 - 2/3**20 every optimal weight is below EPS_LP while their
     sum, the NCF n/3**20, is above it for n >= 4."""
     for n in range(4, 8):
-        m = _white_noise_odd_cycle(n, 1 - Fraction(2, 3**20))
+        m = white_noise_odd_cycle(n, 1 - Fraction(2, 3**20))
         res = contextual_fraction(m)
         assert res.ncf_exact == Fraction(n, 3**20)
         assert sum(res.witness_exact.values()) == res.ncf_exact
@@ -880,25 +870,49 @@ def test_adjugate_solve_matches_exact_elimination():
     assert midway > 0
 
 
+def test_core_solve_reads_unimodular_cores_off_the_float_inverse(monkeypatch):
+    """Each unimodular 0/1 system of _square_systems, and one whose
+    right-hand side passes the int64 bound of Ki b, is read off its float
+    inverse without an elimination: the same d, X and adjugate, dtypes
+    included, as _adjugate_solve gives."""
+    cases = [
+        (K, b)
+        for kind, K, b in _square_systems()
+        if kind == "binary" and round(abs(np.linalg.det(K))) == 1
+    ]
+    cases.append((np.array([[1, 1], [0, 1]]), np.array([2**62, 2**62])))
+    expected = [ncpoly._adjugate_solve(K, b) for K, b in cases]
+    eliminated = _eliminations(monkeypatch)
+    for (K, b), (d, X, adj) in zip(cases, expected):
+        got = ncpoly._core_solve(K, b, np.linalg.inv(K))
+        assert got[0] == d == 1
+        for g, e in zip(got[1:], (X, adj)):
+            assert g.dtype == e.dtype and g.tolist() == e.tolist(), K.tolist()
+    assert X.dtype == object
+    assert not eliminated and len(cases) > 5
+
+
 def _basis_starts():
-    """(label, incidence, P, basis): the float-optimal basis and
-    _context_basis of every corpus program and white-noise odd cycle,
-    n = 3..9, seeded random mixes of assignment and slack columns in random
-    order, and a program whose scaled probabilities need Python ints."""
+    """(label, incidence, P, basis, inverse): the float-optimal basis, with
+    the simplex's float B^-1, and _context_basis of every corpus program and
+    white-noise odd cycle, n = 3..9, seeded random mixes of assignment and
+    slack columns in random order, and a program whose scaled probabilities
+    need Python ints; inverse is None but on the float-optimal bases."""
     programs = [(name, _corpus_model(name)) for name in CORPUS_NCF]
     programs += [
-        (f"odd {n} {v}", _white_noise_odd_cycle(n, v))
+        (f"odd {n} {v}", white_noise_odd_cycle(n, v))
         for n in range(3, 10)
         for v in NOISE_LEVELS
     ]
-    programs.append(("huge", _white_noise_odd_cycle(5, Fraction(2**35 - 1, 2**35))))
+    programs.append(("huge", white_noise_odd_cycle(5, Fraction(2**35 - 1, 2**35))))
     rng = np.random.default_rng(1203)
     for label, m in programs:
         inc = incidence(m.scenario)
         p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
         _, P = ncpoly._scaled(p)
-        yield label, inc, P, simplex(*_ncf_lp(m))[2].tolist()
-        yield label, inc, P, ncpoly._context_basis(inc)
+        _, _, basis, inverse = simplex(*_ncf_lp(m))
+        yield label, inc, P, basis.tolist(), inverse
+        yield label, inc, P, ncpoly._context_basis(inc), None
         nrows, n = inc.matrix.shape
         M = np.hstack((inc.matrix, np.eye(nrows)))
         # a random walk from _context_basis that swaps in random columns,
@@ -911,19 +925,41 @@ def _basis_starts():
                 if len(set(trial)) == nrows:
                     if np.linalg.matrix_rank(M[:, trial]) == nrows:
                         basis = trial
-            yield label, inc, P, basis
+            yield label, inc, P, basis, None
         # then one unchecked swap, often singular
         outside = [j for j in range(n + nrows) if j not in basis]
         basis[int(rng.integers(nrows))] = int(rng.choice(outside))
-        yield label, inc, P, basis
+        yield label, inc, P, basis, None
 
 
-def test_basis_system_is_the_eliminated_basis():
+def _eliminations(monkeypatch) -> list:
+    """Records the core of every _adjugate_solve call."""
+    cores = []
+    solve = ncpoly._adjugate_solve
+
+    def counted(K, b):
+        cores.append(K)
+        return solve(K, b)
+
+    monkeypatch.setattr(ncpoly, "_adjugate_solve", counted)
+    return cores
+
+
+def _assert_same_system(got, expected, label) -> None:
+    assert got[0] == expected[0], label
+    assert got[1].dtype == expected[1].dtype, label
+    assert got[1].tolist() == expected[1].tolist(), label
+
+
+def test_basis_system_is_the_eliminated_basis(monkeypatch):
     """The start assembled from the core's elimination is d B^-1 [P | I],
     entry for entry and with the same d, as one elimination of the whole
-    basis B = [A | I][:, basis] gives it; both agree on singular bases."""
-    nonsingular = singular = 0
-    for label, inc, P, basis in _basis_starts():
+    basis B = [A | I][:, basis] gives it; both agree on singular bases.
+    On every float-optimal basis the simplex's B^-1 passes the check and
+    gives the same system, same d and dtype, without an elimination."""
+    eliminated = _eliminations(monkeypatch)
+    nonsingular = singular = certified = 0
+    for label, inc, P, basis, inverse in _basis_starts():
         A = inc.matrix
         M = np.hstack((A, np.eye(len(A), dtype=A.dtype)))
         expected = ncpoly._adjugate_solve(M[:, basis], P)
@@ -938,8 +974,73 @@ def test_basis_system_is_the_eliminated_basis():
         if label == "huge":
             assert P.dtype == object and start[1].dtype == object
         nonsingular += 1
+        if inverse is not None:
+            before = len(eliminated)
+            got = ncpoly._basis_system(A, P, basis, inverse)
+            assert len(eliminated) == before, (label, basis)
+            _assert_same_system(got, start, (label, basis))
+            certified += 1
     assert nonsingular >= 4 * (len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1)
     assert singular >= 10
+    assert certified == len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1
+
+
+def _hardy_start():
+    m = _corpus_model("hardy")
+    inc = incidence(m.scenario)
+    _, P = ncpoly._scaled(
+        [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
+    )
+    _, _, basis, inverse = simplex(*_ncf_lp(m))
+    return inc.matrix, P, basis, inverse
+
+
+def _off_by_one():
+    """Hardy's float B^-1 with one entry of its core block off by one."""
+    A, P, basis, inverse = _hardy_start()
+    n = A.shape[1]
+    N = np.setdiff1d(np.arange(len(A)), basis[basis >= n] - n)
+    inverse = inverse.copy()
+    inverse[np.flatnonzero(basis < n)[0], N[0]] += 1
+    return A, P, basis, inverse
+
+
+def _other_basis():
+    """The float inverse of _context_basis with Hardy's optimal basis."""
+    A, P, basis, _ = _hardy_start()
+    other = ncpoly._context_basis(incidence(_corpus_model("hardy").scenario))
+    M = np.hstack((A, np.eye(len(A))))
+    return A, P, basis, np.linalg.inv(M[:, other])
+
+
+def _det_two():
+    """A 0/1 core with |det K| = 2: its float inverse has entries +-1/2."""
+    K = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.int8)
+    return K, np.array([3, 5, 7]), np.arange(3), np.linalg.inv(K)
+
+
+@pytest.mark.parametrize("case", [_det_two, _off_by_one, _other_basis])
+def test_basis_system_falls_back_to_elimination(monkeypatch, case):
+    """A float inverse that does not round to the core's integer inverse
+    costs one elimination and changes nothing: the system is the one built
+    without an inverse."""
+    A, P, basis, inverse = case()
+    expected = ncpoly._basis_system(A, P, basis)
+    eliminated = _eliminations(monkeypatch)
+    got = ncpoly._basis_system(A, P, basis, inverse)
+    assert len(eliminated) == 1
+    _assert_same_system(got, expected, case.__name__)
+    if case is _det_two:
+        assert got[0] == 2
+
+
+def test_ncf_outputs_are_pinned(tmp_path):
+    """`ncf --format json` on exact-table files, byte for byte, against the
+    SHA-256 digests in ncf_digests.json: white-noise odd cycles, the tie
+    family and the corpus table files."""
+    pins = json.loads(ncf_pins.PINS.read_text())
+    got = {key: ncf_pins.digest(path) for key, path in ncf_pins.pinned_files(tmp_path)}
+    assert got == pins
 
 
 def test_fraction_result_validation():
@@ -993,11 +1094,11 @@ def test_contextual_fraction_builds_no_assignment_tuple(monkeypatch):
     res = contextual_fraction(_chained_bell(n, 0.3))
     assert res.ncf == pytest.approx(n * (1 - np.cos(np.pi / n)) / 2, abs=1e-9)
     assert len(res.witness) > 1
-    res = contextual_fraction(_white_noise_odd_cycle(9, Fraction(4, 5)))
+    res = contextual_fraction(white_noise_odd_cycle(9, Fraction(4, 5)))
     assert res.ncf_exact == Fraction(9, 10)
     starts = _slack_started(monkeypatch)
     pivots = _dual_pivots(monkeypatch)
-    res = contextual_fraction(_white_noise_odd_cycle(5, Fraction(9, 10)))
+    res = contextual_fraction(white_noise_odd_cycle(5, Fraction(9, 10)))
     assert res.ncf_exact == Fraction(1, 4)
     assert len(starts) == 1 and pivots
     assert [inc.matrix.shape[1] for inc in built] == [2**14, 2**9, 2**5]

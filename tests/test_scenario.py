@@ -33,7 +33,7 @@ from contextuality.scenario import (
 )
 
 from conftest import HARDY_CONTEXTS
-from oracles import born_by_projectors
+from oracles import born_by_projectors, snap_to_rationals_limit_denominator
 
 
 # ------------------------------------------------------------------ Scenario
@@ -363,6 +363,79 @@ def test_snap_to_rationals_refuses_irrational(hardy_scenario):
         },
     )
     assert snap_to_rationals(realize(qr, hardy_scenario)) is None
+
+
+def _random_table(rng, k: int, kind: str) -> list[float]:
+    """k probabilities: fractions a/L, L <= 128, summing to 1, moved by
+    up to 1e-9 ("near") or by about tol, just above or below it ("edge");
+    with one fraction swapped for a nearby one of another denominator, so
+    that they miss 1 ("off"); or random floats ("irrational")."""
+    if kind == "irrational":
+        w = rng.uniform(0.01, 1.0, k)
+        return (w / w.sum()).tolist()
+    L = int(rng.integers(1, 129))
+    cuts = np.sort(rng.integers(0, L + 1, k - 1))
+    fracs = [Fraction(int(a), L) for a in np.diff(np.concatenate(([0], cuts, [L])))]
+    if kind == "off":
+        r = int(rng.integers(1, 129))
+        fracs[0] = Fraction(round(fracs[0] * r), r)
+    out = []
+    for f in fracs:
+        if kind == "edge":
+            delta = 1e-9 * float(rng.choice([1 - 2**-20, 1 + 2**-30, 1 + 2**-20, 1 + 1e-6]))
+        else:
+            delta = float(rng.uniform(0.0, 1e-9))
+        # stay inside [0, 1]
+        sign = -1 if f == 1 or (f != 0 and rng.random() < 0.5) else 1
+        out.append(float(f) + sign * delta)
+    return out
+
+
+def test_snap_to_rationals_matches_limit_denominator():
+    """Seeded random tables, one to three per model: the one-pass snap
+    gives what one limit_denominator call per entry gives, None or the same
+    exact tables in the same order."""
+    rng = np.random.default_rng(1501)
+    kinds = ("near", "edge", "off", "irrational")
+    outcomes = {kind: [0, 0] for kind in kinds}
+    for _ in range(600):
+        ntables = int(rng.integers(1, 4))
+        table_kinds = [str(rng.choice(kinds)) for _ in range(ntables)]
+        observables = tuple(
+            Observable(f"X{i}", tuple(str(j) for j in range(int(rng.integers(1, 6)))))
+            for i in range(ntables)
+        )
+        sc = Scenario(observables, tuple((o.label,) for o in observables))
+        tables = {}
+        for o, kind in zip(observables, table_kinds):
+            probs = _random_table(rng, len(o.outcomes), kind)
+            # tol admits the "off" tables, whose floats miss 1 too
+            tables[(o.label,)] = Distribution(
+                {(v,): p for v, p in zip(o.outcomes, probs)}, tol=0.5
+            )
+        m = EmpiricalModel(sc, tables)
+        got, want = snap_to_rationals(m), snap_to_rationals_limit_denominator(m)
+        assert (got is None) == (want is None)
+        if got is not None:
+            for ctx in sc.contexts:
+                assert list(got.tables[ctx].exact.items()) == list(
+                    want.tables[ctx].exact.items()
+                )
+                assert got.tables[ctx].probs == want.tables[ctx].probs
+        if ntables == 1:
+            outcomes[table_kinds[0]][got is None] += 1
+    assert outcomes["near"][0] > 20 and outcomes["irrational"][1] > 20
+    assert min(outcomes["edge"]) > 10 and min(outcomes["off"]) > 5
+
+
+def test_snap_to_rationals_needs_one_fraction_within_tol(hardy_model):
+    """With 2 tol max_denominator**2 >= 1 two fractions can lie within tol
+    of one probability, and the first is not always the closest."""
+    for max_denominator, tol in ((128, 1 / (2 * 128**2)), (2**15, 1e-9), (2, 0.2)):
+        with pytest.raises(ValueError, match="max_denominator"):
+            snap_to_rationals(hardy_model, max_denominator, tol)
+    assert snap_to_rationals(hardy_model, 128, 0.99 / (2 * 128**2)) is not None
+    assert snap_to_rationals(hardy_model, 12, 1e-9) is not None
 
 
 def test_empirical_model_requires_complete_tables(hardy_scenario):

@@ -245,6 +245,9 @@ def test_table_row_errors():
         (head + "  0 a 1/2\n  0 a 1/2\n", "duplicate table row (0 a)", 7, None),
         (head + "  0 a oops\n", "invalid probability literal 'oops'", 6, 7),
         (head + "  0 a 3/2\n", "outside [0, 1]", 6, None),
+        # literals whose quotient exceeds the float range
+        (head + "  0 a " + "9" * 400 + "\n", "outside [0, 1]", 6, None),
+        (head + "  0 a " + "9" * 400 + "/3\n", "outside [0, 1]", 6, None),
         (head + "  0 a -0.25\n", "outside [0, 1]", 6, None),
         (head + "  0 a 1/0\n", "zero denominator", 6, None),
         (head + "  0 a 1/2\n  0 b 1/2\n", "row count mismatch", 5, None),
