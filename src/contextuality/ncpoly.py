@@ -8,9 +8,9 @@ probabilities, row by row. Every row is an upper bound with a nonnegative
 right-hand side, so the slack basis is feasible and the solver needs one
 phase only. The program has few rows and very many columns, so the solver
 is a float64 revised simplex with Bland's rule that takes and returns
-plain arrays: the matrix [A | I] is built once, one product with the duals
-prices every column, and each pivot updates only the m x m basis inverse
-and the basic solution.
+plain arrays: A is made float once, one product y A with the duals y
+prices its columns and -y the slacks, and each pivot updates only the
+m x m basis inverse and the basic solution.
 
 For exact tables one integer routine takes the float-optimal basis B to
 the exact optimum on d B^-1 [P | I], P the scaled probabilities and
@@ -87,34 +87,35 @@ class IncidenceMatrix:
 
 
 def incidence(sc: Scenario) -> IncidenceMatrix:
-    """Column c is the mixed-radix number whose digits, first observable
-    most significant, are the outcome indices of assignment c; its row in a
-    context is the same number read off the context's observables."""
+    """Column c is the mixed-radix number whose digits (one np.indices
+    array), first observable most significant, are the outcome indices of
+    assignment c; its rows in a context are one comparison of the same
+    number read off the context's observables with the row indices, written
+    into a bool matrix exposed as a read-only int8 view."""
     ncols = sc.assignment_space()
     if ncols > MAX_INCIDENCE_COLUMNS:
         raise ValueError(
             f"assignment space {ncols} exceeds the 2**20 incidence guard"
         )
     outcomes = tuple(o.outcomes for o in sc.observables)
-    cols = np.arange(ncols)
-    digits: dict[str, np.ndarray] = {}
-    stride = ncols
-    for o in sc.observables:
-        stride //= len(o.outcomes)
-        digits[o.label] = cols // stride % len(o.outcomes)
-    rows: list[tuple[ContextKey, tuple[str, ...]]] = []
-    hits: list[np.ndarray] = []
+    size = {o.label: len(o.outcomes) for o in sc.observables}
+    digits = np.indices(tuple(size.values()), np.min_scalar_type(max(size.values()) - 1))
+    digit = dict(zip(size, digits.reshape(len(size), ncols)))
+    rows = [(ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)]
+    mat = np.empty((len(rows), ncols), dtype=bool)
+    start = 0
     for ctx in sc.contexts:
-        local = np.zeros(ncols, dtype=np.intp)
-        for l in ctx:
-            local = local * len(sc.observable(l).outcomes) + digits[l]
-        hits.append(len(rows) + local)
-        rows.extend((ctx, tup) for tup in sc.joint_outcomes(ctx))
-    mat = np.zeros((len(rows), ncols), dtype=np.int8)
-    for hit in hits:
-        mat[hit, cols] = 1
-    mat.setflags(write=False)
-    return IncidenceMatrix(tuple(rows), outcomes, mat)
+        k = math.prod(size[l] for l in ctx)
+        local = digit[ctx[0]].astype(np.min_scalar_type(k - 1))
+        for l in ctx[1:]:
+            local *= size[l]
+            local += digit[l]
+        block = mat[start : start + k]
+        np.equal(local, np.arange(k, dtype=local.dtype)[:, None], out=block)
+        start += k
+    view = mat.view(np.int8)
+    view.setflags(write=False)
+    return IncidenceMatrix(tuple(rows), outcomes, view)
 
 
 def simplex(
@@ -125,13 +126,13 @@ def simplex(
     Returns (value, x, basis, B^-1), basis the standard-form column of each
     row, or None when the program is unbounded.
 
-    The matrix M = [A | I] is built once and never pivoted; column n + i is
-    the slack of row i, and the slack basis B = I is feasible since
-    rhs >= 0. aug = B^-1 [rhs | I] holds the basic solution x_B and B^-1.
-    The duals y = c_B B^-1 price every column in one product; the first
-    column with reduced cost above EPS_LP enters, the row with the least
-    ratio leaves, ties within EPS_LP to the least basic column, and the
-    pivot is a rank-one update of aug."""
+    A is made float once and never pivoted; column n + i is the slack of
+    row i, and the slack basis B = I is feasible since rhs >= 0.
+    aug = B^-1 [rhs | I] holds the basic solution x_B and B^-1. The duals
+    y = c_B B^-1 price the columns of A in one product y A and the slacks
+    as -y; the first column with reduced cost above EPS_LP enters, the row
+    with the least ratio leaves, ties within EPS_LP to the least basic
+    column, and the pivot is a rank-one update of aug."""
     A = np.asarray(A)
     rhs = np.asarray(rhs, dtype=float)
     if A.ndim != 2:
@@ -143,35 +144,34 @@ def simplex(
     if (rhs < 0).any():
         raise ValueError("rhs must be nonnegative")
     m, n = A.shape
-    # M takes A as it is, without an intermediate float copy
-    M = np.zeros((m, n + m))
-    M[:, :n] = A
+    # row-major, as y A reads it; a transposed copy takes longer to make
+    Af = np.ascontiguousarray(A, dtype=float)
     basis = np.arange(n, n + m)
-    M[np.arange(m), basis] = 1.0
     aug = np.column_stack((rhs, np.eye(m)))
+    inverse = aug[:, 1:]
     c = np.concatenate((np.asarray(c, dtype=float), np.zeros(m)))
     c_B = c[basis]
+    reduced = np.empty(n + m)
+    priced, slack = reduced[:n], reduced[n:]
+    c_A = c[:n]
     while True:
-        reduced = c - (c_B @ aug[:, 1:]) @ M
+        y = c_B @ inverse
+        np.subtract(c_A, np.matmul(y, Af, out=priced), out=priced)
+        np.negative(y, out=slack)
         reduced[basis] = 0
         positive = reduced > EPS_LP
         enter = int(positive.argmax())
         if not positive[enter]:
             break
-        d = aug[:, 1:] @ M[:, enter]
-        cand = np.flatnonzero(d > EPS_LP)
-        leave = -1
-        best = least = None
+        d = inverse @ Af[:, enter] if enter < n else inverse[:, enter - n]
+        cand = (d > EPS_LP).nonzero()[0]
+        best, least, leave = math.inf, -1, -1
         for i, ratio, b in zip(
             cand.tolist(),
             (aug[cand, 0] / d[cand]).tolist(),
             basis[cand].tolist(),
         ):
-            if (
-                best is None
-                or ratio < best - EPS_LP
-                or (abs(ratio - best) <= EPS_LP and b < least)
-            ):
+            if ratio < best - EPS_LP or (abs(ratio - best) <= EPS_LP and b < least):
                 best, least, leave = ratio, b, i
         if leave < 0:
             return None
@@ -184,7 +184,7 @@ def simplex(
     x[basis] = aug[:, 0]
     # c_B . x_B, summed in column order
     cols = np.sort(basis)
-    return sum((c[cols] * x[cols]).tolist(), 0.0), x[:n], basis, aug[:, 1:]
+    return sum((c[cols] * x[cols]).tolist(), 0.0), x[:n], basis, inverse
 
 
 # --------------------------------------------------- noncontextual fraction

@@ -9,6 +9,7 @@ site most significant, so for site dimensions (d0, d1, ..) the flat index of
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
@@ -277,13 +278,16 @@ class Distribution:
             exact = {tuple(str(x) for x in k): v for k, v in exact.items()}
             if set(exact) != set(clean):
                 raise ValueError("exact table keys do not match float table")
-            for k, frac in exact.items():
-                if abs(frac.numerator / frac.denominator - clean[k]) > EPS_NORM:
-                    raise ValueError(
-                        f"exact value {frac} disagrees with float {clean[k]!r} at {k}"
-                    )
+            _check_exact(clean, exact)
         object.__setattr__(self, "probs", clean)
         object.__setattr__(self, "exact", exact)
+
+    def _with_exact(self, exact: dict[tuple[str, ...], Fraction]) -> Distribution:
+        """Self with exact (same keys and order) attached; reruns only _check_exact."""
+        _check_exact(self.probs, exact)
+        table = copy.copy(self)
+        object.__setattr__(table, "exact", exact)
+        return table
 
     def __getitem__(self, key: tuple[str, ...]) -> float:
         return self.probs[tuple(key)]
@@ -308,6 +312,12 @@ class Distribution:
 
     def values(self):
         return self.probs.values()
+
+
+def _check_exact(probs: dict, exact: dict[tuple[str, ...], Fraction]) -> None:
+    for k, frac in exact.items():
+        if abs(frac.numerator / frac.denominator - probs[k]) > EPS_NORM:
+            raise ValueError(f"exact value {frac} disagrees with float {probs[k]!r} at {k}")
 
 
 def _sums_to_one(fracs: Iterable[Fraction]) -> bool:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,10 +113,7 @@ class Scenario:
         return [tuple(t) for t in itertools.product(*sets)]
 
     def assignment_space(self) -> int:
-        n = 1
-        for o in self.observables:
-            n *= len(o.outcomes)
-        return n
+        return math.prod(len(o.outcomes) for o in self.observables)
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,7 @@ class QuantumRealization:
                         f"recipe for {label!r} uses site {s}, state has "
                         f"{self.state.nsites} sites"
                     )
-            d = 1
-            for s in recipe.sites:
-                d *= self.state.sites[s]
+            d = math.prod(self.state.sites[s] for s in recipe.sites)
             if recipe.basis.dim != d:
                 raise ValueError(
                     f"recipe for {label!r}: basis dimension {recipe.basis.dim} "
@@ -305,25 +301,18 @@ def no_disturbance(
     return worst, list(records)
 
 
-def _no_disturbance(
-    m: EmpiricalModel,
-) -> tuple[float, list[NoDisturbanceRecord]]:
+def _no_disturbance(m: EmpiricalModel) -> tuple[float, list[NoDisturbanceRecord]]:
     records: list[NoDisturbanceRecord] = []
-    contexts = m.scenario.contexts
     worst = 0.0
-    for i in range(len(contexts)):
-        for j in range(i + 1, len(contexts)):
-            shared = tuple(l for l in contexts[i] if l in contexts[j])
-            if not shared:
-                continue
-            mi = marginal(m.tables[contexts[i]], contexts[i], shared)
-            mj = marginal(m.tables[contexts[j]], contexts[j], shared)
-            v = max(
-                abs(mi.get(k, 0.0) - mj.get(k, 0.0))
-                for k in set(mi) | set(mj)
-            )
-            records.append(NoDisturbanceRecord(shared, (contexts[i], contexts[j]), v))
-            worst = max(worst, v)
+    for a, b in itertools.combinations(m.scenario.contexts, 2):
+        shared = tuple(l for l in a if l in b)
+        if not shared:
+            continue
+        mi = marginal(m.tables[a], a, shared)
+        mj = marginal(m.tables[b], b, shared)
+        v = max(abs(mi.get(k, 0.0) - mj.get(k, 0.0)) for k in set(mi) | set(mj))
+        records.append(NoDisturbanceRecord(shared, (a, b), v))
+        worst = max(worst, v)
     return worst, records
 
 
@@ -406,5 +395,5 @@ def snap_to_rationals(
         exact = dict(zip(dist.keys(), fracs))
         if not _sums_to_one(exact.values()):
             return None
-        tables[ctx] = Distribution(dict(dist.items()), exact, tol=dist.tol)
+        tables[ctx] = dist._with_exact(exact)
     return EmpiricalModel(m.scenario, tables)

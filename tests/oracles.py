@@ -225,3 +225,58 @@ def snap_to_rationals_limit_denominator(m, max_denominator=128, tol=1e-9):
             return None
         tables[ctx] = Distribution(dict(dist.items()), exact, tol=dist.tol)
     return EmpiricalModel(m.scenario, tables)
+
+
+def simplex_identity_block(c, A, rhs):
+    """The float revised simplex with Bland's rule on M = [A | I], as
+    ncpoly.simplex was before it priced on A alone: every column priced by
+    one product y M, the entering column read as B^-1 M[:, enter]. The
+    reference that pins ncpoly.simplex's pivot path, value, x, basis and
+    B^-1 bit for bit; the caller validates the arguments."""
+    import numpy as np
+
+    from contextuality.ncpoly import EPS_LP
+
+    A = np.asarray(A)
+    rhs = np.asarray(rhs, dtype=float)
+    m, n = A.shape
+    M = np.zeros((m, n + m))
+    M[:, :n] = A
+    basis = np.arange(n, n + m)
+    M[np.arange(m), basis] = 1.0
+    aug = np.column_stack((rhs, np.eye(m)))
+    c = np.concatenate((np.asarray(c, dtype=float), np.zeros(m)))
+    c_B = c[basis]
+    while True:
+        reduced = c - (c_B @ aug[:, 1:]) @ M
+        reduced[basis] = 0
+        positive = reduced > EPS_LP
+        enter = int(positive.argmax())
+        if not positive[enter]:
+            break
+        d = aug[:, 1:] @ M[:, enter]
+        cand = np.flatnonzero(d > EPS_LP)
+        leave = -1
+        best = least = None
+        for i, ratio, b in zip(
+            cand.tolist(),
+            (aug[cand, 0] / d[cand]).tolist(),
+            basis[cand].tolist(),
+        ):
+            if (
+                best is None
+                or ratio < best - EPS_LP
+                or (abs(ratio - best) <= EPS_LP and b < least)
+            ):
+                best, least, leave = ratio, b, i
+        if leave < 0:
+            return None
+        pr = aug[leave] / d[leave]
+        aug -= d[:, None] * pr
+        aug[leave] = pr
+        basis[leave] = enter
+        c_B[leave] = c[enter]
+    x = np.zeros(n + m)
+    x[basis] = aug[:, 0]
+    cols = np.sort(basis)
+    return sum((c[cols] * x[cols]).tolist(), 0.0), x[:n], basis, aug[:, 1:]

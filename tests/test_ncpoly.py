@@ -39,7 +39,7 @@ from contextuality.scnformat import parse_file, serialize_model
 import ncf_pins
 from conftest import HARDY_CONTEXTS
 from ncf_pins import NOISE_LEVELS, white_noise_odd_cycle
-from oracles import _solve_square, ncf_vertex_enumeration
+from oracles import _solve_square, ncf_vertex_enumeration, simplex_identity_block
 
 # regression values, computed with oracles.ncf_vertex_enumeration and pinned
 HARDY_NCF = Fraction(5, 6)
@@ -102,10 +102,30 @@ def test_incidence_restriction_is_the_membership_rule(hardy_scenario):
     _assert_membership_rule(incidence(hardy_scenario), hardy_scenario)
 
 
+def _random_scenario(rng) -> Scenario:
+    """1-5 observables of 1-4 outcomes; distinct contexts of 1-3
+    observables in random order, drawn until every observable is in one."""
+    k = int(rng.integers(1, 6))
+    observables = tuple(
+        Observable(f"X{i}", tuple(f"x{i}{j}" for j in range(int(rng.integers(1, 5)))))
+        for i in range(k)
+    )
+    contexts: list[tuple[str, ...]] = []
+    while (
+        {l for ctx in contexts for l in ctx} != {o.label for o in observables}
+        or len(contexts) < min(k, 3)
+    ):
+        size = int(rng.integers(1, min(k, 3) + 1))
+        ctx = tuple(f"X{i}" for i in rng.permutation(k)[:size])
+        if frozenset(ctx) not in map(frozenset, contexts):
+            contexts.append(ctx)
+    return Scenario(observables, tuple(contexts))
+
+
 def test_incidence_membership_rule_mixed_radix():
     # radices 2, 3 and 4; context ("C", "A") lists its observables out of
     # declaration order
-    sc = Scenario(
+    fixed = Scenario(
         (
             Observable("A", ("a0", "a1")),
             Observable("B", ("b0", "b1", "b2")),
@@ -113,16 +133,31 @@ def test_incidence_membership_rule_mixed_radix():
         ),
         (("A", "B"), ("C", "A"), ("B", "C"), ("C",)),
     )
-    inc = incidence(sc)
-    assert inc.assignments == tuple(
-        itertools.product(*[o.outcomes for o in sc.observables])
-    )
-    assert inc.rows == tuple(
-        (ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)
-    )
-    assert inc.matrix.shape == (6 + 8 + 12 + 4, 24)
-    _assert_membership_rule(inc, sc)
-    assert all(inc.matrix.sum(axis=0) == len(sc.contexts))
+    assert incidence(fixed).matrix.shape == (6 + 8 + 12 + 4, 24)
+    # and seeded random scenarios: radix 1, contexts out of scenario order,
+    # observables shared by several contexts
+    rng = np.random.default_rng(1601)
+    scenarios = [fixed] + [_random_scenario(rng) for _ in range(120)]
+    unordered = shared = 0
+    for sc in scenarios:
+        labels = [o.label for o in sc.observables]
+        unordered += any(list(c) != sorted(c, key=labels.index) for c in sc.contexts)
+        shared += any(sum(l in c for c in sc.contexts) > 1 for l in labels)
+    assert unordered > 60 and shared > 80
+    assert any(len(o.outcomes) == 1 for sc in scenarios for o in sc.observables)
+    for sc in scenarios:
+        inc = incidence(sc)
+        assert inc.assignments == tuple(
+            itertools.product(*[o.outcomes for o in sc.observables])
+        )
+        assert inc.rows == tuple(
+            (ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)
+        )
+        assert inc.matrix.shape == (len(inc.rows), sc.assignment_space())
+        assert inc.matrix.dtype == np.int8
+        assert not inc.matrix.flags.writeable
+        _assert_membership_rule(inc, sc)
+        assert all(inc.matrix.sum(axis=0) == len(sc.contexts))
 
 
 def test_incidence_cycle_shape():
@@ -501,6 +536,54 @@ def test_simplex_pivot_path_is_pinned():
         res = contextual_fraction(models[f"chained_bell {n}"])
         assert res.ncf_exact is None
         assert res.ncf == pytest.approx(n * (1 - np.cos(np.pi / n)) / 2)
+
+
+def _bits(result) -> tuple | None:
+    """simplex's (value, x, basis, B^-1) as bytes, so that equal means bit
+    for bit, the sign of a zero included."""
+    if result is None:
+        return None
+    value, x, basis, inverse = result
+    return (
+        np.float64(value).tobytes(),
+        x.dtype, x.shape, x.tobytes(),
+        basis.tolist(),
+        inverse.dtype, inverse.shape, inverse.tobytes(),
+    )
+
+
+def _degenerate_program(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A small program with 0/1 or integer entries, zero right-hand sides
+    and repeated columns, so that Bland's tie-breaks decide the path."""
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+    if rng.random() < 0.5:
+        A = rng.integers(0, 2, size=(m, n))
+    else:
+        A = rng.integers(-2, 4, size=(m, n))
+    copies = rng.integers(0, n, size=int(rng.integers(0, n)))
+    A[:, copies] = A[:, rng.integers(0, n, size=len(copies))]
+    rhs = rng.integers(0, 4, size=m) * (rng.random(m) < 0.6)
+    c = rng.integers(-1, 3, size=n)
+    return c.astype(float), A.astype(rng.choice([np.int8, np.float64])), rhs.astype(float)
+
+
+def test_simplex_is_the_identity_block_simplex_bit_for_bit():
+    """Pricing on A with the slacks priced as -y, and a slack's entering
+    column read off B^-1, give what the [A | I] simplex in oracles gave:
+    the same value, x, basis and B^-1, bit for bit, on the pinned NCF
+    programs, the long Bland path of the 7-cycle at v = 1/3 + 2**-40 and
+    seeded degenerate programs."""
+    programs = [_ncf_lp(m) for _, m in _pinned_basis_models()]
+    programs.append(_ncf_lp(white_noise_odd_cycle(7, ncf_pins.TIE)))
+    rng = np.random.default_rng(1602)
+    programs += [_degenerate_program(rng) for _ in range(300)]
+    unbounded = moved = 0
+    for c, A, rhs in programs:
+        got = simplex(c, A, rhs)
+        assert _bits(got) == _bits(simplex_identity_block(c, A, rhs))
+        unbounded += got is None
+        moved += got is not None and (got[2] < len(c)).any()
+    assert unbounded > 20 and moved > 200
 
 
 def _dual_pivots(monkeypatch) -> list[int]:

@@ -441,3 +441,31 @@ def test_snap_to_rationals_needs_one_fraction_within_tol(hardy_model):
 def test_empirical_model_requires_complete_tables(hardy_scenario):
     with pytest.raises(ValueError, match="missing table"):
         EmpiricalModel(hardy_scenario, {})
+
+
+def test_snap_to_rationals_rebuilds_no_float_table(hardy_model, monkeypatch):
+    """The exact tables ride on the float tables as they are, without
+    rerunning Distribution's float checks; the one check that can still
+    fail, each exact value against its float within EPS_NORM, fails with
+    the constructor's message once tol admits a fraction farther off."""
+    sc = Scenario((Observable("X", ("0", "1")),), (("X",),))
+    table = Distribution({("0",): 0.5 + 1e-6, ("1",): 0.5 - 1e-6})
+    m = EmpiricalModel(sc, {("X",): table})
+    with pytest.raises(ValueError) as built:
+        Distribution(dict(table.items()), {k: Fraction(1, 2) for k in table})
+    with pytest.raises(ValueError) as snapped:
+        snap_to_rationals(m, 2, 1e-5)
+    assert str(snapped.value) == str(built.value)
+    assert "disagrees" in str(built.value)
+    assert snap_to_rationals(m, 2, 1e-6 / 2) is None
+    calls = []
+    check = Distribution.__post_init__
+    monkeypatch.setattr(
+        Distribution, "__post_init__", lambda d: calls.append(d) or check(d)
+    )
+    exact = snap_to_rationals(hardy_model)
+    assert calls == []
+    assert exact == snap_to_rationals_limit_denominator(hardy_model)
+    for ctx, dist in exact.tables.items():
+        assert dist.probs == hardy_model.tables[ctx].probs
+        assert list(dist.exact) == list(dist.probs)
