@@ -164,7 +164,8 @@ def _load(ns) -> tuple[str, str]:
         )
         return text, fname[: -len(".scn")]
     path = Path(ns.file)
-    return path.read_text(encoding="utf-8"), path.stem
+    # utf-8-sig drops a byte order mark
+    return path.read_text(encoding="utf-8-sig"), path.stem
 
 
 def _model_of(f, name: str):

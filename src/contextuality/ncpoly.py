@@ -13,13 +13,13 @@ prices its columns and -y the slacks, and each pivot updates only the
 m x m basis inverse and the basic solution.
 
 For exact tables one integer routine takes the float-optimal basis B to
-the exact optimum on d B^-1 [P | I], P the scaled probabilities and
-d = |det K| for the square 0/1 core K of B. The float B^-1 holds K^-1 as a
-block; rounded, it is accepted when K times it is exactly I, so d = 1.
-Else a fraction-free (Bareiss) elimination of K runs, int64 while every
-entry is below 2**31 and Python ints otherwise. If B is not exactly dual
-feasible, a basis that always is replaces it; exact dual-simplex pivots
-with Bland's rule then run while the primal is infeasible.
+the exact optimum on d B^-1 [P | I], P the scaled probabilities and d = 1
+at the start, which is read off the float B^-1: rounded, it is accepted
+when B times it is exactly I, so |det B| = 1. If it is not, or B is not
+exactly dual feasible, a basis that always is, with B^-1 = 2I - B, replaces
+it; exact dual-simplex pivots with Bland's rule then run while the primal
+is infeasible, int64 while every entry is below 2**31 and Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def _validate_witness(
 
 
 # int64 arithmetic is exact while every operand's magnitude stays below this:
-# an elimination step forms pv * a - f * w, two products below 2**62
+# a pivot forms pv * a - f * w, two products below 2**62
 _INT64_SAFE = 2**31
 
 
@@ -269,45 +269,6 @@ def _pivot(
     return piv, _widen(aug)
 
 
-def _adjugate_solve(
-    K: np.ndarray, b: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of [K | b | I] for a
-    square integer K, one _pivot per column. Returns (d, X, adj) with
-    d = |det K| > 0, K X = d b and K adj = d I, so adj is the adjugate of K
-    up to its sign; None when K is singular."""
-    k = len(K)
-    aug = _widen(np.hstack((K, b.reshape(k, 1), np.eye(k, dtype=np.int64))))
-    d = 1
-    for c in range(k):
-        nonzero = aug[c:, c].nonzero()[0]
-        if not nonzero.size:
-            return None
-        piv = c + int(nonzero[0])
-        if piv != c:
-            aug[[c, piv]] = aug[[piv, c]]
-        d, aug = _pivot(aug, aug[:, c], c, d)
-    return d, aug[:, k], aug[:, k + 1 :]
-
-
-def _core_solve(
-    K: np.ndarray, b: np.ndarray, inverse: np.ndarray | None
-) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """_adjugate_solve(K, b) for the 0/1 core K, read off its float inverse
-    when that rounds to an integer Ki with K Ki = I exactly: then
-    |det K| = 1, Ki = K^-1 and the result is (1, Ki b, Ki)."""
-    # NaN fails too; below 2**31, K Ki stays far inside int64
-    if inverse is None or not np.abs(inverse).max(initial=0.0) < _INT64_SAFE:
-        return _adjugate_solve(K, b)
-    Ki = np.rint(inverse).astype(np.int64)
-    if not np.array_equal(K @ Ki, np.eye(len(K), dtype=np.int64)):
-        return _adjugate_solve(K, b)
-    bound = len(K) * int(np.abs(Ki).max(initial=0)) * int(np.abs(b).max(initial=0))
-    # int64 while no sum of products can overflow, else Python ints in both
-    X = _widen(Ki @ (b if bound < 2**63 else b.astype(object)))
-    return 1, X, Ki.astype(X.dtype, copy=False)
-
-
 def _scaled(p: Sequence[Fraction]) -> tuple[int, np.ndarray]:
     """(scale, P) with P = p * scale integral, scale the lcm of the
     denominators; P is int64 while its entries are below _INT64_SAFE."""
@@ -321,8 +282,9 @@ def _context_basis(inc: IncidenceMatrix) -> list[int]:
     """A basis that is always dual feasible: for each row of the first
     context the first assignment column hitting it, and the slacks of every
     other row. Every assignment hits exactly one row of a context, so the
-    duals are 1 on the first context and 0 elsewhere, every reduced cost is
-    0 or -1, and the core is the identity."""
+    duals are 1 on the first context and 0 elsewhere, and every reduced cost
+    is 0 or -1. B = I + N with N nonzero only on the first context's columns
+    and the other rows, so N N = 0 and B^-1 = 2I - B exactly."""
     A = inc.matrix
     nrows, n = A.shape
     first = sum(1 for ctx, _ in inc.rows if ctx == inc.rows[0][0])
@@ -330,36 +292,34 @@ def _context_basis(inc: IncidenceMatrix) -> list[int]:
     return heads + list(range(n + first, n + nrows))
 
 
+def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """B = [A | I][:, basis] as a float 0/1 matrix."""
+    n = A.shape[1]
+    B = np.zeros((len(A), len(basis)))
+    at_A = basis < n
+    B[:, at_A] = A[:, basis[at_A]]
+    B[basis[~at_A] - n, (~at_A).nonzero()[0]] = 1
+    return B
+
+
 def _basis_system(
-    A: np.ndarray, P: np.ndarray, basis: np.ndarray, inverse: np.ndarray | None = None
-) -> tuple[int, np.ndarray] | None:
-    """(d, d B^-1 [P | I]) for B = [A | I][:, basis], d = |det B|, rows in
-    basis order; None when B is singular. With S the basic assignment
-    columns, T the rows whose slack is basic and N the others, B is block
-    triangular over the core K = A[N, S]: with X = d K^-1 P_N and
-    adj = d K^-1, the row at S is [X | adj on N, 0 on T] and the row at the
-    slack of t is [d P_t - A[t, S] X | -A[t, S] adj on N, d on t]."""
-    nrows, n = A.shape
-    basis = np.asarray(basis)
-    at_S = np.flatnonzero(basis < n)
-    at_T = np.flatnonzero(basis >= n)
-    S, T = basis[at_S], basis[at_T] - n
-    N = np.delete(np.arange(nrows), T)
-    K_inv = None if inverse is None else inverse[at_S][:, N]
-    solved = _core_solve(A[N][:, S], P[N], K_inv)
-    if solved is None:
+    A: np.ndarray, P: np.ndarray, basis: np.ndarray, inverse: np.ndarray
+) -> np.ndarray | None:
+    """B^-1 [P | I] for B = [A | I][:, basis], rows in basis order, read off
+    the float inverse: its rounding R is B^-1 when B R = I exactly, which
+    needs |det B| = 1. None otherwise, so also when B is singular. With
+    |R| < 2**31 every partial sum of B R is below m 2**31 < 2**53, so the
+    float64 product is exact; a NaN fails the bound."""
+    if not np.abs(inverse).max(initial=0.0) < _INT64_SAFE:
         return None
-    d, X, adj = solved
-    top = np.column_stack((X, adj))
-    # d and P_T are below 2**31 when int64, so d P_T cannot overflow
-    bottom = -(A[T][:, S] @ top)
-    bottom[:, 0] += d * P[T].astype(X.dtype)
-    aug = np.zeros((nrows, nrows + 1), dtype=X.dtype)
-    cols = np.concatenate(([0], N + 1))
-    aug[at_S[:, None], cols] = top
-    aug[at_T[:, None], cols] = bottom
-    aug[at_T, T + 1] = d
-    return d, _widen(aug)
+    R = np.rint(inverse)
+    if not np.array_equal(_basis_matrix(A, basis) @ R, np.eye(len(R))):
+        return None
+    R = R.astype(np.int64)
+    bound = len(R) * int(np.abs(R).max(initial=0)) * int(np.abs(P).max(initial=0))
+    # int64 while no sum of products can overflow, else Python ints
+    RP = R @ (P if bound < 2**63 else P.astype(object))
+    return _widen(np.column_stack((RP, R)))
 
 
 def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -373,29 +333,28 @@ def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _exact_optimum(
-    inc: IncidenceMatrix, p: Sequence[Fraction], basis: np.ndarray,
-    inverse: np.ndarray | None = None,
+    inc: IncidenceMatrix, p: Sequence[Fraction], basis: np.ndarray, inverse: np.ndarray
 ) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
     """The exact optimum and witness for the exact probabilities p, from
-    the float-optimal basis and B^-1, or from _context_basis when that basis
-    is not exactly dual feasible. Dual-simplex pivots with Bland's rule run
-    while the primal (column 0 of aug = d B^-1 [P | I]) is infeasible: the
-    leaving row is the negative basic value with the least basic column; the
-    entering column has the least ratio of reduced cost to pivot-row entry
-    among the entries below 0, ties to the least column. Each pivot keeps
-    the dual feasible, so the first primal feasible basis is optimal."""
+    the float-optimal basis and its float B^-1, or from _context_basis when
+    that B^-1 does not round to the exact one or the basis is not exactly
+    dual feasible. Dual-simplex pivots with Bland's rule run while the
+    primal (column 0 of aug = d B^-1 [P | I], d = 1 at the start) is
+    infeasible: the leaving row is the negative basic value with the least
+    basic column; the entering column has the least ratio of reduced cost
+    to pivot-row entry among the entries below 0, ties to the least column.
+    Each pivot keeps the dual feasible, so the first primal feasible basis
+    is optimal."""
     A = inc.matrix
     n = A.shape[1]
     scale, P = _scaled(p)
     basis = np.array(basis)
-    start = _basis_system(A, P, basis, inverse)
-    # the scaled dual is the sum of the rows of d B^-1 at basic assignments
-    if start is None or (
-        _priced(start[0], start[1][basis < n, 1:].sum(axis=0), A) > 0
-    ).any():
+    aug = _basis_system(A, P, basis, inverse)
+    # the dual is the sum of the rows of B^-1 at basic assignments
+    if aug is None or (_priced(1, aug[basis < n, 1:].sum(axis=0), A) > 0).any():
         basis = np.array(_context_basis(inc))
-        start = _basis_system(A, P, basis)
-    d, aug = start
+        aug = _basis_system(A, P, basis, 2 * np.eye(len(A)) - _basis_matrix(A, basis))
+    d = 1
     while (aug[:, 0] < 0).any():
         neg = np.flatnonzero(aug[:, 0] < 0)
         r = int(neg[basis[neg].argmin()])

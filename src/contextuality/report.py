@@ -271,6 +271,8 @@ def model_report(
     assumption_sets: Sequence[str] = DEFAULT_ASSUMPTION_SETS,
     sections: frozenset[str] = ALL_SECTIONS,
 ) -> AnalysisReport:
+    if unknown := sections - ALL_SECTIONS:
+        raise ValueError(f"unknown report sections: {', '.join(sorted(unknown))}")
     work = _work_model(m)
     # the support is built only for the sections that read it; a degenerate
     # model is rejected either way

@@ -49,10 +49,13 @@ def covered_events(p, sections) -> dict:
     }
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact Gaussian elimination; None when singular."""
+def _solve_square(rows: list[list[Fraction]], rhs: list):
+    """Exact Gauss-Jordan elimination; None when singular. rhs holds one
+    Fraction per row, or one list of them per row for several right-hand
+    sides, and the solution has the same shape."""
     k = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    many = bool(rhs) and isinstance(rhs[0], list)
+    aug = [list(r) + (list(b) if many else [b]) for r, b in zip(rows, rhs)]
     for col in range(k):
         pivot = next(
             (r for r in range(col, k) if aug[r][col] != 0), None
@@ -61,12 +64,14 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
         pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        if pv != 1:
+            aug[col] = [x / pv for x in aug[col]]
         for r in range(k):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+                # zeros of the pivot row leave an entry as it is
+                aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
+    return [aug[r][k:] if many else aug[r][k] for r in range(k)]
 
 
 def ncf_vertex_enumeration(model) -> tuple[Fraction, dict]:

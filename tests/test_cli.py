@@ -460,3 +460,30 @@ def test_support_is_built_only_for_the_sections_that_read_it(monkeypatch):
             "degenerate model\n"
         )
     assert calls == [0.9]
+
+
+def test_deep_chain_is_a_located_parse_error(tmp_path):
+    """Five computational agents on one qubit: the fourth would make the
+    compound dimension 2**16, past the chain guard."""
+    path = tmp_path / "deep.scn"
+    chains = "".join(f"chain F{k} basis computational\n" for k in range(5))
+    path.write_text(f"scenario deep\n\nstate 2\n  amp 0 1.0 0.0\n\n{chains}")
+    assert call(["analyze", str(path)]) == (
+        2,
+        "",
+        "error: line 9: chain agent 'F3' makes the compound dimension 65536, "
+        "above the 2**10 chain guard\n",
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "ncf", "cycles"])
+def test_byte_order_mark_is_dropped(tmp_path, command):
+    """A file saved with a UTF-8 byte order mark reads as the same file."""
+    text = (DATA_DIR / "hardy.scn").read_text(encoding="utf-8")
+    plain, marked = tmp_path / "hardy.scn", tmp_path / "marked" / "hardy.scn"
+    marked.parent.mkdir()
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    got = call([command, str(marked), "--format", "json"])
+    assert got[0] == 0 and got == call([command, str(plain), "--format", "json"])

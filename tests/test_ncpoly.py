@@ -588,25 +588,15 @@ def test_simplex_is_the_identity_block_simplex_bit_for_bit():
 
 def _dual_pivots(monkeypatch) -> list[int]:
     """Records the leaving row of every dual-simplex pivot of the exact
-    routine: each _pivot call made outside _adjugate_solve's elimination."""
+    routine."""
     pivots = []
-    eliminating = []
-    pivot, solve = ncpoly._pivot, ncpoly._adjugate_solve
+    pivot = ncpoly._pivot
 
     def counted(aug, col, r, d):
-        if not eliminating:
-            pivots.append(r)
+        pivots.append(r)
         return pivot(aug, col, r, d)
 
-    def marked(K, b):
-        eliminating.append(K)
-        try:
-            return solve(K, b)
-        finally:
-            eliminating.pop()
-
     monkeypatch.setattr(ncpoly, "_pivot", counted)
-    monkeypatch.setattr(ncpoly, "_adjugate_solve", marked)
     return pivots
 
 
@@ -675,7 +665,7 @@ def test_integer_certificate_pins_exact_fractions(monkeypatch):
         # same entries in the same (column) order
         assert list(res.witness_exact.items()) == list(witness.items()), name
     # at v = (2**35-1)/2**35 the scaled right-hand sides exceed 2**31, so the
-    # elimination runs on Python ints
+    # start system is built in Python ints
     for n in range(3, 8):
         for v in (
             Fraction(1),
@@ -699,7 +689,7 @@ def _slack_repair(m: EmpiricalModel):
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     nrows, n = inc.matrix.shape
-    return ncpoly._exact_optimum(inc, p, tuple(range(n, n + nrows)))
+    return ncpoly._exact_optimum(inc, p, tuple(range(n, n + nrows)), np.eye(nrows))
 
 
 def _assert_exactly_feasible(m: EmpiricalModel, witness) -> None:
@@ -728,8 +718,8 @@ def test_repair_mends_a_rejected_float_basis_without_a_cold_start(monkeypatch, n
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     _, P = ncpoly._scaled(p)
-    basis = simplex(*_ncf_lp(m))[2].tolist()
-    _, aug = ncpoly._basis_system(inc.matrix, P, basis)
+    _, _, basis, inverse = simplex(*_ncf_lp(m))
+    aug = ncpoly._basis_system(inc.matrix, P, basis, inverse)
     assert (aug[:, 0] < 0).any()
 
     def cold(inc):
@@ -880,107 +870,20 @@ def test_tiny_optimal_weights_are_validated_and_certified(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
-def _det(rows) -> Fraction:
-    """Determinant by exact Gaussian elimination over Fractions."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    k = len(a)
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, k):
-            f = a[r][col] / a[col][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _square_systems():
-    """Seeded random square systems: 0/1 and small signed entries of sizes
-    1-12 (singular ones by a repeated or summed row), and entries between
-    2**31 and 2**62."""
-    rng = np.random.default_rng(20170504)
-    for size in range(1, 13):
-        for kind in ("binary", "signed", "huge"):
-            for trial in range(4):
-                if kind == "binary":
-                    K = rng.integers(0, 2, (size, size))
-                    b = rng.integers(0, 1000, size)
-                elif kind == "signed":
-                    K = rng.integers(-3, 4, (size, size))
-                    b = rng.integers(-1000, 1000, size)
-                else:
-                    K = rng.integers(2**31, 2**62, (size, size))
-                    K *= rng.choice((-1, 1), (size, size))
-                    b = rng.integers(-(2**62), 2**62, size)
-                if trial == 3 and size > 1:
-                    K[-1] = K[0] if size == 2 or kind == "huge" else K[0] + K[1]
-                yield kind, K.astype(np.int64), b.astype(np.int64)
-
-
-def test_adjugate_solve_matches_exact_elimination():
-    singular = midway = 0
-    for kind, K, b in _square_systems():
-        rows = K.tolist()
-        expected = _solve_square(
-            [[Fraction(v) for v in row] for row in rows],
-            [Fraction(v) for v in b.tolist()],
-        )
-        solved = ncpoly._adjugate_solve(K, b)
-        if expected is None:
-            assert solved is None, rows
-            singular += 1
-            continue
-        d, X, adj = solved
-        assert d == abs(_det(rows)), rows
-        assert [Fraction(v, d) for v in X.tolist()] == expected, rows
-        # K adj = d I, exactly
-        k = len(K)
-        assert (K.astype(object) @ adj.astype(object)).tolist() == [
-            [d if i == j else 0 for j in range(k)] for i in range(k)
-        ]
-        if kind == "huge":
-            assert X.dtype == object and adj.dtype == object
-        if kind == "binary":
-            assert X.dtype == np.int64 and adj.dtype == np.int64
-        # small signed entries whose minors pass 2**31 after a few steps
-        midway += kind == "signed" and X.dtype == object
-    assert singular >= 30
-    assert midway > 0
-
-
-def test_core_solve_reads_unimodular_cores_off_the_float_inverse(monkeypatch):
-    """Each unimodular 0/1 system of _square_systems, and one whose
-    right-hand side passes the int64 bound of Ki b, is read off its float
-    inverse without an elimination: the same d, X and adjugate, dtypes
-    included, as _adjugate_solve gives."""
-    cases = [
-        (K, b)
-        for kind, K, b in _square_systems()
-        if kind == "binary" and round(abs(np.linalg.det(K))) == 1
-    ]
-    cases.append((np.array([[1, 1], [0, 1]]), np.array([2**62, 2**62])))
-    expected = [ncpoly._adjugate_solve(K, b) for K, b in cases]
-    eliminated = _eliminations(monkeypatch)
-    for (K, b), (d, X, adj) in zip(cases, expected):
-        got = ncpoly._core_solve(K, b, np.linalg.inv(K))
-        assert got[0] == d == 1
-        for g, e in zip(got[1:], (X, adj)):
-            assert g.dtype == e.dtype and g.tolist() == e.tolist(), K.tolist()
-    assert X.dtype == object
-    assert not eliminated and len(cases) > 5
+def _float_inverse(B: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(B), or NaN where it finds B singular."""
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return np.full(B.shape, np.nan)
 
 
 def _basis_starts():
-    """(label, incidence, P, basis, inverse): the float-optimal basis, with
-    the simplex's float B^-1, and _context_basis of every corpus program and
-    white-noise odd cycle, n = 3..9, seeded random mixes of assignment and
-    slack columns in random order, and a program whose scaled probabilities
-    need Python ints; inverse is None but on the float-optimal bases."""
+    """(label, incidence, P, basis, inverse) on every corpus program, every
+    white-noise odd cycle, n = 3..9, and a program whose scaled
+    probabilities need Python ints: the float-optimal basis with the
+    simplex's B^-1, _context_basis with 2I - B, and seeded random mixes of
+    assignment and slack columns in random order with np.linalg.inv's."""
     programs = [(name, _corpus_model(name)) for name in CORPUS_NCF]
     programs += [
         (f"odd {n} {v}", white_noise_odd_cycle(n, v))
@@ -994,127 +897,222 @@ def _basis_starts():
         p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
         _, P = ncpoly._scaled(p)
         _, _, basis, inverse = simplex(*_ncf_lp(m))
-        yield label, inc, P, basis.tolist(), inverse
-        yield label, inc, P, ncpoly._context_basis(inc), None
+        yield label, inc, P, basis, inverse
         nrows, n = inc.matrix.shape
         M = np.hstack((inc.matrix, np.eye(nrows)))
+        basis = np.array(ncpoly._context_basis(inc))
+        yield label, inc, P, basis, 2 * np.eye(nrows) - M[:, basis]
         # a random walk from _context_basis that swaps in random columns,
         # skipping swaps that make the basis singular
-        basis = rng.permutation(ncpoly._context_basis(inc)).tolist()
+        basis = rng.permutation(basis)
         for walk in range(2):
             for step in range(nrows):
-                trial = list(basis)
-                trial[int(rng.integers(nrows))] = int(rng.integers(n + nrows))
-                if len(set(trial)) == nrows:
+                trial = basis.copy()
+                trial[rng.integers(nrows)] = rng.integers(n + nrows)
+                if len(set(trial.tolist())) == nrows:
                     if np.linalg.matrix_rank(M[:, trial]) == nrows:
                         basis = trial
-            yield label, inc, P, basis, None
+            yield label, inc, P, basis, _float_inverse(M[:, basis])
         # then one unchecked swap, often singular
-        outside = [j for j in range(n + nrows) if j not in basis]
-        basis[int(rng.integers(nrows))] = int(rng.choice(outside))
-        yield label, inc, P, basis, None
+        outside = np.setdiff1d(np.arange(n + nrows), basis)
+        basis[rng.integers(nrows)] = rng.choice(outside)
+        yield label, inc, P, basis, _float_inverse(M[:, basis])
 
 
-def _eliminations(monkeypatch) -> list:
-    """Records the core of every _adjugate_solve call."""
-    cores = []
-    solve = ncpoly._adjugate_solve
-
-    def counted(K, b):
-        cores.append(K)
-        return solve(K, b)
-
-    monkeypatch.setattr(ncpoly, "_adjugate_solve", counted)
-    return cores
-
-
-def _assert_same_system(got, expected, label) -> None:
-    assert got[0] == expected[0], label
-    assert got[1].dtype == expected[1].dtype, label
-    assert got[1].tolist() == expected[1].tolist(), label
-
-
-def test_basis_system_is_the_eliminated_basis(monkeypatch):
-    """The start assembled from the core's elimination is d B^-1 [P | I],
-    entry for entry and with the same d, as one elimination of the whole
-    basis B = [A | I][:, basis] gives it; both agree on singular bases.
-    On every float-optimal basis the simplex's B^-1 passes the check and
-    gives the same system, same d and dtype, without an elimination."""
-    eliminated = _eliminations(monkeypatch)
-    nonsingular = singular = certified = 0
+def test_basis_system_is_the_exact_inverse_read_off_the_float_one():
+    """On every start, _basis_system is B^-1 [P | I] as exact elimination
+    over Fractions gives it, int64 but where P needs Python ints, and None
+    exactly when B is singular or |det B| != 1, that is when the exact B^-1
+    is not integral."""
+    exact = singular = fractional = 0
     for label, inc, P, basis, inverse in _basis_starts():
-        A = inc.matrix
-        M = np.hstack((A, np.eye(len(A), dtype=A.dtype)))
-        expected = ncpoly._adjugate_solve(M[:, basis], P)
-        start = ncpoly._basis_system(A, P, basis)
-        if expected is None:
-            assert start is None, (label, basis)
-            singular += 1
+        nrows = len(inc.matrix)
+        M = np.hstack((inc.matrix, np.eye(nrows, dtype=np.int8)))
+        B = [[Fraction(v) for v in row] for row in M[:, basis].tolist()]
+        rhs = [[Fraction(v)] + [Fraction(0)] * nrows for v in P.tolist()]
+        for i in range(nrows):
+            rhs[i][1 + i] = Fraction(1)
+        expected = _solve_square(B, rhs)
+        got = ncpoly._basis_system(inc.matrix, P, basis, inverse)
+        if expected is None or any(v.denominator > 1 for row in expected for v in row):
+            assert got is None, (label, basis)
+            singular += expected is None
+            fractional += expected is not None
             continue
-        d, X, adj = expected
-        assert start[0] == d, (label, basis)
-        assert start[1].tolist() == np.column_stack((X, adj)).tolist(), (label, basis)
-        if label == "huge":
-            assert P.dtype == object and start[1].dtype == object
-        nonsingular += 1
-        if inverse is not None:
-            before = len(eliminated)
-            got = ncpoly._basis_system(A, P, basis, inverse)
-            assert len(eliminated) == before, (label, basis)
-            _assert_same_system(got, start, (label, basis))
-            certified += 1
-    assert nonsingular >= 4 * (len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1)
-    assert singular >= 10
-    assert certified == len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1
+        assert got.tolist() == expected, (label, basis)
+        assert got.dtype == (object if label == "huge" else np.int64), label
+        exact += 1
+    assert exact >= 3 * (len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1)
+    assert singular >= 10 and fractional >= 10
 
 
-def _hardy_start():
-    m = _corpus_model("hardy")
-    inc = incidence(m.scenario)
-    _, P = ncpoly._scaled(
-        [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
-    )
-    _, _, basis, inverse = simplex(*_ncf_lp(m))
-    return inc.matrix, P, basis, inverse
+def test_basis_system_keeps_its_integers_exact():
+    """R P is formed in Python ints where an int64 sum could overflow: here
+    a row of R = B^-1 adds two entries of 2**62. An R with an entry of
+    2**31 or more is refused even when B R = I: the unit lower triangular B
+    with ones one and three below the diagonal has B^-1 entries that grow
+    about 1.47-fold per row, past 2**31 at m = 59."""
+    B = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8)
+    P = np.array([2**62, 0, 2**62])
+    got = ncpoly._basis_system(B, P, np.arange(3), np.linalg.inv(B))
+    assert got.dtype == object
+    assert got.tolist() == [[2**63, 1, -1, 1], [-(2**62), 0, 1, -1], [2**62, 0, 0, 1]]
+    for m in (58, 59):
+        B = sum(np.eye(m, k=-k, dtype=np.int8) for k in (0, 1, 3))
+        inverse = np.linalg.inv(B)
+        assert np.array_equal(B @ np.rint(inverse), np.eye(m))
+        got = ncpoly._basis_system(B, np.ones(m, dtype=np.int64), np.arange(m), inverse)
+        assert (got is None) == (m == 59) == (np.abs(inverse).max() >= 2**31)
 
 
-def _off_by_one():
-    """Hardy's float B^-1 with one entry of its core block off by one."""
-    A, P, basis, inverse = _hardy_start()
-    n = A.shape[1]
-    N = np.setdiff1d(np.arange(len(A)), basis[basis >= n] - n)
+_CONTEXT_BASIS = ncpoly._context_basis
+
+
+def _det_two(inc, basis, inverse):
+    """A basis with |det B| = 2, from a seeded walk that swaps assignment
+    columns into the slack basis, and its float inverse."""
+    nrows, n = inc.matrix.shape
+    M = np.hstack((inc.matrix, np.eye(nrows)))
+    rng = np.random.default_rng(nrows)
+    basis = np.arange(n, n + nrows)
+    for _ in range(10_000):
+        trial = basis.copy()
+        trial[rng.integers(nrows)] = rng.integers(n)
+        det = round(abs(np.linalg.det(M[:, trial])))
+        if det == 2 and len(set(trial.tolist())) == nrows:
+            return trial, np.linalg.inv(M[:, trial])
+        if det == 1:
+            basis = trial
+    raise AssertionError(f"no basis with |det B| = 2 in {nrows} rows")
+
+
+def _off_by_one(inc, basis, inverse):
     inverse = inverse.copy()
-    inverse[np.flatnonzero(basis < n)[0], N[0]] += 1
-    return A, P, basis, inverse
+    inverse[0, -1] += 1
+    return basis, inverse
 
 
-def _other_basis():
-    """The float inverse of _context_basis with Hardy's optimal basis."""
-    A, P, basis, _ = _hardy_start()
-    other = ncpoly._context_basis(incidence(_corpus_model("hardy").scenario))
-    M = np.hstack((A, np.eye(len(A))))
-    return A, P, basis, np.linalg.inv(M[:, other])
+def _other_basis(inc, basis, inverse):
+    """The exact inverse of _context_basis, 2I - B, with the optimal basis."""
+    nrows = len(inc.matrix)
+    other = np.hstack((inc.matrix, np.eye(nrows)))[:, _CONTEXT_BASIS(inc)]
+    return basis, 2 * np.eye(nrows) - other
 
 
-def _det_two():
-    """A 0/1 core with |det K| = 2: its float inverse has entries +-1/2."""
-    K = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.int8)
-    return K, np.array([3, 5, 7]), np.arange(3), np.linalg.inv(K)
+def _nan_entry(inc, basis, inverse):
+    inverse = inverse.copy()
+    inverse[-1, 0] = np.nan
+    return basis, inverse
 
 
-@pytest.mark.parametrize("case", [_det_two, _off_by_one, _other_basis])
-def test_basis_system_falls_back_to_elimination(monkeypatch, case):
-    """A float inverse that does not round to the core's integer inverse
-    costs one elimination and changes nothing: the system is the one built
-    without an inverse."""
-    A, P, basis, inverse = case()
-    expected = ncpoly._basis_system(A, P, basis)
-    eliminated = _eliminations(monkeypatch)
-    got = ncpoly._basis_system(A, P, basis, inverse)
-    assert len(eliminated) == 1
-    _assert_same_system(got, expected, case.__name__)
-    if case is _det_two:
-        assert got[0] == 2
+def _corrupted_starts(monkeypatch, corrupt) -> list:
+    """Hands contextual_fraction's exact routine corrupt(incidence, basis,
+    B^-1) in place of the float-optimal basis and its B^-1; records each
+    restart from _context_basis."""
+    restarts = []
+    built = _assignments_left_unbuilt(monkeypatch)
+    real_simplex = ncpoly.simplex
+
+    def corrupted(c, A, rhs):
+        value, x, basis, inverse = real_simplex(c, A, rhs)
+        return (value, x, *corrupt(built[-1], basis, inverse))
+
+    def counted(inc):
+        restarts.append(inc)
+        return _CONTEXT_BASIS(inc)
+
+    monkeypatch.setattr(ncpoly, "simplex", corrupted)
+    monkeypatch.setattr(ncpoly, "_context_basis", counted)
+    return restarts
+
+
+@pytest.mark.parametrize("corrupt", [_det_two, _off_by_one, _other_basis, _nan_entry])
+def test_rejected_float_inverses_restart_once(monkeypatch, corrupt):
+    """Through contextual_fraction, a basis with |det B| = 2, a B^-1 off by
+    one in an entry, the inverse of another basis and a B^-1 holding a NaN
+    each restart the exact routine once from _context_basis, and it reaches
+    the pinned corpus optimum and witness, in the same order, and the closed
+    form on the white-noise grid. Programs of fewer than 20 rows (the 3- and
+    4-cycles and Hardy's) are left out of the |det B| = 2 case: the walk
+    finds no such basis in them."""
+    least = 20 if corrupt is _det_two else 0
+    names = [
+        name for name in CORPUS_NCF
+        if len(incidence(_corpus_model(name).scenario).rows) >= least
+    ]
+    sizes = [n for n in range(3, 7) if 4 * n >= least]
+    restarts = _corrupted_starts(monkeypatch, corrupt)
+    for name in names:
+        ncf, witness = CORPUS_NCF[name]
+        res = contextual_fraction(_corpus_model(name))
+        assert res.ncf_exact == ncf, name
+        assert list(res.witness_exact.items()) == list(witness.items()), name
+    for n in sizes:
+        for v in NOISE_LEVELS:
+            m = white_noise_odd_cycle(n, v)
+            res = contextual_fraction(m)
+            assert res.ncf_exact == min(Fraction(1), n * (1 - v) / 2), (n, v)
+            assert sum(res.witness_exact.values()) == res.ncf_exact
+            _assert_exactly_feasible(m, res.witness_exact)
+    assert len(restarts) == len(names) + len(sizes) * len(NOISE_LEVELS)
+    assert len(names) >= 3
+
+
+_TRIPARTITE = Scenario(
+    tuple(Observable(f"{party}{s}", ("0", "1")) for party in "ABC" for s in "01"),
+    tuple(
+        (f"A{i}", f"B{j}", f"C{k}") for i, j, k in itertools.product("01", repeat=3)
+    ),
+)
+
+
+def _parity_box_mixture(rng) -> EmpiricalModel:
+    """One to three tripartite parity boxes, each uniform on the outcome
+    triples of a random parity per context, mixed with up to two
+    deterministic assignments, at random rational weights."""
+    boxes, points = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    weights = [Fraction(int(w)) for w in rng.integers(1, 13, boxes + points)]
+    weights = [w / sum(weights) for w in weights]
+    parities = rng.integers(0, 2, (boxes, len(_TRIPARTITE.contexts)))
+    assignments = rng.choice(["0", "1"], (points, 6))
+    labels = [o.label for o in _TRIPARTITE.observables]
+    tables = {}
+    for c, ctx in enumerate(_TRIPARTITE.contexts):
+        exact = dict.fromkeys(_TRIPARTITE.joint_outcomes(ctx), Fraction(0))
+        for w, parity in zip(weights, parities[:, c]):
+            for tup in exact:
+                if tup.count("1") % 2 == parity:
+                    exact[tup] += w / 4
+        for w, a in zip(weights[boxes:], assignments):
+            exact[tuple(a[labels.index(l)] for l in ctx)] += w
+        tables[ctx] = Distribution({t: float(q) for t, q in exact.items()}, exact)
+    return EmpiricalModel(_TRIPARTITE, tables)
+
+
+def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
+    """Seeded parity-box mixtures on the 64 x 64 program of three parties
+    with two settings each: the exact NCF is scipy's optimum and the witness
+    is exactly feasible. Six float-optimal bases there have |det B| of 2
+    or 3, so the exact routine restarts from _context_basis."""
+    restarts = []
+
+    def counted(inc):
+        restarts.append(inc)
+        return _CONTEXT_BASIS(inc)
+
+    monkeypatch.setattr(ncpoly, "_context_basis", counted)
+    rng = np.random.default_rng(17)
+    values = set()
+    for _ in range(120):
+        m = _parity_box_mixture(rng)
+        res = contextual_fraction(m)
+        ref = _scipy_reference(*_ncf_lp(m))
+        assert ref.status == 0
+        assert float(res.ncf_exact) == pytest.approx(-ref.fun, abs=1e-7)
+        assert sum(res.witness_exact.values()) == res.ncf_exact
+        _assert_exactly_feasible(m, res.witness_exact)
+        values.add(res.ncf_exact)
+    assert len(restarts) >= 6 and len(values) >= 60
 
 
 def test_ncf_outputs_are_pinned(tmp_path):

@@ -307,6 +307,12 @@ def test_sections_filtering():
     assert d["liar_cycle"] is not None
 
 
+def test_unknown_section_is_named():
+    m = corpus_model("hardy")
+    with pytest.raises(ValueError, match="^unknown report sections: ncff, nd2$"):
+        model_report(m, "hardy", sections=frozenset({"ncff", "nd", "nd2"}))
+
+
 def test_explicit_seed_without_contradiction():
     m = corpus_model("hardy")
     seed = (("A_d", "B_d"), ("+", "+"))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextuality
+from contextuality import scnformat
 from contextuality.builders import fr_realization
 from contextuality.builders import hardy_realization as build_hardy
 from contextuality.metacontext import Agent, ObserverChain
@@ -576,3 +577,34 @@ def test_state_size_is_exact_and_guarded():
     text = "scenario s\nobservable X outcomes 0 1\ncontext X\nstate 4096 4096\n  amp 16777216 1.0 0.0\n"
     expect_error(text, "amplitude index 16777216 out of range for dimension 16777216", 5, 7)
     expect_error(text.replace("4096 4096", "4096 4097"), "state of 16781312 amplitudes", 4, 1)
+
+
+# ----------------------------------------------------------- chain depth
+
+
+def _chain_text(dim: int, agents: int) -> str:
+    chains = "".join(f"chain F{k} basis computational\n" for k in range(agents))
+    return f"scenario deep\n\nstate {dim}\n  amp 0 1.0 0.0\n\n{chains}"
+
+
+def test_chain_compound_dimension_is_guarded(monkeypatch):
+    """Each agent squares the compound dimension. Up to 2**10 the chain is
+    built; the first agent past it stops the parse on its chain line before
+    its basis is made (at 2**32, numpy's unlocated allocation error)."""
+    assert [a.basis.dim for a in parse_file(_chain_text(2, 3)).chain.agents] == [2, 4, 16]
+    assert parse_file(_chain_text(32, 1)).chain.agents[0].basis.dim == 32
+    built = []
+    real = scnformat.computational_basis
+    monkeypatch.setattr(
+        scnformat, "computational_basis", lambda *a: built.append(a[0]) or real(*a)
+    )
+    for agents in (4, 5):
+        err = expect_error(
+            _chain_text(2, agents),
+            "chain agent 'F3' makes the compound dimension 65536, above the "
+            "2**10 chain guard",
+            9,
+        )
+        assert err.col is None
+    assert built == [2, 4, 16] * 2
+    expect_error(_chain_text(33, 1), "compound dimension 1089", 6)
