@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
         "--eps",
         type=float,
         default=EPS_SUPPORT,
-        help="support threshold for possibilistic analysis (default 1e-9)",
+        help="support threshold for possibilistic analysis (default 1e-9), in [0, 1)",
     )
     common.add_argument(
         "--format",
@@ -182,6 +182,8 @@ def _model_of(f, name: str):
 def _execute(ns, seed_raw: tuple[str, str] | None) -> tuple[AnalysisReport, int]:
     if seed_raw is not None and ns.command != "cycles":
         raise _UsageError("--seed only applies to the cycles command")
+    if not 0.0 <= ns.eps < 1.0:  # NaN fails too; chain reports only print eps
+        raise _UsageError(f"--eps {ns.eps!r} is not in [0, 1)")
     text, name = _load(ns)
     f = parse_file(text)
     if ns.assumptions is not None:

@@ -18,6 +18,7 @@ so the flag has no mechanical effect).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -32,15 +33,15 @@ from .builders import (
 )
 from .logic import LiarCycle, liar_cycles
 from .qstate import (
+    EPS_ZERO,
     Distribution,
     ProductBasis,
     SiteBasis,
     StateVector,
-    born,
+    born_weights,
     computational_basis,
     memory_basis,
     premeasure,
-    project,
 )
 from .scenario import ContextKey, EmpiricalModel, realize, support_of
 
@@ -154,7 +155,8 @@ def describe(chain: ObserverChain, cut: Cut | int) -> BranchEnsemble:
     Below the cut an agent's measurement is the premeasure isometry (the
     branch grows, nothing splits). At or above the cut the agent premeasures
     and its memory is immediately projected, splitting the branch with Born
-    weights. Branches below EPS_BRANCH are dropped.
+    weights; the memory is computational, so record k keeps the amplitudes
+    with memory index k. Branches below EPS_BRANCH are dropped.
     """
     c = _cut_index(chain, cut)
     branches: list[tuple[float, StateVector]] = [(1.0, chain.base)]
@@ -165,25 +167,31 @@ def describe(chain: ObserverChain, cut: Cut | int) -> BranchEnsemble:
             if i < c:
                 grown.append((p, lifted))
                 continue
-            mem = memory_basis(agent.basis)
-            pb = ProductBasis.for_state_sites(
-                lifted.nsites, (((lifted.nsites - 1,), mem),)
-            )
-            for label in mem.labels:
-                q, collapsed = project(lifted, pb, (label,))
-                if collapsed is not None and p * q > EPS_BRANCH:
-                    grown.append((p * q, collapsed))
+            amps = lifted.tensor_view()
+            for k in range(agent.basis.n_outcomes):
+                q = float(np.sum(np.abs(amps[..., k]) ** 2))
+                if q >= EPS_ZERO and p * q > EPS_BRANCH:
+                    collapsed = np.zeros_like(amps)
+                    collapsed[..., k] = amps[..., k] / np.sqrt(q)
+                    grown.append((p * q, StateVector(lifted.sites, collapsed.reshape(-1))))
         branches = grown
     return BranchEnsemble(tuple(branches))
 
 
 def mixture_born(ensemble: BranchEnsemble, basis: ProductBasis) -> Distribution:
-    """Probability-weighted mixture of per-branch Born distributions."""
-    acc: dict[tuple[str, ...], float] = {}
+    """Probability-weighted mixture of per-branch Born weights, each clamped
+    into [0, 1] as a Distribution clamps them."""
+    mixed = 0.0
     for p, st in ensemble.branches:
-        for tup, q in born(st, basis).items():
-            acc[tup] = acc.get(tup, 0.0) + p * q
-    return Distribution(acc)
+        basis._check_against(st)
+        mixed = mixed + p * np.clip(born_weights(st, basis.factors, basis.unmeasured), 0, 1)
+    return Distribution(dict(zip(basis.outcome_tuples(), mixed.tolist())))
+
+
+def _tv(da: Distribution, db: Distribution) -> float:
+    """Half the L1 difference, by fsum: exact, so the hash-seeded key order is moot."""
+    keys = da.keys() | db.keys()
+    return 0.5 * math.fsum(abs(da.get(k) - db.get(k)) for k in keys)
 
 
 def compare_cuts(
@@ -193,12 +201,10 @@ def compare_cuts(
     final_basis: ProductBasis,
 ) -> tuple[Distribution, Distribution, float]:
     """Final-measurement distributions under two cuts and their total
-    variation distance (half the L1 difference)."""
+    variation distance."""
     da = mixture_born(describe(chain, cut_a), final_basis)
     db = mixture_born(describe(chain, cut_b), final_basis)
-    keys = set(da.keys()) | set(db.keys())
-    tv = 0.5 * sum(abs(da.get(k) - db.get(k)) for k in keys)
-    return da, db, tv
+    return da, db, _tv(da, db)
 
 
 def computational_final_basis(chain: ObserverChain) -> ProductBasis:
@@ -219,7 +225,11 @@ def coherent_final_basis(chain: ObserverChain) -> ProductBasis:
     of the chain (labeled "coherent"), completed deterministically with
     computational vectors (labeled "orth1", "orth2", ...). Born weight on
     "coherent" separates unitary from collapsed descriptions."""
-    psi = describe(chain, len(chain.agents)).branches[0][1]
+    return _coherent_basis(describe(chain, len(chain.agents)).branches[0][1])
+
+
+def _coherent_basis(psi: StateVector) -> ProductBasis:
+    """coherent_final_basis around psi, the unitary cut's single branch."""
     dim = psi.dim
     vectors = [np.asarray(psi.amplitudes, dtype=complex)]
     for k in range(dim):

@@ -36,11 +36,15 @@ import numpy as np
 from .scenario import ContextKey, EmpiricalModel, Scenario, no_disturbance
 
 MAX_INCIDENCE_COLUMNS = 2**20
+# rows x columns: the simplex's float copy of A takes 8 bytes an entry, 640
+# MiB here; the binary 20-cycle (80 rows x 2**20 columns) is just admitted
+MAX_INCIDENCE_ENTRIES = 80 * 2**20
 EPS_LP = 1e-9
 EPS_ND_PRECONDITION = 1e-6
 
 __all__ = [
     "MAX_INCIDENCE_COLUMNS",
+    "MAX_INCIDENCE_ENTRIES",
     "EPS_LP",
     "SignallingModelError",
     "IncidenceMatrix",
@@ -97,11 +101,16 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
         raise ValueError(
             f"assignment space {ncols} exceeds the 2**20 incidence guard"
         )
+    rows = [(ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)]
+    if len(rows) * ncols > MAX_INCIDENCE_ENTRIES:
+        raise ValueError(
+            f"incidence matrix of {len(rows)} rows x {ncols} columns exceeds "
+            f"the 80 * 2**20 entry guard"
+        )
     outcomes = tuple(o.outcomes for o in sc.observables)
     size = {o.label: len(o.outcomes) for o in sc.observables}
     digits = np.indices(tuple(size.values()), np.min_scalar_type(max(size.values()) - 1))
     digit = dict(zip(size, digits.reshape(len(size), ncols)))
-    rows = [(ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)]
     mat = np.empty((len(rows), ncols), dtype=bool)
     start = 0
     for ctx in sc.contexts:

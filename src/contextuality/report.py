@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
@@ -30,11 +30,11 @@ from .metacontext import (
     AssumptionSet,
     ObserverChain,
     Verdict,
+    _coherent_basis,
+    _tv,
     check_claims,
     claims_for_cycle,
-    compare_cuts,
     computational_final_basis,
-    coherent_final_basis,
     describe,
     mixture_born,
 )
@@ -335,41 +335,30 @@ def model_report(
 
 def chain_report(chain: ObserverChain, name: str, eps: float = EPS_SUPPORT) -> AnalysisReport:
     """Cut-by-cut comparison under the two canonical final measurements:
-    memory-computational (record readout) and the coherent family."""
+    memory-computational (record readout) and the coherent family. Each cut
+    is described once and measured once per family; comparisons read those."""
+    ensembles = [describe(chain, cut) for cut in range(len(chain.agents) + 1)]
     families = (
         ("memory-computational", computational_final_basis(chain)),
-        ("coherent", coherent_final_basis(chain)),
+        ("coherent", _coherent_basis(ensembles[-1].branches[0][1])),
     )
-    ncuts = len(chain.agents) + 1
     fam_dicts = []
     for fam_name, basis in families:
-        distributions = []
-        for cut in range(ncuts):
-            dist = mixture_born(describe(chain, cut), basis)
-            distributions.append(
-                {
-                    "cut": cut,
-                    "probabilities": [
-                        [" ".join(k), _clean(v)] for k, v in dist.items()
-                    ],
-                }
-            )
-        comparisons = []
-        for a in range(ncuts):
-            for b in range(a + 1, ncuts):
-                _, _, tv = compare_cuts(chain, a, b, basis)
-                comparisons.append({"cut_a": a, "cut_b": b, "tv": _clean(tv)})
+        dists = [mixture_born(e, basis) for e in ensembles]
         fam_dicts.append(
             {
                 "basis": fam_name,
-                "distributions": distributions,
-                "comparisons": comparisons,
+                "distributions": [
+                    {"cut": cut, "probabilities": [[" ".join(k), _clean(v)] for k, v in d.items()]}
+                    for cut, d in enumerate(dists)
+                ],
+                "comparisons": [
+                    {"cut_a": a, "cut_b": b, "tv": _clean(_tv(dists[a], dists[b]))}
+                    for a, b in combinations(range(len(dists)), 2)
+                ],
             }
         )
-    cuts = {
-        "agents": [a.name for a in chain.agents],
-        "families": fam_dicts,
-    }
+    cuts = {"agents": [a.name for a in chain.agents], "families": fam_dicts}
     return AnalysisReport(name=name, kind="chain", eps=eps, cuts=cuts)
 
 

@@ -349,8 +349,13 @@ class PossibilisticModel:
 
 
 def _require_support(m: EmpiricalModel, eps: float) -> None:
-    """Reject a degenerate model, one with a context whose every entry is at
-    most eps, without building the supports."""
+    """Reject an eps outside [0, 1), and a degenerate model, one with a
+    context whose every entry is at most eps, without building the supports."""
+    if not 0.0 <= eps < 1.0:  # NaN fails too
+        raise ValueError(
+            f"support threshold eps={eps!r} is not in [0, 1): below 0 every "
+            f"event is possible, and from 1 on every model is degenerate"
+        )
     for ctx, dist in m.tables.items():
         if not any(p > eps for p in dist.values()):
             raise ValueError(

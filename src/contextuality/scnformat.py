@@ -65,8 +65,10 @@ __all__ = [
 FILE_SUM_TOL = 1e-6
 # amplitudes a state block may declare, the section functions' 2**24 guard
 _MAX_STATE_SIZE = 2**24
-# compound dimension a chain may reach: `analyze` of a chain took 0.3 s at
-# 2**8 and 4.2 s at 2**10 on a 2-vCPU VM, growing faster than the square
+# compound dimension a chain may reach: `analyze` of one computational agent
+# took 0.5 s at 2**8 and 4.0 s at 2**10 on a 2-vCPU VM, growing faster than
+# the square; at 2**10 the Gram-Schmidt completion of the coherent basis
+# takes about five sixths of it
 _MAX_CHAIN_DIM = 2**10
 
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")

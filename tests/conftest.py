@@ -5,10 +5,14 @@ compare the packaged constructors against these."""
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 import pytest
 
+from contextuality.metacontext import Agent, ObserverChain
 from contextuality.qstate import (
+    SiteBasis,
     StateVector,
     computational_basis,
     diagonal_basis,
@@ -53,6 +57,28 @@ def make_hardy_realization() -> QuantumRealization:
             "B_d": MeasurementRecipe((1,), diagonal_basis()),
         },
     )
+
+
+def random_chain(seed: int, sites: tuple[int, ...], random_bases: tuple[bool, ...]) -> ObserverChain:
+    """A seeded random base state on `sites`, then one agent per entry of
+    `random_bases`: agent k measures the compound below it in a random
+    orthonormal basis when the entry is true, computationally otherwise;
+    outcome labels o0, o1, ..."""
+    rng = np.random.default_rng(seed)
+    d = prod(sites)
+    amp = rng.normal(size=d) + 1j * rng.normal(size=d)
+    base = StateVector(sites, amp / np.linalg.norm(amp))
+    agents = []
+    for k, random_basis in enumerate(random_bases):
+        labels = tuple(f"o{j}" for j in range(d))
+        if random_basis:
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            basis = SiteBasis(np.linalg.qr(z)[0].T, labels)
+        else:
+            basis = computational_basis(d, labels)
+        agents.append(Agent(f"F{k}", basis))
+        d *= d
+    return ObserverChain(base, tuple(agents))
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -17,6 +18,9 @@ import contextuality
 from contextuality import cli
 from contextuality.cli import main, run
 from contextuality.report import AnalysisReport, render_text
+from contextuality.scnformat import serialize_chain
+
+from conftest import random_chain
 
 DATA_DIR = Path(contextuality.__file__).parent / "data"
 
@@ -474,6 +478,61 @@ def test_deep_chain_is_a_located_parse_error(tmp_path):
         "error: line 9: chain agent 'F3' makes the compound dimension 65536, "
         "above the 2**10 chain guard\n",
     )
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("target", ["hardy", "wigner"])
+def test_eps_outside_unit_interval_is_a_usage_error(target, eps):
+    """A chain report prints eps without reading a support, so the flag
+    itself is checked."""
+    assert call(["demo", target, "--eps", eps]) == (
+        2,
+        "",
+        f"error: --eps {float(eps)!r} is not in [0, 1)\n",
+    )
+
+
+def test_ncf_past_the_incidence_entry_guard_is_a_usage_error(tmp_path):
+    """Every pair of 20 binary observables as a context, uniform tables:
+    2**20 columns, 760 rows."""
+    labels = [f"X{i}" for i in range(20)]
+    pairs = list(itertools.combinations(labels, 2))
+    lines = ["scenario pairs"] + [f"observable {l} outcomes 0 1" for l in labels]
+    lines += [f"context {a} {b}" for a, b in pairs]
+    for a, b in pairs:
+        lines += [f"table {a} {b}"] + [f"  {x} {y} 1/4" for x in "01" for y in "01"]
+    path = tmp_path / "pairs.scn"
+    path.write_text("\n".join(lines) + "\n")
+    assert call(["ncf", str(path)]) == (
+        2,
+        "",
+        "error: incidence matrix of 760 rows x 1048576 columns exceeds the "
+        "80 * 2**20 entry guard\n",
+    )
+
+
+def test_chain_report_does_not_depend_on_the_hash_seed(tmp_path):
+    """A two-qubit chain with one random-basis agent: each total variation
+    sums 16 terms keyed by a set of outcome tuples, whose order follows the
+    hash seed."""
+    path = tmp_path / "random_basis.scn"
+    path.write_text(serialize_chain(random_chain(2, (2, 2), (True,)), "random_basis"))
+    env = dict(os.environ)
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    for fmt in ("text", "json"):
+        outputs = []
+        for seed in ("0", "2"):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "contextuality", "analyze", str(path), "--format", fmt],
+                capture_output=True,
+                env=dict(env, PYTHONHASHSEED=seed),
+            )
+            assert (fresh.returncode, fresh.stderr) == (0, b"")
+            outputs.append(fresh.stdout)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["analyze", "ncf", "cycles"])

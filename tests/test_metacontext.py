@@ -17,6 +17,7 @@ from contextuality.builders import (
 )
 from contextuality.logic import _default_seed
 from contextuality.metacontext import (
+    EPS_BRANCH,
     Agent,
     AssumptionSet,
     BranchEnsemble,
@@ -37,12 +38,18 @@ from contextuality.qstate import (
     ProductBasis,
     SiteBasis,
     StateVector,
+    born,
     computational_basis,
     diagonal_basis,
+    memory_basis,
+    premeasure,
+    project,
 )
 from contextuality.report import _work_model
 from contextuality.scenario import realize, support_of
 from contextuality.scnformat import parse_file
+
+from conftest import random_chain
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -279,6 +286,52 @@ def test_mixture_born_weights():
     fb = computational_final_basis(plus_chain())
     d = mixture_born(ens, fb)
     assert sum(d.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def _describe_by_projection(chain, cut):
+    """describe through qstate.project on the memory site in its memory
+    basis, as a general product-basis projection."""
+    branches = [(1.0, chain.base)]
+    for i, agent in enumerate(chain.agents):
+        grown = []
+        for p, st in branches:
+            lifted = premeasure(st, tuple(range(st.nsites)), agent.basis)
+            if i < cut:
+                grown.append((p, lifted))
+                continue
+            mem = memory_basis(agent.basis)
+            pb = ProductBasis.for_state_sites(lifted.nsites, (((lifted.nsites - 1,), mem),))
+            for label in mem.labels:
+                q, collapsed = project(lifted, pb, (label,))
+                if collapsed is not None and p * q > EPS_BRANCH:
+                    grown.append((p * q, collapsed))
+        branches = grown
+    return branches
+
+
+@pytest.mark.parametrize(
+    "sites, random_bases",
+    [((2,), (True, False, True)), ((2, 2), (True,)), ((2, 2), (False, True))],
+)
+def test_describe_and_mixture_match_projection_and_born(sites, random_bases):
+    """Reading a record off the memory index gives projection's weights and
+    amplitudes, and mixture_born the weighted sum of born's tables, to the
+    last bit."""
+    chain = random_chain(11, sites, random_bases)
+    bases = (computational_final_basis(chain), coherent_final_basis(chain))
+    for cut in range(len(chain.agents) + 1):
+        ens = describe(chain, cut)
+        expected = _describe_by_projection(chain, cut)
+        assert [p for p, _ in ens.branches] == [p for p, _ in expected]
+        for (_, got), (_, want) in zip(ens.branches, expected):
+            assert got.sites == want.sites
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+        for basis in bases:
+            mixed: dict = {}
+            for p, st in ens.branches:
+                for k, q in born(st, basis).items():
+                    mixed[k] = mixed.get(k, 0.0) + p * q
+            assert mixture_born(ens, basis).probs == mixed
 
 
 # --------------------------------------------------------------- claims

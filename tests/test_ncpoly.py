@@ -177,6 +177,22 @@ def test_incidence_guard_rejects_huge_scenarios():
         incidence(sc)
 
 
+def test_incidence_entry_guard_rejects_dense_context_sets():
+    """Every pair of 20 binary observables as a context: 2**20 columns pass
+    the column guard, but 760 rows would need a 5.9 GiB float copy in the
+    simplex. The binary 20-cycle, which the column guard admits, sits
+    exactly at the entry bound."""
+    obs = tuple(Observable(f"X{i}", ("0", "1")) for i in range(20))
+    pairs = tuple(itertools.combinations([o.label for o in obs], 2))
+    with pytest.raises(
+        ValueError, match=r"760 rows x 1048576 columns exceeds the 80 \* 2\*\*20"
+    ):
+        incidence(Scenario(obs, pairs))
+    cycle = cycle_empirical_model(20, "odd").scenario
+    rows = sum(len(cycle.joint_outcomes(ctx)) for ctx in cycle.contexts)
+    assert rows * cycle.assignment_space() == ncpoly.MAX_INCIDENCE_ENTRIES
+
+
 # -------------------------------------------------------------- simplex
 
 

@@ -1,6 +1,7 @@
 """Report assembly: structure, exact values, JSON schema, round-trips."""
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -11,12 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextuality import logic
+from contextuality import logic, report
 from contextuality.builders import fr_realization, hardy_realization
+from contextuality.metacontext import (
+    coherent_final_basis,
+    compare_cuts,
+    computational_final_basis,
+    describe,
+    mixture_born,
+)
 from contextuality.report import (
     ALL_SECTIONS,
     DEFAULT_ASSUMPTION_SETS,
     AnalysisReport,
+    _clean,
     _encode,
     chain_report,
     model_report,
@@ -32,6 +41,8 @@ from contextuality.scenario import (
     realize,
 )
 from contextuality.scnformat import parse_file
+
+from conftest import random_chain
 
 CORPUS = (
     "hardy",
@@ -180,6 +191,68 @@ def test_wigner_chain_report_cut_divergence():
     probs = {d_["cut"]: dict(d_["probabilities"]) for d_ in coh["distributions"]}
     assert probs[0]["coherent"] == pytest.approx(0.5, abs=1e-9)
     assert probs[1]["coherent"] == pytest.approx(1.0, abs=1e-9)
+
+
+# seeded chains: one to three agents on one or two qubits, each agent
+# computational or in a random basis of the whole compound below it
+RANDOM_CHAINS = [
+    ((2,), (False,)),
+    ((2,), (True,)),
+    ((2, 2), (True,)),
+    ((2, 2), (False, True)),
+    ((2,), (True, False)),
+    ((2,), (True, True, False)),
+    ((2,), (False, True, True)),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(RANDOM_CHAINS)))
+def test_chain_report_reads_every_number_off_the_cut_tables(seed):
+    """Each distribution is mixture_born of the cut's ensemble and each tv
+    is compare_cuts' for the pair, exactly."""
+    chain = random_chain(seed, *RANDOM_CHAINS[seed])
+    cuts = chain_report(chain, "chain").cuts
+    assert cuts["agents"] == [a.name for a in chain.agents]
+    families = {f["basis"]: f for f in cuts["families"]}
+    bases = {
+        "memory-computational": computational_final_basis(chain),
+        "coherent": coherent_final_basis(chain),
+    }
+    assert list(families) == list(bases)
+    ncuts = len(chain.agents) + 1
+    for name, basis in bases.items():
+        family = families[name]
+        assert [d["cut"] for d in family["distributions"]] == list(range(ncuts))
+        for cut, d in enumerate(family["distributions"]):
+            dist = mixture_born(describe(chain, cut), basis)
+            assert d["probabilities"] == [[" ".join(k), _clean(v)] for k, v in dist.items()]
+        pairs = list(itertools.combinations(range(ncuts), 2))
+        assert [(c["cut_a"], c["cut_b"]) for c in family["comparisons"]] == pairs
+        for c, (a, b) in zip(family["comparisons"], pairs):
+            assert c["tv"] == _clean(compare_cuts(chain, a, b, basis)[2])
+
+
+@pytest.mark.parametrize(
+    "chain, cuts",
+    [(parse_file(corpus_text("wigner")).chain, 2), (random_chain(5, (2,), (True, False, True)), 4)],
+)
+def test_chain_report_describes_each_cut_once(monkeypatch, chain, cuts):
+    """One ensemble per cut, measured once per final-basis family."""
+    calls = {"describe": 0, "mixture_born": 0}
+
+    def counted(name):
+        real = getattr(report, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(report, name, counted(name))
+    chain_report(chain, "chain")
+    assert calls == {"describe": cuts, "mixture_born": 2 * cuts}
 
 
 def test_cycle_reports():

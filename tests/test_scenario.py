@@ -330,6 +330,15 @@ def test_support_rejects_degenerate(hardy_model):
         support_of(hardy_model, eps=1.0)
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, 1.0, float("inf"), float("nan")])
+def test_support_rejects_eps_outside_unit_interval(hardy_model, eps):
+    """A negative eps makes every zero-probability event possible; a NaN one
+    compares false with everything, so every context would look degenerate."""
+    with pytest.raises(ValueError, match=r"is not in \[0, 1\)"):
+        support_of(hardy_model, eps=eps)
+    assert support_of(hardy_model, eps=0.0) == support_of(hardy_model)
+
+
 def test_possibilistic_rejects_foreign_tuple(hardy_scenario):
     sups = {ctx: frozenset({tuple(o[0] for o in ctx)}) for ctx in HARDY_CONTEXTS}
     sups[("A_d", "B_c")] = frozenset({("up", "0")})
