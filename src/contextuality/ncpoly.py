@@ -8,9 +8,11 @@ probabilities, row by row. Every row is an upper bound with a nonnegative
 right-hand side, so the slack basis is feasible and the solver needs one
 phase only. The program has few rows and very many columns, so the solver
 is a float64 revised simplex with Bland's rule that takes and returns
-plain arrays: A is made float once, one product y A with the duals y
-prices its columns and -y the slacks, and each pivot updates only the
-m x m basis inverse and the basic solution.
+plain arrays: A is made float once, and each pivot updates only the m x m
+basis inverse, the basic solution and the reduced costs, the last by a
+multiple of B^-1's leaving row times [A | I], read over the few rows of A
+where that row is nonzero; y A prices all columns only at the start and
+when the updated costs claim optimality.
 
 For exact tables one integer routine takes the float-optimal basis B to
 the exact optimum on d B^-1 [P | I], P the scaled probabilities and d = 1
@@ -137,11 +139,16 @@ def simplex(
 
     A is made float once and never pivoted; column n + i is the slack of
     row i, and the slack basis B = I is feasible since rhs >= 0.
-    aug = B^-1 [rhs | I] holds the basic solution x_B and B^-1. The duals
-    y = c_B B^-1 price the columns of A in one product y A and the slacks
-    as -y; the first column with reduced cost above EPS_LP enters, the row
-    with the least ratio leaves, ties within EPS_LP to the least basic
-    column, and the pivot is a rank-one update of aug."""
+    aug = B^-1 [rhs | I] holds the basic solution x_B and B^-1. The first
+    column with reduced cost above EPS_LP enters, the row r with the least
+    ratio leaves, ties within EPS_LP to the least basic column, and the
+    pivot is a rank-one update of aug. The duals y = c_B B^-1 price the
+    columns of A in one product y A and the slacks as -y; a pivot on entry
+    d_r of the entering column q adds theta B^-1[r] to y, theta =
+    reduced_q / d_r before the update, so it subtracts theta B^-1[r] [A | I]
+    from the reduced costs, read over the rows where B^-1[r] is nonzero.
+    When the updated costs leave no column above EPS_LP, all are priced
+    again, so optimality is declared on a full pricing only."""
     A = np.asarray(A)
     rhs = np.asarray(rhs, dtype=float)
     if A.ndim != 2:
@@ -163,15 +170,20 @@ def simplex(
     reduced = np.empty(n + m)
     priced, slack = reduced[:n], reduced[n:]
     c_A = c[:n]
+    updated = False
     while True:
-        y = c_B @ inverse
-        np.subtract(c_A, np.matmul(y, Af, out=priced), out=priced)
-        np.negative(y, out=slack)
-        reduced[basis] = 0
+        if not updated:
+            y = c_B @ inverse
+            np.subtract(c_A, np.matmul(y, Af, out=priced), out=priced)
+            np.negative(y, out=slack)
+            reduced[basis] = 0
         positive = reduced > EPS_LP
         enter = int(positive.argmax())
         if not positive[enter]:
-            break
+            if not updated:
+                break
+            updated = False
+            continue
         d = inverse @ Af[:, enter] if enter < n else inverse[:, enter - n]
         cand = (d > EPS_LP).nonzero()[0]
         best, least, leave = math.inf, -1, -1
@@ -184,6 +196,12 @@ def simplex(
                 best, least, leave = ratio, b, i
         if leave < 0:
             return None
+        row = inverse[leave] * (reduced.item(enter) / d.item(leave))
+        nz = row.nonzero()[0]
+        # gathering most rows of A would copy most of it
+        priced -= np.dot(row[nz], Af.take(nz, 0)) if 2 * len(nz) < m else row @ Af
+        slack -= row
+        updated = True
         pr = aug[leave] / d[leave]
         aug -= d[:, None] * pr
         aug[leave] = pr

@@ -480,6 +480,27 @@ def test_deep_chain_is_a_located_parse_error(tmp_path):
     )
 
 
+def test_wide_frontier_is_refused_before_it_is_built(tmp_path):
+    """20 binary observables with all 190 pairs as uniform contexts: every
+    earlier observable stays on the frontier, so layer i of the frontier
+    table holds 2**(i + 1) rows, and the layer that takes the table past
+    the 2**17 row budget is refused with exit 2, not built until memory
+    runs out."""
+    pairs = list(itertools.combinations(range(20), 2))
+    lines = ["scenario all_pairs"]
+    lines += [f"observable X{i} outcomes 0 1" for i in range(20)]
+    lines += [f"context X{i} X{j}" for i, j in pairs]
+    for i, j in pairs:
+        lines += [f"table X{i} X{j}"] + [f"  {a} {b} 1/4" for a in "01" for b in "01"]
+    path = tmp_path / "all_pairs.scn"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert call(["analyze", str(path)]) == (
+        2,
+        "",
+        "error: frontier table of 262142 rows exceeds the 2**17 row budget\n",
+    )
+
+
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf", "1"])
 @pytest.mark.parametrize("target", ["hardy", "wigner"])
 def test_eps_outside_unit_interval_is_a_usage_error(target, eps):

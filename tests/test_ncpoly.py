@@ -584,13 +584,22 @@ def _degenerate_program(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def test_simplex_is_the_identity_block_simplex_bit_for_bit():
-    """Pricing on A with the slacks priced as -y, and a slack's entering
-    column read off B^-1, give what the [A | I] simplex in oracles gave:
-    the same value, x, basis and B^-1, bit for bit, on the pinned NCF
-    programs, the long Bland path of the 7-cycle at v = 1/3 + 2**-40 and
-    seeded degenerate programs."""
+    """Reduced costs updated by B^-1's leaving row between full pricings,
+    the slacks priced as -y, and a slack's entering column read off B^-1,
+    give what the [A | I] simplex in oracles gave, which prices every
+    column afresh at every pivot: the same value, x, basis and B^-1, bit
+    for bit, on the pinned NCF programs, the larger chained-Bell and
+    white-noise programs where most pricings are updates, the long Bland
+    paths of the tie family at v = 1/3 + 2**-40 (n = 9 and 11 take 287 and
+    1152 pivots) and seeded degenerate programs."""
     programs = [_ncf_lp(m) for _, m in _pinned_basis_models()]
-    programs.append(_ncf_lp(white_noise_odd_cycle(7, ncf_pins.TIE)))
+    programs += [_ncf_lp(_chained_bell(n, 0.3)) for n in (10, 12)]
+    programs += [
+        _ncf_lp(white_noise_odd_cycle(n, v))
+        for n in (10, 11)
+        for v in (Fraction(9, 10), Fraction(4, 5))
+    ]
+    programs += [_ncf_lp(white_noise_odd_cycle(n, ncf_pins.TIE)) for n in (7, 9, 11)]
     rng = np.random.default_rng(1602)
     programs += [_degenerate_program(rng) for _ in range(300)]
     unbounded = moved = 0
@@ -600,6 +609,17 @@ def test_simplex_is_the_identity_block_simplex_bit_for_bit():
         unbounded += got is None
         moved += got is not None and (got[2] < len(c)).any()
     assert unbounded > 20 and moved > 200
+
+
+def test_closed_forms_past_the_pinned_sizes():
+    """White-noise odd n-cycles at v = 19/20 have NCF n(1 - v)/2 = n/40
+    exactly at 2**13 and 2**15 columns, where the simplex prices mostly by
+    updates; the chained-Bell 14-cycle's closed form is checked in
+    test_contextual_fraction_builds_no_assignment_tuple."""
+    for n in (13, 15):
+        res = contextual_fraction(white_noise_odd_cycle(n, Fraction(19, 20)))
+        assert res.ncf_exact == Fraction(n, 40), n
+        assert sum(res.witness_exact.values()) == Fraction(n, 40)
 
 
 def _dual_pivots(monkeypatch) -> list[int]:
