@@ -39,7 +39,8 @@ __all__ = [
 
 
 def _complex_matrix(rows: Iterable[Iterable[complex]]) -> np.ndarray:
-    arr = np.array([list(r) for r in rows], dtype=complex)
+    """A read-only C-ordered complex copy of an array or of nested sequences."""
+    arr = np.array(rows, dtype=complex, order="C")
     if arr.ndim != 2:
         raise ValueError("basis vectors must form a 2-D array")
     if not np.isfinite(arr).all():
@@ -114,7 +115,7 @@ class SiteBasis:
 
     def __post_init__(self) -> None:
         vectors = _complex_matrix(self.vectors)
-        labels = tuple(str(l) for l in self.labels)
+        labels = tuple(map(str, self.labels))
         n, d = vectors.shape
         if n != d:
             raise ValueError(
@@ -124,10 +125,10 @@ class SiteBasis:
             raise ValueError(f"{n} vectors but {len(labels)} labels")
         if len(set(labels)) != len(labels):
             raise ValueError(f"outcome labels must be distinct, got {labels}")
-        if any(not l for l in labels):
+        if not all(labels):
             raise ValueError("outcome labels must be nonempty")
         gram = vectors @ vectors.conj().T
-        if np.max(np.abs(gram - np.eye(n))) > EPS_NORM:
+        if np.abs(gram - np.eye(n)).max() > EPS_NORM:
             raise ValueError("basis vectors are not orthonormal")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
@@ -260,7 +261,7 @@ class Distribution:
     def __post_init__(self) -> None:
         clean: dict[tuple[str, ...], float] = {}
         for key, value in self.probs.items():
-            k = tuple(str(x) for x in key)
+            k = tuple(map(str, key))
             try:
                 v = float(value)
             except TypeError:
@@ -275,7 +276,7 @@ class Distribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         exact = self.exact
         if exact is not None:
-            exact = {tuple(str(x) for x in k): v for k, v in exact.items()}
+            exact = {tuple(map(str, k)): v for k, v in exact.items()}
             if set(exact) != set(clean):
                 raise ValueError("exact table keys do not match float table")
             _check_exact(clean, exact)
@@ -346,15 +347,25 @@ def born_weights(
     row-major factor order, with the unmeasured sites traced out: one
     einsum of the state with each group's conjugated basis tensor, abs()**2,
     then the sum over the unmeasured axes. born and scenario.realize both
-    contract here, so they give the same floats."""
+    contract in _born_contract, so they give the same floats."""
+    conjugated = [(group, _factor_tensor(basis, group, state).conj()) for group, basis in factors]
+    return _born_contract(state, conjugated, unmeasured)
+
+
+def _born_contract(
+    state: StateVector,
+    conjugated: Sequence[tuple[tuple[int, ...], np.ndarray]],
+    unmeasured: Sequence[int],
+) -> np.ndarray:
+    """born_weights with each group's conjugated basis tensor given."""
     n = state.nsites
     operands: list = [state.tensor_view(), list(range(n))]
-    for axis, (group, basis) in enumerate(factors, n):
-        operands += [_factor_tensor(basis, group, state).conj(), [axis, *group]]
-    measured = list(range(n, n + len(factors)))
+    for axis, (group, tensor) in enumerate(conjugated, n):
+        operands += [tensor, [axis, *group]]
+    measured = list(range(n, n + len(conjugated)))
     weights = np.abs(np.einsum(*operands, measured + list(unmeasured))) ** 2
     if unmeasured:
-        weights = weights.sum(axis=tuple(range(len(factors), weights.ndim)))
+        weights = weights.sum(axis=tuple(range(len(conjugated), weights.ndim)))
     return weights.reshape(-1)
 
 

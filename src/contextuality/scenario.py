@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import Distribution, SiteBasis, StateVector, _sums_to_one, born_weights
+from .qstate import Distribution, SiteBasis, StateVector, _sums_to_one
+from .qstate import _born_contract, _factor_tensor
 
 EPS_ND = 1e-9
 EPS_SUPPORT = 1e-9
@@ -52,7 +53,7 @@ class Observable:
 
     def __post_init__(self) -> None:
         label = str(self.label)
-        outcomes = tuple(str(o) for o in self.outcomes)
+        outcomes = tuple(map(str, self.outcomes))
         if not label:
             raise ValueError("observable label must be nonempty")
         if not outcomes:
@@ -73,7 +74,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         observables = tuple(self.observables)
-        contexts = tuple(tuple(str(l) for l in c) for c in self.contexts)
+        contexts = tuple(tuple(map(str, c)) for c in self.contexts)
         labels = [o.label for o in observables]
         if not contexts:
             raise ValueError("a scenario needs at least one context")
@@ -130,18 +131,19 @@ class EmpiricalModel:
                 raise ValueError(f"missing table for context {ctx}")
             dist = self.tables[ctx]
             expected = self.scenario.joint_outcomes(ctx)
-            if set(dist.keys()) != set(expected):
-                raise ValueError(
-                    f"table for context {ctx} does not cover exactly its "
-                    f"joint outcomes"
-                )
             # canonical row order: declared-outcome lexicographic; a table
-            # already in that order is kept as it is
+            # already in that order is kept as it is, and covers its joint
+            # outcomes exactly, since both hold each tuple once
             if list(dist.probs) == expected and (
                 dist.exact is None or list(dist.exact) == expected
             ):
                 tables[ctx] = dist
                 continue
+            if set(dist.keys()) != set(expected):
+                raise ValueError(
+                    f"table for context {ctx} does not cover exactly its "
+                    f"joint outcomes"
+                )
             probs = {t: dist[t] for t in expected}
             exact = None
             if dist.exact is not None:
@@ -227,17 +229,21 @@ class QuantumRealization:
 def realize(qr: QuantumRealization, sc: Scenario) -> EmpiricalModel:
     """Born-rule tables for every context of the scenario.
 
-    Each context is one qstate.born_weights contraction over its recipes'
-    site groups, with the sites no recipe of the context measures traced
-    out, so the same floats as qstate.born over the matching ProductBasis,
-    keyed directly by the recipes' mapped outcome labels. The realization
-    has already checked every recipe's site range and basis dimension."""
+    Each context is one contraction, as in qstate.born_weights, over its
+    recipes' site groups, with the sites no recipe of the context measures
+    traced out, so the same floats as qstate.born over the matching
+    ProductBasis, keyed directly by the recipes' mapped outcome labels. The
+    realization has already checked every recipe's site range and basis
+    dimension; an observable's mapped outcomes are checked, and its basis
+    tensor conjugated, once, in the first context that measures it."""
     state = qr.state
     n = state.nsites
+    # label -> (conjugated basis tensor, mapped outcome labels)
+    measured: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
     tables: dict[ContextKey, Distribution] = {}
     for ctx in sc.contexts:
-        factors: list[tuple[tuple[int, ...], SiteBasis]] = []
-        keys: list[tuple[str, ...]] = [()]
+        conjugated: list[tuple[tuple[int, ...], np.ndarray]] = []
+        outcomes: list[tuple[str, ...]] = []
         used: set[int] = set()
         for label in ctx:
             if label not in qr.recipes:
@@ -249,18 +255,23 @@ def realize(qr: QuantumRealization, sc: Scenario) -> EmpiricalModel:
                     f"context {ctx}: site group overlap at {sorted(overlap)}"
                 )
             used.update(recipe.sites)
-            mapped = recipe.mapped_labels()
-            expected = set(sc.observable(label).outcomes)
-            if set(mapped) != expected:
-                raise ValueError(
-                    f"recipe for {label!r} yields outcomes "
-                    f"{mapped}, observable declares "
-                    f"{tuple(sorted(expected))}"
-                )
-            factors.append((recipe.sites, recipe.basis))
-            keys = [k + (l,) for k in keys for l in mapped]
+            if label not in measured:
+                mapped = recipe.mapped_labels()
+                expected = set(sc.observable(label).outcomes)
+                if set(mapped) != expected:
+                    raise ValueError(
+                        f"recipe for {label!r} yields outcomes "
+                        f"{mapped}, observable declares "
+                        f"{tuple(sorted(expected))}"
+                    )
+                tensor = _factor_tensor(recipe.basis, recipe.sites, state).conj()
+                measured[label] = (tensor, mapped)
+            tensor, mapped = measured[label]
+            conjugated.append((recipe.sites, tensor))
+            outcomes.append(mapped)
         unmeasured = [s for s in range(n) if s not in used]
-        weights = born_weights(state, factors, unmeasured)
+        weights = _born_contract(state, conjugated, unmeasured)
+        keys = itertools.product(*outcomes)
         tables[ctx] = Distribution(dict(zip(keys, weights.tolist())))
     return EmpiricalModel(sc, tables)
 

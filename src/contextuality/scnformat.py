@@ -105,74 +105,31 @@ class ScenarioFile:
     chain: ObserverChain | None
 
 
-Token = tuple[str, int, int]
-
-
 def _lines(text: str):
-    """(tokens, indented) per line with a token. A token is a maximal run of
-    non-whitespace, as str.split() and the regex \\S+ both define it; its
-    column is where str.find meets it after the previous token, since only
-    whitespace lies in between."""
+    """(line number, body, words) per line with a word. The body is the line
+    up to its first '#'; a word is a maximal run of non-whitespace, as
+    str.split() and the regex \\S+ both define it."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         words = body.split()
-        if not words:
-            continue
-        toks = []
-        end = 0
-        for word in words:
-            start = body.find(word, end)
-            toks.append((word, ln, start + 1))
-            end = start + len(word)
-        yield toks, body[0] in " \t"
+        if words:
+            yield ln, body, words
 
 
-def _parse_int(tok: Token, what: str) -> int:
-    text, ln, col = tok
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"invalid {what} {text!r}", ln, col) from None
-
-
-def _parse_float(tok: Token, what: str) -> float:
-    """A finite float: NaN and infinities are rejected like non-numbers."""
-    text, ln, col = tok
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"invalid {what} {text!r}", ln, col)
-    return value
-
-
-def _parse_prob(tok: Token) -> tuple[float, Fraction | None]:
-    """Value plus, for integer and p/q literals only, the exact rational.
-    Decimal literals stay float-only; a file round-trips byte-for-byte."""
-    text, ln, col = tok
-    m = _RATIONAL.match(text)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2) or 1)
-        if den == 0:
-            raise ParseError(f"probability {text!r} has a zero denominator", ln, col)
-        frac: Fraction | None = Fraction(num, den)
-        # num / den is float(frac); past 1 it may exceed the float range
-        value = num / den if abs(num) <= den else math.inf
-    else:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"invalid probability literal {text!r}", ln, col) from None
-        frac = None
-    if not math.isfinite(value) or value < 0 or value > 1:
-        raise ParseError(f"probability {text} is outside [0, 1]", ln, col)
-    return value, frac
+def _column(body: str, words: list[str], i: int) -> int:
+    """1-based column of words[i] in body: where str.find meets it after the
+    previous word, since only whitespace lies in between. Only an error
+    reads a column, so a file that parses never walks its lines twice."""
+    end = 0
+    for word in words[:i]:
+        end = body.find(word, end) + len(word)
+    return body.find(words[i], end) + 1
 
 
 @dataclass
 class _TableBlock:
     context: tuple[str, ...]
+    outcomes: tuple[tuple[str, ...], ...]  # each label's declared outcomes
     line: int
     rows: dict[tuple[str, ...], tuple[float, Fraction | None]] = field(
         default_factory=dict
@@ -201,6 +158,9 @@ class _Parser:
         self.observables: list[Observable] = []
         self.by_label: dict[str, Observable] = {}
         self.contexts: list[tuple[str, ...]] = []
+        # each declared context by its label set; a table names it by the
+        # exact tuple, a context line repeats it in any order
+        self.declared: dict[frozenset[str], tuple[str, ...]] = {}
         self.tables: dict[tuple[str, ...], _TableBlock] = {}
         self.state_dims: tuple[int, ...] | None = None
         self.state_line = 0
@@ -209,241 +169,258 @@ class _Parser:
         self.agents: list[tuple[str, _BasisSpec]] = []
         # open block: ("table", _TableBlock) | ("state", size) | ("vecs", _BasisSpec)
         self.block: tuple | None = None
+        # the line being read, which an error locates itself in
+        self.ln, self.body, self.words = 0, "", []
+
+    def _error(self, message: str, i: int = 0) -> ParseError:
+        """A ParseError at the current line's word i."""
+        return ParseError(message, self.ln, _column(self.body, self.words, i))
+
+    def _int(self, i: int, what: str) -> int:
+        try:
+            return int(self.words[i])
+        except ValueError:
+            raise self._error(f"invalid {what} {self.words[i]!r}", i) from None
+
+    def _float(self, i: int, what: str) -> float:
+        """A finite float: NaN and infinities are rejected like non-numbers."""
+        text = self.words[i]
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise self._error(f"invalid {what} {text!r}", i)
+        return value
+
+    def _prob(self, i: int) -> tuple[float, Fraction | None]:
+        """Value plus, for integer and p/q literals only, the exact rational.
+        Decimal literals stay float-only; a file round-trips byte-for-byte."""
+        text = self.words[i]
+        m = _RATIONAL.match(text)
+        if m:
+            num, den = int(m.group(1)), int(m.group(2) or 1)
+            if den == 0:
+                raise self._error(f"probability {text!r} has a zero denominator", i)
+            frac: Fraction | None = Fraction(num, den)
+            # num / den is float(frac); past 1 it may exceed the float range
+            value = num / den if abs(num) <= den else math.inf
+        else:
+            try:
+                value = float(text)
+            except ValueError:
+                raise self._error(f"invalid probability literal {text!r}", i) from None
+            frac = None
+        if not math.isfinite(value) or value < 0 or value > 1:
+            raise self._error(f"probability {text} is outside [0, 1]", i)
+        return value, frac
 
     # ------------------------------------------------------- statements
 
     def run(self) -> ScenarioFile:
-        for toks, indented in _lines(self.text):
-            if indented:
-                self._row(toks)
+        for self.ln, self.body, self.words in _lines(self.text):
+            words = self.words
+            if self.body[0] in " \t":
+                self._row(words)
                 continue
             self.block = None
-            head, ln, col = toks[0]
+            head = words[0]
             handler = getattr(self, "_stmt_" + head, None)
             if handler is None or head.startswith("_"):
-                raise ParseError(f"unknown directive {head!r}", ln, col)
-            handler(toks)
+                raise self._error(f"unknown directive {head!r}")
+            handler(words)
         return self._finalize()
 
-    def _stmt_scenario(self, toks: list[Token]) -> None:
-        _, ln, col = toks[0]
+    def _stmt_scenario(self, words: list[str]) -> None:
         if self.name is not None:
-            raise ParseError("duplicate scenario header", ln, col)
-        if len(toks) != 2:
-            raise ParseError("scenario header needs exactly one name", ln, col)
-        self.name = toks[1][0]
+            raise self._error("duplicate scenario header")
+        if len(words) != 2:
+            raise self._error("scenario header needs exactly one name")
+        self.name = words[1]
 
-    def _stmt_observable(self, toks: list[Token]) -> None:
-        _, ln, col = toks[0]
-        if len(toks) < 4 or toks[2][0] != "outcomes":
-            raise ParseError(
-                "expected 'observable <label> outcomes <l1> <l2> ...'", ln, col
-            )
-        label = toks[1][0]
+    def _stmt_observable(self, words: list[str]) -> None:
+        if len(words) < 4 or words[2] != "outcomes":
+            raise self._error("expected 'observable <label> outcomes <l1> <l2> ...'")
+        label = words[1]
         if label in self.by_label:
-            raise ParseError(f"duplicate observable {label!r}", *toks[1][1:])
-        outcomes = tuple(t[0] for t in toks[3:])
+            raise self._error(f"duplicate observable {label!r}", 1)
         try:
-            obs = Observable(label, outcomes)
+            obs = Observable(label, tuple(words[3:]))
         except ValueError as e:
-            raise ParseError(str(e), ln, col) from None
+            raise self._error(str(e)) from None
         self.observables.append(obs)
         self.by_label[label] = obs
 
-    def _stmt_context(self, toks: list[Token]) -> None:
-        _, ln, col = toks[0]
-        if len(toks) < 2:
-            raise ParseError("context needs at least one observable label", ln, col)
+    def _stmt_context(self, words: list[str]) -> None:
+        if len(words) < 2:
+            raise self._error("context needs at least one observable label")
+        ctx = tuple(words[1:])
         seen = set()
-        for text, tln, tcol in toks[1:]:
-            if text not in self.by_label:
-                raise ParseError(
-                    f"context names undeclared observable {text!r}", tln, tcol
-                )
-            if text in seen:
-                raise ParseError(
-                    f"context repeats observable {text!r}", tln, tcol
-                )
-            seen.add(text)
-        ctx = tuple(t[0] for t in toks[1:])
-        if ctx in self.tables or ctx in self.contexts:
-            raise ParseError(f"duplicate context ({' '.join(ctx)})", ln, col)
+        for i, label in enumerate(ctx, 1):
+            if label not in self.by_label:
+                raise self._error(f"context names undeclared observable {label!r}", i)
+            if label in seen:
+                raise self._error(f"context repeats observable {label!r}", i)
+            seen.add(label)
+        key = frozenset(seen)
+        if key in self.declared:
+            raise self._error(f"duplicate context ({' '.join(ctx)})")
+        self.declared[key] = ctx
         self.contexts.append(ctx)
 
-    def _stmt_table(self, toks: list[Token]) -> None:
-        _, ln, col = toks[0]
-        args = toks[1:]
-        if not args:
-            raise ParseError("table needs a context index or its labels", ln, col)
-        ctx = tuple(t[0] for t in args)
-        if ctx not in self.contexts:
+    def _stmt_table(self, words: list[str]) -> None:
+        if len(words) < 2:
+            raise self._error("table needs a context index or its labels")
+        ctx = tuple(words[1:])
+        if self.declared.get(frozenset(ctx)) != ctx:
             # a lone number is an index only when no context has it as label
-            if len(args) != 1 or not args[0][0].isdecimal():
-                raise ParseError(
-                    f"table for undeclared context ({' '.join(ctx)})",
-                    *args[0][1:],
-                )
-            idx = int(args[0][0])
+            if len(ctx) != 1 or not ctx[0].isdecimal():
+                raise self._error(f"table for undeclared context ({' '.join(ctx)})", 1)
+            idx = int(ctx[0])
             if idx >= len(self.contexts):
-                raise ParseError(
+                raise self._error(
                     f"table index {idx} out of range ({len(self.contexts)} "
                     f"contexts declared)",
-                    *args[0][1:],
+                    1,
                 )
             ctx = self.contexts[idx]
         if ctx in self.tables:
-            raise ParseError(f"duplicate table for context ({' '.join(ctx)})", ln, col)
-        block = _TableBlock(ctx, ln)
+            raise self._error(f"duplicate table for context ({' '.join(ctx)})")
+        outcomes = tuple(self.by_label[label].outcomes for label in ctx)
+        block = _TableBlock(ctx, outcomes, self.ln)
         self.tables[ctx] = block
         self.block = ("table", block)
 
-    def _stmt_state(self, toks: list[Token]) -> None:
-        _, ln, col = toks[0]
+    def _stmt_state(self, words: list[str]) -> None:
         if self.state_dims is not None:
-            raise ParseError("duplicate state block", ln, col)
-        if len(toks) < 2:
-            raise ParseError("state needs one dimension per site", ln, col)
-        dims = tuple(_parse_int(t, "site dimension") for t in toks[1:])
-        for t, d in zip(toks[1:], dims):
+            raise self._error("duplicate state block")
+        if len(words) < 2:
+            raise self._error("state needs one dimension per site")
+        dims = tuple(self._int(i, "site dimension") for i in range(1, len(words)))
+        for i, d in enumerate(dims, 1):
             if d < 2:
-                raise ParseError(f"site dimension must be >= 2, got {d}", *t[1:])
+                raise self._error(f"site dimension must be >= 2, got {d}", i)
         size = math.prod(dims)
         if size > _MAX_STATE_SIZE:
-            raise ParseError(
-                f"state of {size} amplitudes exceeds the 2**24 state size "
-                f"guard",
-                ln,
-                col,
+            raise self._error(
+                f"state of {size} amplitudes exceeds the 2**24 state size guard"
             )
         self.state_dims = dims
-        self.state_line = ln
+        self.state_line = self.ln
         self.block = ("state", size)
 
-    def _basis_tail(self, toks: list[Token], start: int, ln: int) -> _BasisSpec:
-        """Parse 'basis <kind> [labels <l1> ...]' starting at toks[start]."""
-        if start >= len(toks) or toks[start][0] != "basis":
-            raise ParseError("expected 'basis <kind>'", ln, toks[min(start, len(toks) - 1)][2])
-        if start + 1 >= len(toks):
-            raise ParseError("basis needs a kind", ln, toks[start][2])
-        kind = toks[start + 1][0]
+    def _basis_tail(self, words: list[str], start: int) -> _BasisSpec:
+        """Parse 'basis <kind> [labels <l1> ...]' starting at words[start]."""
+        if start >= len(words) or words[start] != "basis":
+            raise self._error("expected 'basis <kind>'", min(start, len(words) - 1))
+        if start + 1 >= len(words):
+            raise self._error("basis needs a kind", start)
+        kind = words[start + 1]
         if kind not in _BASIS_KINDS:
-            raise ParseError(
+            raise self._error(
                 f"unknown basis kind {kind!r} (expected one of "
                 f"{', '.join(_BASIS_KINDS)})",
-                *toks[start + 1][1:],
+                start + 1,
             )
         labels: tuple[str, ...] = ()
-        rest = toks[start + 2 :]
-        if rest:
-            if rest[0][0] != "labels" or len(rest) < 2:
-                raise ParseError("expected 'labels <l1> <l2> ...'", *rest[0][1:])
-            labels = tuple(t[0] for t in rest[1:])
+        if start + 2 < len(words):
+            if words[start + 2] != "labels" or start + 3 >= len(words):
+                raise self._error("expected 'labels <l1> <l2> ...'", start + 2)
+            labels = tuple(words[start + 3 :])
         if kind == "explicit" and not labels:
-            raise ParseError("explicit basis requires labels", ln, toks[start + 1][2])
-        return _BasisSpec(kind, labels, ln)
+            raise self._error("explicit basis requires labels", start + 1)
+        return _BasisSpec(kind, labels, self.ln)
 
-    def _stmt_measure(self, toks: list[Token]) -> None:
-        _, ln, col = toks[0]
-        if len(toks) < 3 or toks[2][0] not in ("site", "sites"):
-            raise ParseError(
-                "expected 'measure <observable> site <k> basis ...'", ln, col
-            )
-        label = toks[1][0]
+    def _stmt_measure(self, words: list[str]) -> None:
+        if len(words) < 3 or words[2] not in ("site", "sites"):
+            raise self._error("expected 'measure <observable> site <k> basis ...'")
+        label = words[1]
         if label not in self.by_label:
-            raise ParseError(
-                f"measure for undeclared observable {label!r}", *toks[1][1:]
-            )
+            raise self._error(f"measure for undeclared observable {label!r}", 1)
         if label in self.measures:
-            raise ParseError(f"duplicate measure for observable {label!r}", ln, col)
+            raise self._error(f"duplicate measure for observable {label!r}")
         i = 3
         sites: list[int] = []
-        while i < len(toks) and toks[i][0] != "basis":
-            sites.append(_parse_int(toks[i], "site index"))
+        while i < len(words) and words[i] != "basis":
+            sites.append(self._int(i, "site index"))
             i += 1
         if not sites:
-            raise ParseError("measure needs at least one site index", ln, col)
-        spec = self._basis_tail(toks, i, ln)
-        self.measures[label] = _MeasureSpec(tuple(sites), spec, ln)
+            raise self._error("measure needs at least one site index")
+        spec = self._basis_tail(words, i)
+        self.measures[label] = _MeasureSpec(tuple(sites), spec, self.ln)
         self.block = ("vecs", spec) if spec.kind == "explicit" else None
 
-    def _stmt_chain(self, toks: list[Token]) -> None:
-        _, ln, col = toks[0]
-        if len(toks) < 2:
-            raise ParseError("expected 'chain <agent> basis ...'", ln, col)
-        name = toks[1][0]
+    def _stmt_chain(self, words: list[str]) -> None:
+        if len(words) < 2:
+            raise self._error("expected 'chain <agent> basis ...'")
+        name = words[1]
         if any(a == name for a, _ in self.agents):
-            raise ParseError(f"duplicate chain agent {name!r}", *toks[1][1:])
-        spec = self._basis_tail(toks, 2, ln)
+            raise self._error(f"duplicate chain agent {name!r}", 1)
+        spec = self._basis_tail(words, 2)
         self.agents.append((name, spec))
         self.block = ("vecs", spec) if spec.kind == "explicit" else None
 
     # ------------------------------------------------------- block rows
 
-    def _row(self, toks: list[Token]) -> None:
-        head, ln, col = toks[0]
+    def _row(self, words: list[str]) -> None:
         if self.block is None:
-            raise ParseError("indented line outside any block", ln, col)
-        kind = self.block[0]
+            raise self._error("indented line outside any block")
+        kind, target = self.block
         if kind == "table":
-            self._table_row(self.block[1], toks)
+            self._table_row(target, words)
         elif kind == "state":
-            self._amp_row(self.block[1], toks)
+            self._amp_row(target, words)
         else:
-            self._vec_row(self.block[1], toks)
+            self._vec_row(target, words)
 
-    def _table_row(self, block: _TableBlock, toks: list[Token]) -> None:
-        ctx = block.context
-        _, ln, col = toks[0]
-        if len(toks) != len(ctx) + 1:
-            raise ParseError(
-                f"table row needs {len(ctx)} outcome labels and one "
-                f"probability",
-                ln,
-                col,
+    def _table_row(self, block: _TableBlock, words: list[str]) -> None:
+        n = len(block.context)
+        if len(words) != n + 1:
+            raise self._error(
+                f"table row needs {n} outcome labels and one probability"
             )
-        for label, (text, tln, tcol) in zip(ctx, toks[: len(ctx)]):
-            if text not in self.by_label[label].outcomes:
-                raise ParseError(
-                    f"{text!r} is not an outcome of observable {label!r}",
-                    tln,
-                    tcol,
-                )
-        key = tuple(t[0] for t in toks[: len(ctx)])
+        key = tuple(words[:n])
+        if not all(map(tuple.__contains__, block.outcomes, key)):
+            for i, (label, outcomes) in enumerate(zip(block.context, block.outcomes)):
+                if key[i] not in outcomes:
+                    raise self._error(
+                        f"{key[i]!r} is not an outcome of observable {label!r}", i
+                    )
         if key in block.rows:
-            raise ParseError(f"duplicate table row ({' '.join(key)})", ln, col)
-        block.rows[key] = _parse_prob(toks[-1])
+            raise self._error(f"duplicate table row ({' '.join(key)})")
+        block.rows[key] = self._prob(n)
 
-    def _amp_row(self, total: int, toks: list[Token]) -> None:
-        head, ln, col = toks[0]
-        if head != "amp" or len(toks) != 4:
-            raise ParseError("expected 'amp <flat-index> <re> <im>'", ln, col)
-        idx = _parse_int(toks[1], "amplitude index")
+    def _amp_row(self, total: int, words: list[str]) -> None:
+        if words[0] != "amp" or len(words) != 4:
+            raise self._error("expected 'amp <flat-index> <re> <im>'")
+        idx = self._int(1, "amplitude index")
         if not (0 <= idx < total):
-            raise ParseError(
-                f"amplitude index {idx} out of range for dimension {total}",
-                *toks[1][1:],
+            raise self._error(
+                f"amplitude index {idx} out of range for dimension {total}", 1
             )
         if idx in self.amps:
-            raise ParseError(f"duplicate amplitude index {idx}", *toks[1][1:])
-        re_part = _parse_float(toks[2], "amplitude component")
-        im_part = _parse_float(toks[3], "amplitude component")
+            raise self._error(f"duplicate amplitude index {idx}", 1)
+        re_part = self._float(2, "amplitude component")
+        im_part = self._float(3, "amplitude component")
         self.amps[idx] = complex(re_part, im_part)
 
-    def _vec_row(self, spec: _BasisSpec, toks: list[Token]) -> None:
-        head, ln, col = toks[0]
-        if head != "vec":
-            raise ParseError("expected 'vec <re> <im> ...' row", ln, col)
-        comps = toks[1:]
-        if not comps or len(comps) % 2:
-            raise ParseError(
-                "vec row needs an even number of components (re im pairs)",
-                ln,
-                col,
+    def _vec_row(self, spec: _BasisSpec, words: list[str]) -> None:
+        if words[0] != "vec":
+            raise self._error("expected 'vec <re> <im> ...' row")
+        if len(words) < 3 or len(words) % 2 == 0:
+            raise self._error(
+                "vec row needs an even number of components (re im pairs)"
             )
-        values = [_parse_float(t, "vector component") for t in comps]
-        spec.vecs.append(
-            [complex(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-        )
+        try:
+            values = list(map(float, words[1:]))
+            finite = all(map(math.isfinite, values))
+        except ValueError:
+            finite = False
+        if not finite:  # the first component that fails raises
+            for i in range(1, len(words)):
+                self._float(i, "vector component")
+        spec.vecs.append(list(map(complex, values[::2], values[1::2])))
+
 
     # -------------------------------------------------------- finalize
 
@@ -484,7 +461,7 @@ class _Parser:
                     spec.line,
                 )
         try:
-            return SiteBasis(np.array(spec.vecs, dtype=complex), spec.labels)
+            return SiteBasis(spec.vecs, spec.labels)
         except ValueError as e:
             raise ParseError(f"{owner}: {e}", spec.line) from None
 
@@ -503,12 +480,12 @@ class _Parser:
                 raise ParseError(f"missing table for context ({' '.join(ctx)})")
         tables: dict[tuple[str, ...], Distribution] = {}
         for ctx, block in self.tables.items():
-            expected = scenario.joint_outcomes(ctx)
-            if len(block.rows) != len(expected):
+            expected = math.prod(map(len, block.outcomes))
+            if len(block.rows) != expected:
                 raise ParseError(
                     f"table row count mismatch for context "
                     f"({' '.join(ctx)}): {len(block.rows)} rows, expected "
-                    f"{len(expected)}",
+                    f"{expected}",
                     block.line,
                 )
             probs = {k: v[0] for k, v in block.rows.items()}

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import ast
+import json
+import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from contextuality.qstate import (
 from contextuality.scenario import realize, snap_to_rationals
 from contextuality.scnformat import (
     ParseError,
+    _column,
     _lines,
     parse_file,
     parse_model,
@@ -227,6 +231,9 @@ def test_syntax_and_reference_errors():
         ("scenario s\nobservable X outcomes 0 0\n", "duplicate outcomes", 2, None),
         ("scenario s\nobservable X outcomes 0 1\ncontext X X\n", "repeats observable 'X'", 3, None),
         ("scenario s\nobservable X outcomes 0 1\ncontext X\ncontext X\n", "duplicate context (X)", 4, None),
+        # the same label set in another order is the same context
+        ("scenario s\nobservable X outcomes 0 1\nobservable Y outcomes 0 1\n"
+         "context X Y\ncontext Y X\n", "duplicate context (Y X)", 5, 1),
         ("scenario s\nobservable X outcomes 0 1\ntable X\n  0 1\n", "undeclared context (X)", 3, None),
         ("scenario s\nobservable X outcomes 0 1\ncontext X\ntable 3\n", "index 3 out of range", 4, None),
         ("scenario s\nobservable X outcomes 0 1\ncontext X\ntable X\n  0 1\ntable X\n  1 0\n", "duplicate table", 6, None),
@@ -499,8 +506,16 @@ def _regex_lines(text: str):
             yield toks, body[0] in " \t"
 
 
+def _located_lines(text: str):
+    """The words of _lines, each with the column _column finds for it: the
+    location a ParseError raised at that word reports."""
+    for ln, body, words in _lines(text):
+        toks = [(word, ln, _column(body, words, i)) for i, word in enumerate(words)]
+        yield toks, body[0] in " \t"
+
+
 def _assert_same_tokens(text: str) -> None:
-    assert list(_lines(text)) == list(_regex_lines(text))
+    assert list(_located_lines(text)) == list(_regex_lines(text))
 
 
 def test_tokenizer_matches_regex_on_corpus_and_workloads(tmp_path):
@@ -525,7 +540,7 @@ def test_tokenizer_columns_with_unicode_whitespace():
         "\t amp\u3000" "0\t1.0\u2003 0.0#x\n"
         " \xa0\n#only\nab b bb\n"
     )
-    assert list(_lines(text)) == [
+    assert list(_located_lines(text)) == [
         ([("scenario", 1, 1), ("s", 1, 10)], False),
         ([("amp", 2, 3), ("0", 2, 7), ("1.0", 2, 9), ("0.0", 2, 14)], True),
         ([("ab", 5, 1), ("b", 5, 4), ("bb", 5, 6)], False),
@@ -546,6 +561,44 @@ _PIECES = st.lists(
 @given(st.lists(_PIECES.map("".join), max_size=6))
 def test_tokenizer_matches_regex_on_random_lines(lines):
     _assert_same_tokens("\n".join(lines))
+
+
+def test_parse_errors_match_the_pins():
+    """Message, line and column of every seeded mutant's ParseError, or ok,
+    as tests/parse_pins.py pinned them."""
+    import parse_pins
+
+    pinned = json.loads(parse_pins.PINS.read_text(encoding="utf-8"))
+    got = parse_pins.outcomes()
+    assert got.keys() == pinned.keys()
+    assert {k: (pinned[k], got[k]) for k in pinned if got[k] != pinned[k]} == {}
+
+
+def _binary_cycle_text(n: int) -> str:
+    lines = ["scenario cycle"]
+    lines += [f"observable X{i} outcomes 0 1" for i in range(n)]
+    lines += [f"context X{i} X{(i + 1) % n}" for i in range(n)]
+    for i in range(n):
+        lines.append(f"table X{i} X{(i + 1) % n}")
+        lines += [f"  {a} {b} 1/4" for a in "01" for b in "01"]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_time_is_linear_in_the_contexts():
+    """Contexts are found by dict, not by a scan of those declared before:
+    per context, a 16000-context cycle parses within 3x of a 2000-context
+    one (best of 3 each)."""
+    per_context = {}
+    for n in (2000, 16000):
+        text = _binary_cycle_text(n)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            f = parse_file(text)
+            best = min(best, time.perf_counter() - start)
+        assert len(f.model.tables) == n
+        per_context[n] = best / n
+    assert per_context[16000] < 3 * per_context[2000], per_context
 
 
 # ------------------------------------------------------------ state size
