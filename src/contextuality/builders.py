@@ -218,6 +218,37 @@ def fr_realization() -> Friendified:
     return friendify(*hardy_realization())
 
 
+def _implication_triples(m: EmpiricalModel):
+    """(context, premise, conclusion) of every single-premise implication
+    that holds with certainty, in the order certain_implications lists them."""
+    sc = m.scenario
+    for ctx in sc.contexts:
+        rows = list(m.tables[ctx].items())
+        outcomes = [sc.observable(label).outcomes for label in ctx]
+        for pi, premise_obs in enumerate(ctx):
+            # one sweep groups the rows by premise value, in row order: a sum()
+            # over a list adds as a sum() over the filtered rows did
+            groups: dict[str, list[tuple[tuple[str, ...], float]]] = {}
+            for row in rows:
+                groups.setdefault(row[0][pi], []).append(row)
+            for va in outcomes[pi]:
+                group = groups.get(va, ())
+                base = sum([p for _, p in group])
+                if base <= EPS_ZERO:
+                    continue
+                premise = (premise_obs, va)
+                for ci, conclusion_obs in enumerate(ctx):
+                    if ci == pi:
+                        continue
+                    joint: dict[str, list[float]] = {}
+                    for tup, p in group:
+                        joint.setdefault(tup[ci], []).append(p)
+                    for vb in outcomes[ci]:
+                        ps = joint.get(vb)
+                        if ps is not None and sum(ps) / base >= 1.0 - EPS_CERTAIN:
+                            yield ctx, premise, (conclusion_obs, vb)
+
+
 def certain_implications(
     m: EmpiricalModel,
     queries: Sequence[ContextKey | tuple[ContextKey, tuple[str, ...]]] = (),
@@ -234,38 +265,9 @@ def certain_implications(
     joint event, earliest row on ties) or a (context, event) pair (reports
     that event's table probability).
     """
-    sc = m.scenario
-    sentences: list[Sentence] = []
-    for ctx in sc.contexts:
-        rows = list(m.tables[ctx].items())
-        outcomes = [sc.observable(label).outcomes for label in ctx]
-        for pi, premise_obs in enumerate(ctx):
-            # one sweep groups the rows by premise value, in row order: a sum()
-            # over a list adds as a sum() over the filtered rows did
-            groups: dict[str, list[tuple[tuple[str, ...], float]]] = {}
-            for row in rows:
-                groups.setdefault(row[0][pi], []).append(row)
-            for va in outcomes[pi]:
-                group = groups.get(va, ())
-                base = sum([p for _, p in group])
-                if base <= EPS_ZERO:
-                    continue
-                for ci, conclusion_obs in enumerate(ctx):
-                    if ci == pi:
-                        continue
-                    joint: dict[str, list[float]] = {}
-                    for tup, p in group:
-                        joint.setdefault(tup[ci], []).append(p)
-                    for vb in outcomes[ci]:
-                        ps = joint.get(vb)
-                        if ps is not None and sum(ps) / base >= 1.0 - EPS_CERTAIN:
-                            sentences.append(
-                                CertainImplication(
-                                    ctx,
-                                    (premise_obs, va),
-                                    (conclusion_obs, vb),
-                                )
-                            )
+    sentences: list[Sentence] = [
+        CertainImplication(*t) for t in _implication_triples(m)
+    ]
     for query in queries:
         if query and isinstance(query[0], str):
             ctx = tuple(query)

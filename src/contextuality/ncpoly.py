@@ -433,8 +433,15 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
         p = [m.tables[ctx][tup] for ctx, tup in inc.rows]
         rhs = np.array(p, dtype=float)
     # b = 0 is feasible, and the rows of any one context bound sum(b) by 1,
-    # so the program is never unbounded
-    value, x, basis, inverse = simplex(np.ones(inc.matrix.shape[1]), inc.matrix, rhs)
+    # so the program is never unbounded: a None, like a non-finite answer,
+    # is a failure of the float arithmetic
+    solved = simplex(np.ones(inc.matrix.shape[1]), inc.matrix, rhs)
+    if solved is None or not (math.isfinite(solved[0]) and np.isfinite(solved[1]).all()):
+        rows, cols = inc.matrix.shape
+        raise RuntimeError(
+            f"the float simplex failed on the {rows} x {cols} fraction program"
+        )
+    value, x, basis, inverse = solved
     ncf = min(max(value, 0.0), 1.0)
     _validate_witness(inc, rhs, x, ncf)
     if not m.exact_available:

@@ -12,19 +12,21 @@ the exact `p/q` string alongside.
 JSON is written by a small direct writer (`_encode`) whose bytes equal
 `json.dumps(report, indent=2, sort_keys=True)`. With an indent the stdlib
 always falls back to its pure-Python encoder, which yields every piece
-through nested generators; the writer instead appends each piece once to
-one list and joins it once, writes a list of strings in one join, and
-encodes each dict key once per report.
+through nested generators; the writer instead appends each inline value,
+joined to the separator, newline, indent and key before it, to one list
+and joins it once. Within one report it sorts and encodes the keys of
+each dict layout once, and encodes each list of strings at each indent
+once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
-from .builders import CertainImplication, certain_implications
+from .builders import CertainImplication, _implication_triples
 from .logic import LiarCycle, _Plan, _default_seed, liar_cycles
 from .metacontext import (
     AssumptionSet,
@@ -296,9 +298,7 @@ def model_report(
         values["classification"] = plan.classification().value
         values["global_sections"] = plan.count
     if "sentences" in sections:
-        values["sentences"] = [
-            _sentence_dict(s) for s in certain_implications(work)
-        ]
+        values["sentences"] = [_impl_dict(*t) for t in _implication_triples(work)]
 
     cycle = None
     if "cycle" in sections or "claims" in sections:
@@ -492,63 +492,85 @@ def _encode(o, nl: str = "\n") -> str:
     the newline and indent of the line o starts on. Dict keys must be str.
     Every piece is appended to one list, which is joined once."""
     out: list[str] = []
-    _write(o, nl, out, {})
+    _write(o, nl, out, {}, {})
     return "".join(out)
 
 
-def _write(o, nl: str, out: list[str], prefixes: dict[str, str]) -> None:
-    """Append the pieces of o to out. Values of exact builtin types are
-    written inline, and a nested list of str in one join; prefixes maps each
-    dict key met so far in this _encode call to its encoded '"key": '."""
+def _write(
+    o,
+    nl: str,
+    out: list[str],
+    layouts: dict[tuple, tuple[list[str], list[str], str, str, str]],
+    texts: dict[tuple, str],
+) -> None:
+    """Append the pieces of o to out, one per item: the text before the item
+    (separator, newline, indent and, in a dict, the encoded key) joined to
+    the item when it is written inline, as values of exact builtin types and
+    lists of str are. Both caches live for one _encode call: layouts maps
+    (nl, *keys) of each dict met, keys in insertion order, to its sorted
+    keys, the text before each of their values, its closing line and the
+    indents of its items and of theirs; texts maps (indent, *items) of each
+    list of str met to its encoded text. They are two dicts because a dict's
+    keys and a list's items can make equal tuples."""
     put = out.append
     t = type(o)
     if t is dict:
-        pairs = []
-        for k in sorted(o):
-            prefix = prefixes.get(k)
-            if prefix is None:
-                prefix = prefixes[k] = _encode_str(k) + ": "
-            pairs.append((prefix, o[k]))
-        ends = "{}"
+        if not o:
+            put("{}")
+            return
+        key = (nl, *o)
+        layout = layouts.get(key)
+        if layout is None:
+            inner = nl + "  "
+            sep = "," + inner
+            keys = sorted(o)
+            heads = [sep + k + ": " for k in map(_encode_str, keys)]
+            heads[0] = "{" + heads[0][1:]
+            layout = layouts[key] = (keys, heads, nl + "}", inner, inner + "  ")
+        keys, heads, close, inner, deeper = layout
+        pairs = zip(heads, map(o.__getitem__, keys))
     elif t is list or t is tuple:
-        pairs, ends = zip(repeat(""), o), "[]"
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        deeper = inner + "  "
+        pairs = zip(chain(("[" + inner,), repeat("," + inner)), o)
+        close = nl + "]"
     elif isinstance(o, (list, tuple, dict)):  # subclasses, as json encodes them
-        _write(dict(o.items()) if isinstance(o, dict) else list(o), nl, out, prefixes)
+        _write(dict(o.items()) if isinstance(o, dict) else list(o), nl, out, layouts, texts)
         return
     else:
         put(_encode_other(o))
         return
-    if not o:
-        put(ends)
-        return
-    inner = nl + "  "
-    sep = "," + inner
-    deeper = inner + "  "
-    put(ends[0] + inner)
-    for prefix, v in pairs:
+    for head, v in pairs:
         t = type(v)
         if t is str:
-            put(prefix + _encode_str(v))
+            put(head + _encode_str(v))
+        elif t is list and v and type(v[0]) is str and type(v[-1]) is str:
+            key = (inner, *v)
+            try:
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = "[" + deeper + ("," + deeper).join(map(_encode_str, v)) + inner + "]"
+            except TypeError:  # an item is unhashable, or not a str
+                put(head)
+                _write(v, inner, out, layouts, texts)
+            else:
+                put(head + text)
         elif t is float:
             r = _float_repr(v)
-            put(prefix + _NONFINITE.get(r, r))
+            put(head + _NONFINITE.get(r, r))
         elif t is int:
-            put(prefix + _int_repr(v))
+            put(head + _int_repr(v))
         elif v is None:
-            put(prefix + "null")
+            put(head + "null")
         elif t is bool:
-            put(prefix + ("true" if v else "false"))
-        elif t is list and v and type(v[0]) is str:
-            try:
-                put(prefix + "[" + deeper + ("," + deeper).join(map(_encode_str, v)) + inner + "]")
-            except TypeError:  # a later item is not a str
-                put(prefix)
-                _write(v, inner, out, prefixes)
+            put(head + ("true" if v else "false"))
         else:
-            put(prefix)
-            _write(v, inner, out, prefixes)
-        put(sep)
-    out[-1] = nl + ends[1]  # in place of the separator after the last item
+            put(head)
+            _write(v, inner, out, layouts, texts)
+    put(close)
 
 
 def _encode_other(o) -> str:

@@ -5,6 +5,7 @@ compare the packaged constructors against these."""
 
 from __future__ import annotations
 
+import random
 from math import prod
 
 import numpy as np
@@ -12,18 +13,22 @@ import pytest
 
 from contextuality.metacontext import Agent, ObserverChain
 from contextuality.qstate import (
+    Distribution,
     SiteBasis,
     StateVector,
     computational_basis,
     diagonal_basis,
 )
 from contextuality.scenario import (
+    EmpiricalModel,
     MeasurementRecipe,
     Observable,
     QuantumRealization,
     Scenario,
     realize,
 )
+
+from liar_pins import random_support
 
 HARDY_CONTEXTS = (
     ("A_d", "B_c"),
@@ -79,6 +84,30 @@ def random_chain(seed: int, sites: tuple[int, ...], random_bases: tuple[bool, ..
         agents.append(Agent(f"F{k}", basis))
         d *= d
     return ObserverChain(base, tuple(agents))
+
+
+def random_table_model(rng: random.Random) -> EmpiricalModel:
+    """The scenario of a random support (2-5 observables of 2-3 outcomes,
+    1-5 contexts of 1-3 observables in random order) with float tables. A
+    row is zero (about a third of them), a leak of 1e-11 to 1e-8 (about one
+    in six), or a weight of order one."""
+    sc = random_support(rng).scenario
+    tables = {}
+    for ctx in sc.contexts:
+        weights = {}
+        for t in sc.joint_outcomes(ctx):
+            u = rng.random()
+            if u < 0.35:
+                weights[t] = 0.0
+            elif u < 0.5:
+                weights[t] = 10 ** rng.uniform(-11, -8)
+            else:
+                weights[t] = rng.uniform(0.05, 1.0)
+        if not any(weights.values()):
+            weights[rng.choice(list(weights))] = 1.0
+        total = sum(weights.values())
+        tables[ctx] = Distribution({t: w / total for t, w in weights.items()})
+    return EmpiricalModel(sc, tables)
 
 
 @pytest.fixture

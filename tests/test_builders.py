@@ -32,7 +32,7 @@ from contextuality.scenario import (
     realize,
 )
 
-from liar_pins import random_support
+from conftest import random_table_model
 from oracles import certain_implications_nested_sum
 
 HARDY_LABEL_MAP = {
@@ -321,30 +321,6 @@ def test_sentences_expose_kind(hardy_model):
     ).holds_in(hardy_model)
 
 
-def _random_table_model(rng: random.Random) -> EmpiricalModel:
-    """The scenario of a random support (2-5 observables of 2-3 outcomes,
-    1-5 contexts of 1-3 observables in random order) with float tables. A
-    row is zero (about a third of them), a leak of 1e-11 to 1e-8 (about one
-    in six), or a weight of order one."""
-    sc = random_support(rng).scenario
-    tables = {}
-    for ctx in sc.contexts:
-        weights = {}
-        for t in sc.joint_outcomes(ctx):
-            u = rng.random()
-            if u < 0.35:
-                weights[t] = 0.0
-            elif u < 0.5:
-                weights[t] = 10 ** rng.uniform(-11, -8)
-            else:
-                weights[t] = rng.uniform(0.05, 1.0)
-        if not any(weights.values()):
-            weights[rng.choice(list(weights))] = 1.0
-        total = sum(weights.values())
-        tables[ctx] = Distribution({t: w / total for t, w in weights.items()})
-    return EmpiricalModel(sc, tables)
-
-
 def _conditional_mass(m, s: CertainImplication) -> float:
     table = m.tables[s.context]
     pi = s.context.index(s.premise[0])
@@ -365,7 +341,7 @@ def test_certain_implications_match_the_nested_sum_oracle():
     rng = random.Random(1406)
     leaky = near_misses = 0
     for _ in range(400):
-        m = _random_table_model(rng)
+        m = random_table_model(rng)
         want = certain_implications_nested_sum(m)
         assert certain_implications(m) == want
         leaky += sum(_conditional_mass(m, s) < 1.0 for s in want)

@@ -274,6 +274,31 @@ def test_ncf_engine_failure_exits_1(monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("failure", ["none", "nan_value", "nan_x"])
+def test_failed_float_simplex_exits_1(monkeypatch, failure):
+    """A float simplex that gives up (None) or returns a non-finite optimum
+    or solution is an error naming the program's size, not a traceback."""
+    import contextuality.ncpoly as ncpoly
+
+    real = ncpoly.simplex
+
+    def broken(c, A, rhs):
+        if failure == "none":
+            return None
+        value, x, basis, inverse = real(c, A, rhs)
+        if failure == "nan_value":
+            return float("nan"), x, basis, inverse
+        x = x.copy()
+        x[0] = float("nan")
+        return value, x, basis, inverse
+
+    monkeypatch.setattr(ncpoly, "simplex", broken)
+    rc, out, err = call(["ncf", str(DATA_DIR / "hardy.scn")])
+    assert (rc, out) == (1, "")
+    assert err == "error: the float simplex failed on the 16 x 16 fraction program\n"
+    assert "Traceback" not in err
+
+
 def test_ncf_json_computes_no_disturbance_once(monkeypatch):
     import contextuality.scenario as scenario
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -13,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextuality import logic, report
-from contextuality.builders import fr_realization, hardy_realization
+from contextuality.builders import (
+    ProbabilityStatement,
+    certain_implications,
+    fr_realization,
+    hardy_realization,
+)
 from contextuality.metacontext import (
     coherent_final_basis,
     compare_cuts,
@@ -42,7 +48,9 @@ from contextuality.scenario import (
 )
 from contextuality.scnformat import parse_file
 
-from conftest import random_chain
+from conftest import random_chain, random_table_model
+from ncf_pins import white_noise_odd_cycle
+from oracles import certain_implications_nested_sum
 
 CORPUS = (
     "hardy",
@@ -556,6 +564,107 @@ def test_json_writer_matches_json_dumps(value):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             _encode(bad)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [{"b": 1}, ["b"]],
+        [["b"], {"b": 1}],
+        {"k": ["a", True]},
+        {"k": ["", []]},
+        {"k": ["a", None, "b"], "l": ["a", None, "b"]},
+        {"k": ["a", ["b"], "b"], "l": ["a", {"b": 1}, "b"]},
+        [["a", True], ["a", 1], ["a", "b"], ["a", True]],
+        [["", []], ["", []], [""]],
+        {"b": ["b"], "c": {"b": "b"}, "d": [{"b": ["b"]}, ["b", {"b": 1}]]},
+        [["a", "b"], [["a", "b"]], {"k": ["a", "b"]}, [{"k": ["a", "b"]}]],
+    ],
+)
+def test_json_writer_caches_keep_layouts_and_lists_apart(value):
+    """A dict's keys and a list's items can form equal cache keys, a list
+    that starts with a str can hold a later non-str or unhashable item, and
+    equal layouts and lists recur at other indents."""
+    assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+_small_text = st.text(alphabet="ab", max_size=2)
+_small_values = st.recursive(
+    st.one_of(_small_text, st.integers(0, 2), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(_small_text, min_size=1, max_size=3),
+        st.dictionaries(_small_text, inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_small_values, min_size=1, max_size=4))
+def test_json_writer_matches_json_dumps_on_repeated_pieces(values):
+    """Keys and strings from a two-letter alphabet, so that dict layouts and
+    lists of str repeat, at equal indents and, nested once more, at deeper
+    ones."""
+    for value in (values, [values, {"a": values}, [[values]]]):
+        assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "model,sections",
+    [
+        (logic.cycle_empirical_model(n, parity), frozenset({"logic", "sentences", "cycle"}))
+        for n in (16, 24)
+        for parity in ("odd", "even")
+    ]
+    + [
+        (white_noise_odd_cycle(n, Fraction(9, 10)), frozenset({"nd", "ncf"}))
+        for n in (9, 11)
+    ],
+    ids=["odd_16", "even_16", "odd_24", "even_24", "noise_9", "noise_11"],
+)
+def test_render_json_equals_json_dumps_at_scale(model, sections):
+    """Sentence-heavy cycle reports and witness-heavy fraction reports,
+    where the writer's caches are hit most."""
+    r = model_report(model, "m", sections=sections)
+    assert render_json(r) == json.dumps(r.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _sentence_models():
+    # the 400 models of test_certain_implications_match_the_nested_sum_oracle
+    rng = random.Random(1406)
+    for _ in range(400):
+        yield random_table_model(rng)
+    for name in CORPUS:
+        f = parse_file(corpus_text(name))
+        if f.model is not None:
+            yield f.model
+        elif f.realization is not None:
+            yield realize(f.realization, f.scenario)
+    import report_pins
+
+    for _, m in report_pins.pinned_models():
+        yield m
+
+
+def test_report_sentences_match_the_nested_sum_oracle():
+    """The report writes its sentences straight from the implication
+    triples, without certain_implications: they are the oracle's sentences
+    of the model it reports on, in the oracle's order. certain_implications
+    still appends one ProbabilityStatement per query."""
+    count = 0
+    for m in _sentence_models():
+        work = report._work_model(m)
+        want = certain_implications_nested_sum(work)
+        got = model_report(m, "m", sections=frozenset({"sentences"})).sentences
+        assert got == [report._sentence_dict(s) for s in want]
+        ctx = work.scenario.contexts[-1]
+        queried = certain_implications(work, queries=[ctx])
+        assert queried[:-1] == want
+        assert isinstance(queried[-1], ProbabilityStatement)
+        assert queried[-1].context == ctx
+        count += len(want)
+    assert count > 1000
 
 
 def test_possibilistic_report_bytes_are_pinned():
