@@ -4,24 +4,28 @@ certificate.
 The decomposition question "how much of this empirical model is explained by
 a global distribution" is a small dense LP: maximize the total weight b >= 0
 over deterministic global assignments subject to incidence * b <= table
-probabilities, row by row. Every row is an upper bound with a nonnegative
-right-hand side, so the slack basis is feasible and the solver needs one
-phase only. The program has few rows and very many columns, so the solver
-is a float64 revised simplex with Bland's rule that takes and returns
-plain arrays: A is made float once, and each pivot updates only the m x m
-basis inverse, the basic solution and the reduced costs, the last by a
-multiple of B^-1's leaving row times [A | I], read over the few rows of A
-where that row is nonzero; y A prices all columns only at the start and
-when the updated costs claim optimality.
+probabilities, row by row. An assignment that hits a row of probability
+exactly 0 is forced to weight 0 by that row and b >= 0, so the program that
+is solved keeps only the other assignments, the global sections of the
+support, and only the rows some kept assignment hits; when none is kept the
+model is strongly contextual and its fraction is 0 with no LP at all. Every
+row is an upper bound with a nonnegative right-hand side, so the slack basis
+is feasible and the solver needs one phase only. The program has few rows
+and very many columns, so the solver is a float64 revised simplex with
+Bland's rule that takes and returns plain arrays: A is made float once, and
+each pivot updates only the m x m basis inverse, the basic solution and the
+reduced costs, the last by a multiple of B^-1's leaving row times [A | I],
+read over the few rows of A where that row is nonzero; y A prices all
+columns only at the start and when the updated costs claim optimality.
 
-For exact tables one integer routine takes the float-optimal basis B to
-the exact optimum on d B^-1 [P | I], P the scaled probabilities and d = 1
-at the start, which is read off the float B^-1: rounded, it is accepted
-when B times it is exactly I, so |det B| = 1. If it is not, or B is not
-exactly dual feasible, a basis that always is, with B^-1 = 2I - B, replaces
-it; exact dual-simplex pivots with Bland's rule then run while the primal
-is infeasible, int64 while every entry is below 2**31 and Python ints
-otherwise.
+For exact tables one integer routine takes the float-optimal basis B of the
+kept program to the exact optimum on d B^-1 [P | I], P the scaled
+probabilities and d = 1 at the start, which is read off the float B^-1:
+rounded, it is accepted when B times it is exactly I, so |det B| = 1. If it
+is not, or B is not exactly dual feasible, a basis that always is, with
+B^-1 = 2I - B, replaces it; exact dual-simplex pivots with Bland's rule then
+run while the primal is infeasible, int64 while every entry is below 2**31
+and Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -240,6 +244,45 @@ class FractionResult:
             raise ValueError("witness weights must sum to ncf")
 
 
+@dataclass(frozen=True)
+class _Program:
+    """The part of an incidence matrix that a fraction program keeps: its
+    rows row_index and its columns `columns`, both ascending, as `matrix`,
+    with the kept rows' (context, tuple) keys in `rows`. Column j is the
+    incidence's column columns[j]."""
+
+    rows: tuple[tuple[ContextKey, tuple[str, ...]], ...]
+    matrix: np.ndarray
+    row_index: np.ndarray
+    columns: np.ndarray
+    incidence: IncidenceMatrix
+
+    def assignment(self, col: int) -> tuple[str, ...]:
+        return self.incidence.assignment(int(self.columns[col]))
+
+
+def _support_program(inc: IncidenceMatrix, p: Sequence, rhs: np.ndarray) -> _Program:
+    """The fraction program the model poses, p its probabilities (exact or
+    float) and rhs their floats. A b <= p and b >= 0 force every assignment
+    hitting a row of probability exactly 0 to weight 0, so only the others,
+    the global sections of the support, are kept; then only the rows some
+    kept column hits. Each kept column still hits one kept row of every
+    context, so every context keeps a row while any column is kept. With no
+    row of probability 0 the program is the incidence itself."""
+    A = inc.matrix
+    nrows, ncols = A.shape
+    # a float 0 of an exact probability may be an underflow, so p decides
+    zero = [r for r in np.flatnonzero(rhs == 0).tolist() if p[r] == 0]
+    if not zero:
+        return _Program(inc.rows, A, np.arange(nrows), np.arange(ncols), inc)
+    cols = np.flatnonzero(~A[zero].any(axis=0))
+    kept = A[:, cols]
+    rows = np.flatnonzero(kept.any(axis=1))
+    return _Program(
+        tuple(inc.rows[r] for r in rows.tolist()), kept[rows], rows, cols, inc
+    )
+
+
 def _validate_witness(
     inc: IncidenceMatrix, rhs: np.ndarray, x: np.ndarray, ncf: float
 ) -> None:
@@ -305,17 +348,24 @@ def _scaled(p: Sequence[Fraction]) -> tuple[int, np.ndarray]:
     return scale, np.array(P, dtype=np.int64 if small else object)
 
 
-def _context_basis(inc: IncidenceMatrix) -> list[int]:
+def _context_basis(inc: IncidenceMatrix | _Program) -> list[int]:
     """A basis that is always dual feasible: for each row of the first
     context the first assignment column hitting it, and the slacks of every
     other row. Every assignment hits exactly one row of a context, so the
     duals are 1 on the first context and 0 elsewhere, and every reduced cost
     is 0 or -1. B = I + N with N nonzero only on the first context's columns
-    and the other rows, so N N = 0 and B^-1 = 2I - B exactly."""
+    and the other rows, so N N = 0 and B^-1 = 2I - B exactly. Raises
+    RuntimeError when some row of the first context is hit by no column,
+    since no such basis exists then."""
     A = inc.matrix
     nrows, n = A.shape
     first = sum(1 for ctx, _ in inc.rows if ctx == inc.rows[0][0])
-    heads = [int(A[r].argmax()) for r in range(first)]
+    if not A[:first].any(axis=1).all():
+        raise RuntimeError(
+            f"a first-context row of the {nrows} x {n} fraction program is "
+            f"hit by no assignment column"
+        )
+    heads = A[:first].argmax(axis=1).tolist()
     return heads + list(range(n + first, n + nrows))
 
 
@@ -360,18 +410,23 @@ def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _exact_optimum(
-    inc: IncidenceMatrix, p: Sequence[Fraction], basis: np.ndarray, inverse: np.ndarray
+    inc: IncidenceMatrix | _Program,
+    p: Sequence[Fraction],
+    basis: np.ndarray,
+    inverse: np.ndarray,
 ) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
-    """The exact optimum and witness for the exact probabilities p, from
-    the float-optimal basis and its float B^-1, or from _context_basis when
-    that B^-1 does not round to the exact one or the basis is not exactly
-    dual feasible. Dual-simplex pivots with Bland's rule run while the
-    primal (column 0 of aug = d B^-1 [P | I], d = 1 at the start) is
-    infeasible: the leaving row is the negative basic value with the least
-    basic column; the entering column has the least ratio of reduced cost
-    to pivot-row entry among the entries below 0, ties to the least column.
-    Each pivot keeps the dual feasible, so the first primal feasible basis
-    is optimal."""
+    """The exact optimum and witness of the program inc for the exact
+    probabilities p of its rows, from the float-optimal basis and its float
+    B^-1, or from _context_basis when that B^-1 does not round to the exact
+    one or the basis is not exactly dual feasible. Dual-simplex pivots with
+    Bland's rule run while the primal (column 0 of aug = d B^-1 [P | I],
+    d = 1 at the start) is infeasible: the leaving row is the negative basic
+    value with the least basic column; the entering column has the least
+    ratio of reduced cost to pivot-row entry among the entries below 0, ties
+    to the least column. Each pivot keeps the dual feasible, so the first
+    primal feasible basis is optimal. Raises RuntimeError when the restart
+    basis has no integral inverse, which a program whose every column hits
+    one row of each context rules out."""
     A = inc.matrix
     n = A.shape[1]
     scale, P = _scaled(p)
@@ -381,6 +436,11 @@ def _exact_optimum(
     if aug is None or (_priced(1, aug[basis < n, 1:].sum(axis=0), A) > 0).any():
         basis = np.array(_context_basis(inc))
         aug = _basis_system(A, P, basis, 2 * np.eye(len(A)) - _basis_matrix(A, basis))
+        if aug is None:
+            raise RuntimeError(
+                f"the first-context basis of the {len(A)} x {n} fraction "
+                f"program has no integral inverse"
+            )
     d = 1
     while (aug[:, 0] < 0).any():
         neg = np.flatnonzero(aug[:, 0] < 0)
@@ -411,11 +471,15 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     no-disturbance within 1e-6 (raises SignallingModelError otherwise).
 
     ncf is the LP optimum (clamped into [0, 1]); cf = 1 - ncf; the witness is
-    revalidated against the tables after solving. One incidence matrix
-    serves the float LP, the witness check and the exact path. When exact
-    tables are available the float-optimal basis is certified, or repaired
-    by exact pivots, in integers; the exact optimum must agree with the
-    float one within 1e-9."""
+    revalidated against the tables after solving. The incidence matrix is
+    built once; the float LP and the exact path run on the program the
+    support poses, its global sections against the rows they hit, and the
+    witness is checked against every row of the tables. A model with no
+    global section is strongly contextual: ncf is 0 (exactly, when it has
+    exact tables) with an empty witness, and no LP runs. When exact tables
+    are available the float-optimal basis is certified, or repaired by exact
+    pivots, in integers; the exact optimum must agree with the float one
+    within 1e-9."""
     worst, _ = no_disturbance(m)
     if worst > EPS_ND_PRECONDITION:
         raise SignallingModelError(
@@ -432,10 +496,16 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     else:
         p = [m.tables[ctx][tup] for ctx, tup in inc.rows]
         rhs = np.array(p, dtype=float)
+    program = _support_program(inc, p, rhs)
+    kept = program.columns
+    if not len(kept):
+        if m.exact_available:
+            return FractionResult(0.0, 1.0, {}, Fraction(0), {})
+        return FractionResult(0.0, 1.0, {})
     # b = 0 is feasible, and the rows of any one context bound sum(b) by 1,
     # so the program is never unbounded: a None, like a non-finite answer,
     # is a failure of the float arithmetic
-    solved = simplex(np.ones(inc.matrix.shape[1]), inc.matrix, rhs)
+    solved = simplex(np.ones(len(kept)), program.matrix, rhs[program.row_index])
     if solved is None or not (math.isfinite(solved[0]) and np.isfinite(solved[1]).all()):
         rows, cols = inc.matrix.shape
         raise RuntimeError(
@@ -443,12 +513,16 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
         )
     value, x, basis, inverse = solved
     ncf = min(max(value, 0.0), 1.0)
+    if len(kept) < inc.matrix.shape[1]:
+        x = np.zeros(inc.matrix.shape[1])
+        x[kept] = solved[1]
     _validate_witness(inc, rhs, x, ncf)
     if not m.exact_available:
         cols = np.flatnonzero(x > EPS_LP)
         witness = {inc.assignment(j): float(x[j]) for j in cols.tolist()}
         return FractionResult(ncf, 1.0 - ncf, witness)
-    ncf_exact, witness_exact = _exact_optimum(inc, p, basis, inverse)
+    p = [p[r] for r in program.row_index.tolist()]
+    ncf_exact, witness_exact = _exact_optimum(program, p, basis, inverse)
     if abs(float(ncf_exact) - ncf) > EPS_LP:
         raise RuntimeError(
             f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"

@@ -5,12 +5,15 @@ compare the packaged constructors against these."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 from math import prod
 
 import numpy as np
 import pytest
 
+from contextuality.logic import cycle_model
 from contextuality.metacontext import Agent, ObserverChain
 from contextuality.qstate import (
     Distribution,
@@ -107,6 +110,55 @@ def random_table_model(rng: random.Random) -> EmpiricalModel:
             weights[rng.choice(list(weights))] = 1.0
         total = sum(weights.values())
         tables[ctx] = Distribution({t: w / total for t, w in weights.items()})
+    return EmpiricalModel(sc, tables)
+
+
+TRIPARTITE = Scenario(
+    tuple(Observable(f"{party}{s}", ("0", "1")) for party in "ABC" for s in "01"),
+    tuple(
+        (f"A{i}", f"B{j}", f"C{k}") for i, j, k in itertools.product("01", repeat=3)
+    ),
+)
+
+
+def parity_box_mixture(rng) -> EmpiricalModel:
+    """One to three tripartite parity boxes, each uniform on the outcome
+    triples of a random parity per context, mixed with up to two
+    deterministic assignments, at random rational weights."""
+    boxes, points = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    weights = [Fraction(int(w)) for w in rng.integers(1, 13, boxes + points)]
+    weights = [w / sum(weights) for w in weights]
+    parities = rng.integers(0, 2, (boxes, len(TRIPARTITE.contexts)))
+    assignments = rng.choice(["0", "1"], (points, 6))
+    labels = [o.label for o in TRIPARTITE.observables]
+    tables = {}
+    for c, ctx in enumerate(TRIPARTITE.contexts):
+        exact = dict.fromkeys(TRIPARTITE.joint_outcomes(ctx), Fraction(0))
+        for w, parity in zip(weights, parities[:, c]):
+            for tup in exact:
+                if tup.count("1") % 2 == parity:
+                    exact[tup] += w / 4
+        for w, a in zip(weights[boxes:], assignments):
+            exact[tuple(a[labels.index(l)] for l in ctx)] += w
+        tables[ctx] = Distribution({t: float(q) for t, q in exact.items()}, exact)
+    return EmpiricalModel(TRIPARTITE, tables)
+
+
+def hardy_like_cycle(n: int, a: Fraction) -> EmpiricalModel:
+    """The binary n-cycle whose first n - 1 contexts are perfectly
+    correlated, 1/2 on 00 and on 11, and whose closing context puts a on 00
+    and 11 and 1/2 - a on 01 and 10, with exact tables. For 0 < a < 1/2 its
+    support is Hardy-like: two global sections, all 0 and all 1, and a liar
+    chain from either unequal closing event; its NCF is 2a."""
+    sc = cycle_model(n).scenario
+    half = Fraction(1, 2)
+    tables = {}
+    for k, ctx in enumerate(sc.contexts):
+        equal, unequal = (a, half - a) if k == n - 1 else (half, Fraction(0))
+        exact = {
+            (x, y): equal if x == y else unequal for x in "01" for y in "01"
+        }
+        tables[ctx] = Distribution({t: float(q) for t, q in exact.items()}, exact)
     return EmpiricalModel(sc, tables)
 
 

@@ -13,7 +13,12 @@ from scipy.optimize import linprog
 
 import contextuality
 from contextuality import ncpoly
-from contextuality.logic import cycle_empirical_model
+from contextuality.logic import (
+    Classification,
+    classify,
+    count_global_sections,
+    cycle_empirical_model,
+)
 from contextuality.ncpoly import (
     FractionResult,
     IncidenceMatrix,
@@ -32,12 +37,13 @@ from contextuality.scenario import (
     Scenario,
     realize,
     snap_to_rationals,
+    support_of,
 )
 from contextuality.cli import run
 from contextuality.scnformat import parse_file, serialize_model
 
 import ncf_pins
-from conftest import HARDY_CONTEXTS
+from conftest import HARDY_CONTEXTS, hardy_like_cycle, parity_box_mixture
 from ncf_pins import NOISE_LEVELS, white_noise_odd_cycle
 from oracles import _solve_square, ncf_vertex_enumeration, simplex_identity_block
 
@@ -292,9 +298,33 @@ def test_simplex_matches_scipy_on_random_inequality_programs():
 # ------------------------------------------------- noncontextual fraction
 
 
+def _possible(m: EmpiricalModel, ctx, tup) -> bool:
+    return (m.tables[ctx].exact if m.exact_available else m.tables[ctx])[tup] != 0
+
+
+def _kept_by_brute_force(m: EmpiricalModel, inc: IncidenceMatrix):
+    """(rows, cols) of inc that the support keeps, from the assignments
+    themselves: the columns whose every restriction is possible, and the
+    rows that one of them restricts to."""
+    labels = [o.label for o in m.scenario.observables]
+    pos = {ctx: [labels.index(l) for l in ctx] for ctx in m.scenario.contexts}
+    cols = [
+        j for j, a in enumerate(inc.assignments)
+        if all(_possible(m, ctx, tuple(a[i] for i in at)) for ctx, at in pos.items())
+    ]
+    hit = {
+        (ctx, tuple(inc.assignments[j][i] for i in at))
+        for j in cols for ctx, at in pos.items()
+    }
+    return [r for r, key in enumerate(inc.rows) if key in hit], cols
+
+
 def test_ncf_program_shape(hardy_model, monkeypatch):
-    """contextual_fraction's simplex call: c all ones, A the incidence
-    matrix itself, and rhs the tables, exact where the model has them."""
+    """contextual_fraction's simplex call: c all ones over the global
+    sections of the support, A the incidence matrix's submatrix of the rows
+    they hit and those columns, and rhs those rows' probabilities, all
+    positive, exact where the model has them. A model with no probability 0
+    hands over the incidence matrix itself."""
     calls = []
     real = ncpoly.simplex
 
@@ -305,17 +335,31 @@ def test_ncf_program_shape(hardy_model, monkeypatch):
     built = _assignments_left_unbuilt(monkeypatch)
     monkeypatch.setattr(ncpoly, "simplex", recorded)
     fr = _corpus_model("fr")
-    for m in (hardy_model, fr):
+    noisy = white_noise_odd_cycle(5, Fraction(9, 10))
+    models = (hardy_model, fr, noisy)
+    for m in models:
         contextual_fraction(m)
-    (c, A, rhs), (_, _, fr_rhs) = calls
-    inc = built[0]
-    assert c.tolist() == [1.0] * 16
-    assert A is inc.matrix and A.shape == (16, 16)
-    assert rhs.tolist() == [hardy_model.tables[ctx][tup] for ctx, tup in inc.rows]
-    # a model with exact tables poses them, even where snapping moved a value
-    assert fr_rhs.tolist() == [
-        float(fr.tables[ctx].exact[tup]) for ctx, tup in built[1].rows
-    ]
+    # Hardy's five global sections are its pinned witness; 12 of its 16 rows
+    # are possible, and each is hit by one of them
+    rows, cols = _kept_by_brute_force(hardy_model, built[0])
+    assert [built[0].assignments[j] for j in cols] == list(HARDY_WITNESS)
+    assert len(rows) == 12
+    assert calls[0][1].shape == (12, 5)
+    # fr's 64 x 256 program keeps 12 x 5 too
+    assert built[1].matrix.shape == (64, 256) and calls[1][1].shape == (12, 5)
+    for m, inc, (c, A, rhs) in zip(models, built, calls):
+        rows, cols = _kept_by_brute_force(m, inc)
+        assert c.tolist() == [1.0] * len(cols)
+        assert A.tolist() == inc.matrix[np.ix_(rows, cols)].tolist()
+        # a model with exact tables poses them, even where snapping moved a
+        # value
+        tables = {
+            ctx: dist.exact if m.exact_available else dist for ctx, dist in m.tables.items()
+        }
+        keys = [inc.rows[r] for r in rows]
+        assert rhs.tolist() == [float(tables[ctx][tup]) for ctx, tup in keys]
+        assert (rhs > 0).all()
+    assert calls[2][1] is built[2].matrix
 
 
 def test_hardy_fraction_float_path(hardy_model):
@@ -661,13 +705,16 @@ def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
     """Handed the slack basis in place of the float-optimal one, the exact
     routine restarts from _context_basis and pivots to the same exact
     optimum on every program and, on the corpus, to the same witness in the
-    same order."""
+    same order. A model with no global section (the odd corpus cycles, and
+    the PR boxes at v = 1) never reaches the exact routine."""
     starts = _slack_started(monkeypatch)
     pivots = _dual_pivots(monkeypatch)
+    reached = 0
     for name, (ncf, witness) in CORPUS_NCF.items():
         res = contextual_fraction(_corpus_model(name))
         assert res.ncf_exact == ncf, name
         assert list(res.witness_exact.items()) == list(witness.items()), name
+        reached += ncf > 0
     for n in range(3, 7):
         for v in NOISE_LEVELS:
             res = contextual_fraction(white_noise_odd_cycle(n, v))
@@ -675,7 +722,8 @@ def test_exact_simplex_fallback_reproduces_pinned_fractions(monkeypatch):
             assert res.ncf_exact == expected, (n, v)
             assert sum(res.witness_exact.values()) == expected
             assert res.ncf == float(expected)
-    assert len(starts) == len(CORPUS_NCF) + 4 * len(NOISE_LEVELS)
+            reached += expected > 0
+    assert len(starts) == reached == 5 + 4 * (len(NOISE_LEVELS) - 1)
     assert pivots
 
 
@@ -1029,9 +1077,14 @@ def _off_by_one(inc, basis, inverse):
 
 
 def _other_basis(inc, basis, inverse):
-    """The exact inverse of _context_basis, 2I - B, with the optimal basis."""
+    """The exact inverse of another basis with the optimal basis: of
+    _context_basis, 2I - B, or, where that is the optimal basis (as on the
+    kept programs of the even corpus cycles), of the slack basis, I."""
     nrows = len(inc.matrix)
-    other = np.hstack((inc.matrix, np.eye(nrows)))[:, _CONTEXT_BASIS(inc)]
+    heads = _CONTEXT_BASIS(inc)
+    if heads == basis.tolist():
+        return basis, np.eye(nrows)
+    other = np.hstack((inc.matrix, np.eye(nrows)))[:, heads]
     return basis, 2 * np.eye(nrows) - other
 
 
@@ -1042,47 +1095,62 @@ def _nan_entry(inc, basis, inverse):
 
 
 def _corrupted_starts(monkeypatch, corrupt) -> list:
-    """Hands contextual_fraction's exact routine corrupt(incidence, basis,
-    B^-1) in place of the float-optimal basis and its B^-1; records each
-    restart from _context_basis."""
-    restarts = []
-    built = _assignments_left_unbuilt(monkeypatch)
-    real_simplex = ncpoly.simplex
+    """Hands contextual_fraction's exact routine corrupt(program, basis,
+    B^-1) in place of the float-optimal basis and its B^-1, program the one
+    simplex was handed; records each restart from _context_basis."""
+    restarts, programs = [], []
+    real_simplex, real_program = ncpoly.simplex, ncpoly._support_program
+
+    def recorded(inc, p, rhs):
+        programs.append(real_program(inc, p, rhs))
+        return programs[-1]
 
     def corrupted(c, A, rhs):
+        assert A is programs[-1].matrix
         value, x, basis, inverse = real_simplex(c, A, rhs)
-        return (value, x, *corrupt(built[-1], basis, inverse))
+        return (value, x, *corrupt(programs[-1], basis, inverse))
 
     def counted(inc):
         restarts.append(inc)
         return _CONTEXT_BASIS(inc)
 
+    monkeypatch.setattr(ncpoly, "_support_program", recorded)
     monkeypatch.setattr(ncpoly, "simplex", corrupted)
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
     return restarts
+
+
+def _program_of(m: EmpiricalModel):
+    """The program contextual_fraction hands simplex for m."""
+    inc = incidence(m.scenario)
+    p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
+    return ncpoly._support_program(inc, p, np.array([float(q) for q in p]))
 
 
 @pytest.mark.parametrize("corrupt", [_det_two, _off_by_one, _other_basis, _nan_entry])
 def test_rejected_float_inverses_restart_once(monkeypatch, corrupt):
     """Through contextual_fraction, a basis with |det B| = 2, a B^-1 off by
     one in an entry, the inverse of another basis and a B^-1 holding a NaN
-    each restart the exact routine once from _context_basis, and it reaches
-    the pinned corpus optimum and witness, in the same order, and the closed
-    form on the white-noise grid. Programs of fewer than 20 rows (the 3- and
-    4-cycles and Hardy's) are left out of the |det B| = 2 case: the walk
-    finds no such basis in them."""
+    each restart the exact routine once from _context_basis on every model
+    that reaches it, those with a global section, and it reaches the pinned
+    corpus optimum and witness, in the same order, and the closed form on
+    the white-noise grid. Programs of fewer than 20 rows (every kept corpus
+    program, and the 3- and 4-cycles) are left out of the |det B| = 2 case:
+    the walk finds no such basis in them."""
     least = 20 if corrupt is _det_two else 0
     names = [
         name for name in CORPUS_NCF
-        if len(incidence(_corpus_model(name).scenario).rows) >= least
+        if len(_program_of(_corpus_model(name)).rows) >= least
     ]
     sizes = [n for n in range(3, 7) if 4 * n >= least]
     restarts = _corrupted_starts(monkeypatch, corrupt)
+    reached = 0
     for name in names:
         ncf, witness = CORPUS_NCF[name]
         res = contextual_fraction(_corpus_model(name))
         assert res.ncf_exact == ncf, name
         assert list(res.witness_exact.items()) == list(witness.items()), name
+        reached += ncf > 0
     for n in sizes:
         for v in NOISE_LEVELS:
             m = white_noise_odd_cycle(n, v)
@@ -1090,46 +1158,20 @@ def test_rejected_float_inverses_restart_once(monkeypatch, corrupt):
             assert res.ncf_exact == min(Fraction(1), n * (1 - v) / 2), (n, v)
             assert sum(res.witness_exact.values()) == res.ncf_exact
             _assert_exactly_feasible(m, res.witness_exact)
-    assert len(restarts) == len(names) + len(sizes) * len(NOISE_LEVELS)
-    assert len(names) >= 3
-
-
-_TRIPARTITE = Scenario(
-    tuple(Observable(f"{party}{s}", ("0", "1")) for party in "ABC" for s in "01"),
-    tuple(
-        (f"A{i}", f"B{j}", f"C{k}") for i, j, k in itertools.product("01", repeat=3)
-    ),
-)
-
-
-def _parity_box_mixture(rng) -> EmpiricalModel:
-    """One to three tripartite parity boxes, each uniform on the outcome
-    triples of a random parity per context, mixed with up to two
-    deterministic assignments, at random rational weights."""
-    boxes, points = int(rng.integers(1, 4)), int(rng.integers(0, 3))
-    weights = [Fraction(int(w)) for w in rng.integers(1, 13, boxes + points)]
-    weights = [w / sum(weights) for w in weights]
-    parities = rng.integers(0, 2, (boxes, len(_TRIPARTITE.contexts)))
-    assignments = rng.choice(["0", "1"], (points, 6))
-    labels = [o.label for o in _TRIPARTITE.observables]
-    tables = {}
-    for c, ctx in enumerate(_TRIPARTITE.contexts):
-        exact = dict.fromkeys(_TRIPARTITE.joint_outcomes(ctx), Fraction(0))
-        for w, parity in zip(weights, parities[:, c]):
-            for tup in exact:
-                if tup.count("1") % 2 == parity:
-                    exact[tup] += w / 4
-        for w, a in zip(weights[boxes:], assignments):
-            exact[tuple(a[labels.index(l)] for l in ctx)] += w
-        tables[ctx] = Distribution({t: float(q) for t, q in exact.items()}, exact)
-    return EmpiricalModel(_TRIPARTITE, tables)
+            reached += v < 1
+    assert len(restarts) == reached
+    if least:
+        assert names == [] and len(sizes) == 2
+    else:
+        assert len(names) == len(CORPUS_NCF) and reached == 5 + 4 * 3
 
 
 def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
-    """Seeded parity-box mixtures on the 64 x 64 program of three parties
-    with two settings each: the exact NCF is scipy's optimum and the witness
-    is exactly feasible. Six float-optimal bases there have |det B| of 2
-    or 3, so the exact routine restarts from _context_basis."""
+    """Seeded parity-box mixtures on the 64 x 64 incidence of three parties
+    with two settings each, or the part of it that the support keeps: the
+    exact NCF is scipy's optimum on the full program and the witness is
+    exactly feasible. Six float-optimal bases there have |det B| of 2 or 3,
+    so the exact routine restarts from _context_basis."""
     restarts = []
 
     def counted(inc):
@@ -1140,7 +1182,7 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
     rng = np.random.default_rng(17)
     values = set()
     for _ in range(120):
-        m = _parity_box_mixture(rng)
+        m = parity_box_mixture(rng)
         res = contextual_fraction(m)
         ref = _scipy_reference(*_ncf_lp(m))
         assert ref.status == 0
@@ -1149,6 +1191,147 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
         _assert_exactly_feasible(m, res.witness_exact)
         values.add(res.ncf_exact)
     assert len(restarts) >= 6 and len(values) >= 60
+
+
+# ------------------------------------------ the program the support poses
+
+
+def _bell_with_exact_zeros() -> EmpiricalModel:
+    """The Bell pair (|00> + |11>)/sqrt 2 with A0 and B0 both measured in Z,
+    so their context has exact 0.0 on 01 and 10, and A1 and B1 at Bloch
+    angles pi/2 + 0.3 and pi/4 in the x-z plane, so the other three
+    contexts' tables are irrational and never snap: the float path."""
+    sc = Scenario(
+        tuple(Observable(l, ("0", "1")) for l in ("A0", "A1", "B0", "B1")),
+        (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1")),
+    )
+    r = 1 / np.sqrt(2)
+    state = StateVector((2, 2), np.array([r, 0, 0, r], dtype=complex))
+    recipes = {}
+    for label, site, angle in (
+        ("A0", 0, 0.0), ("A1", 0, np.pi / 2 + 0.3), ("B0", 1, 0.0), ("B1", 1, np.pi / 4)
+    ):
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
+        recipes[label] = MeasurementRecipe((site,), SiteBasis(((c, s), (-s, c)), ("0", "1")))
+    return realize(QuantumRealization(state, recipes), sc)
+
+
+def test_kept_program_matches_the_full_program(monkeypatch):
+    """On models with impossible events (seeded parity-box mixtures, Hardy-
+    like n-cycles, n = 5..13, and a realized Bell model with exact 0.0
+    entries beside irrational ones) contextual_fraction hands simplex fewer
+    columns than the incidence matrix has, and its NCF is the full program's
+    float optimum and scipy's, and on the Hardy-like cycles the closed form
+    2a. The witness puts weight only on assignments whose every event is
+    possible, is feasible on every row of the full tables, exactly where
+    they are exact, and passes _validate_witness against them."""
+    widths = []
+    real = ncpoly.simplex
+
+    def recorded(c, A, rhs):
+        widths.append(A.shape[1])
+        return real(c, A, rhs)
+
+    monkeypatch.setattr(ncpoly, "simplex", recorded)
+    rng = np.random.default_rng(2301)
+    boxes = (parity_box_mixture(rng) for _ in itertools.count())
+    impossible = (m for m in boxes if 0 in _ncf_lp(m)[2])
+    models = [(f"parity box {i}", next(impossible)) for i in range(40)]
+    closing = {n: Fraction(int(rng.integers(1, 12)), 24) for n in range(5, 14)}
+    models += [(f"hardy-like {n}", hardy_like_cycle(n, a)) for n, a in closing.items()]
+    models.append(("bell", _bell_with_exact_zeros()))
+    reduced = 0
+    for label, m in models:
+        widths.clear()
+        res = contextual_fraction(m)
+        c, A, rhs = _ncf_lp(m)
+        assert res.ncf == pytest.approx(simplex(c, A, rhs)[0], abs=1e-9), label
+        assert res.ncf == pytest.approx(-_scipy_reference(c, A, rhs).fun, abs=1e-7), label
+        assert len(widths) == (res.ncf > 0) and all(w < A.shape[1] for w in widths), label
+        reduced += bool(widths)
+        inc = incidence(m.scenario)
+        column = {a: j for j, a in enumerate(inc.assignments)}
+        x = np.zeros(A.shape[1])
+        for a, w in res.witness.items():
+            x[column[a]] = w
+        ncpoly._validate_witness(inc, rhs, x, res.ncf)
+        labels = [o.label for o in m.scenario.observables]
+        for a in res.witness:
+            for ctx in m.scenario.contexts:
+                assert _possible(m, ctx, tuple(a[labels.index(l)] for l in ctx)), label
+        if m.exact_available:
+            _assert_exactly_feasible(m, res.witness_exact)
+        else:
+            assert res.ncf_exact is None
+            assert (A @ x <= rhs + ncpoly.EPS_LP).all()
+    for n, a in closing.items():
+        assert contextual_fraction(hardy_like_cycle(n, a)).ncf_exact == 2 * a
+    bell = contextual_fraction(models[-1][1])
+    assert 0 < bell.ncf < 1 and bell.ncf_exact is None
+    assert reduced >= 30
+
+
+def test_simplex_width_is_the_global_section_count(monkeypatch):
+    """The program handed to simplex has one column per global section of
+    the support, as logic's frontier table counts them, on the corpus, on
+    odd and even n-cycles, n = 3..10, and on seeded parity-box mixtures.
+    classify calls a model StronglyContextual exactly when its exact NCF is
+    0, and then simplex is never called."""
+    widths = []
+    real = ncpoly.simplex
+
+    def recorded(c, A, rhs):
+        widths.append(A.shape[1])
+        return real(c, A, rhs)
+
+    monkeypatch.setattr(ncpoly, "simplex", recorded)
+    models = [(name, _corpus_model(name)) for name in CORPUS_NCF]
+    models += [
+        (f"cycle {n} {parity}", cycle_empirical_model(n, parity))
+        for n in range(3, 11)
+        for parity in ("odd", "even")
+    ]
+    rng = np.random.default_rng(2302)
+    models += [(f"parity box {i}", parity_box_mixture(rng)) for i in range(60)]
+    counts = {}
+    for label, m in models:
+        widths.clear()
+        res = contextual_fraction(m)
+        p = support_of(m)
+        counts[label] = count_global_sections(p)
+        strong = classify(p) is Classification.STRONGLY_CONTEXTUAL
+        assert strong == (res.ncf_exact == 0) == (counts[label] == 0), label
+        assert widths == ([] if strong else [counts[label]]), label
+    assert [counts[name] for name in CORPUS_NCF] == [2, 0, 2, 0, 2, 0, 5, 5]
+    boxes = [counts[f"parity box {i}"] for i in range(60)]
+    assert 0 in boxes and len(set(boxes)) >= 3
+
+
+def test_an_unhit_first_context_row_is_an_error_not_a_traceback(monkeypatch):
+    """A program whose first context has a row that no column hits has no
+    first-context basis: _context_basis raises a RuntimeError naming the
+    program's size, where argmax would pick column 0 and the exact routine
+    would then fail on a None system with a TypeError. The exact routine
+    raises one too when _basis_system rejects its restart system."""
+    m = cycle_empirical_model(3, "even")
+    inc = incidence(m.scenario)
+    p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
+    # the all-0 and all-1 columns against every row: neither hits the first
+    # context's 01 and 10 rows
+    program = IncidenceMatrix(inc.rows, inc.outcomes, inc.matrix[:, [0, 7]])
+    unhit = "a first-context row of the 12 x 2 fraction program is hit by no"
+    with pytest.raises(RuntimeError, match=unhit):
+        ncpoly._context_basis(program)
+    # the slack basis is never dual feasible, so the routine restarts
+    with pytest.raises(RuntimeError, match=unhit):
+        ncpoly._exact_optimum(program, p, np.arange(2, 14), np.eye(12))
+    # a singular restart basis, column 0 twelve times
+    monkeypatch.setattr(ncpoly, "_context_basis", lambda inc: [0] * 12)
+    with pytest.raises(
+        RuntimeError,
+        match="first-context basis of the 12 x 8 fraction program has no integral",
+    ):
+        ncpoly._exact_optimum(inc, p, np.arange(8, 20), np.eye(12))
 
 
 def test_ncf_outputs_are_pinned(tmp_path):
