@@ -23,6 +23,7 @@ from .scenario import (
     Scenario,
 )
 
+# most global sections that global_sections will list
 MAX_ASSIGNMENTS = 2**24
 # rows (state, value) of the frontier table, about 1.5 KB each: 16 binary
 # observables with all pairs fully supported build 131,070 in 1.2 s, 190 MB
@@ -68,14 +69,6 @@ class GlobalAssignment:
         return dict(zip(self.labels, self.values))
 
 
-def _guard(sc: Scenario) -> None:
-    if sc.assignment_space() > MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"assignment space {sc.assignment_space()} exceeds the "
-            f"2**24 enumeration guard"
-        )
-
-
 def _projection(js: Sequence[int]) -> Callable[[tuple], tuple]:
     """row -> tuple(row[j] for j in js), built once; a slice stands in for
     one index or none, where itemgetter would return the item or fail."""
@@ -103,7 +96,6 @@ class _Plan:
 
     def __init__(self, p: PossibilisticModel):
         sc = p.scenario
-        _guard(sc)
         self.labels = tuple(o.label for o in sc.observables)
         self.supports = p.supports
         n = len(self.labels)
@@ -219,18 +211,22 @@ class _Plan:
 def global_sections(p: PossibilisticModel) -> list[GlobalAssignment]:
     """Every global assignment consistent with every context's support, in
     lexicographic order (observables in scenario order, outcomes in declared
-    order). This is the one entry point that materializes sections: the list
-    can hold up to 2**24 of them. Raises ValueError when the assignment space
-    exceeds the 2**24 guard."""
+    order). This is the one entry point that materializes sections: raises
+    ValueError when the frontier-state table counts more than 2**24 of them,
+    before any is listed."""
     plan = _Plan(p)
+    if plan.count > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"{plan.count} global sections exceed the 2**24 listing cap"
+        )
     return [GlobalAssignment(plan.labels, v) for v in plan.sections()]
 
 
 def count_global_sections(p: PossibilisticModel) -> int:
     """len(global_sections(p)), read off the frontier-state table without
     building any section: time and memory grow with the frontier states, not
-    with the count. Raises ValueError when the assignment space exceeds the
-    2**24 guard, like global_sections."""
+    with the count. Like every section question, raises ValueError when the
+    table passes the 2**17 frontier-row budget."""
     return _Plan(p).count
 
 
@@ -251,8 +247,7 @@ def extends_to_global(
 ) -> bool:
     """Does this locally possible outcome occur in some global section? True
     when the frontier-state table has an edge restricting the context to the
-    outcome that leads to a state which completes. Raises ValueError when
-    the assignment space exceeds the 2**24 guard."""
+    outcome that leads to a state which completes."""
     ctx, t = _check_seed(p, context, outcome)
     return (ctx, t) in _Plan(p).covered()
 
@@ -264,8 +259,7 @@ def classify(p: PossibilisticModel) -> Classification:
     StronglyContextual when the frontier-state table counts no global
     section; LogicallyContextual when some support tuple lies on no edge
     into a completing state, that is, no section restricts to it. Sections
-    are never enumerated. Raises ValueError when the assignment space
-    exceeds the 2**24 guard."""
+    are never enumerated."""
     return _Plan(p).classification()
 
 

@@ -41,7 +41,6 @@ import numpy as np
 
 from .scenario import ContextKey, EmpiricalModel, Scenario, no_disturbance
 
-MAX_INCIDENCE_COLUMNS = 2**20
 # rows x columns: the simplex's float copy of A takes 8 bytes an entry, 640
 # MiB here; the binary 20-cycle (80 rows x 2**20 columns) is just admitted
 MAX_INCIDENCE_ENTRIES = 80 * 2**20
@@ -49,7 +48,6 @@ EPS_LP = 1e-9
 EPS_ND_PRECONDITION = 1e-6
 
 __all__ = [
-    "MAX_INCIDENCE_COLUMNS",
     "MAX_INCIDENCE_ENTRIES",
     "EPS_LP",
     "SignallingModelError",
@@ -102,25 +100,23 @@ def incidence(sc: Scenario) -> IncidenceMatrix:
     assignment c; its rows in a context are one comparison of the same
     number read off the context's observables with the row indices, written
     into a bool matrix exposed as a read-only int8 view."""
+    size = {o.label: len(o.outcomes) for o in sc.observables}
+    ks = [math.prod(size[l] for l in ctx) for ctx in sc.contexts]
     ncols = sc.assignment_space()
-    if ncols > MAX_INCIDENCE_COLUMNS:
+    # counted before any row is listed: one wide context has as many rows
+    # as the whole matrix has columns
+    if sum(ks) * ncols > MAX_INCIDENCE_ENTRIES:
         raise ValueError(
-            f"assignment space {ncols} exceeds the 2**20 incidence guard"
-        )
-    rows = [(ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)]
-    if len(rows) * ncols > MAX_INCIDENCE_ENTRIES:
-        raise ValueError(
-            f"incidence matrix of {len(rows)} rows x {ncols} columns exceeds "
+            f"incidence matrix of {sum(ks)} rows x {ncols} columns exceeds "
             f"the 80 * 2**20 entry guard"
         )
+    rows = [(ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)]
     outcomes = tuple(o.outcomes for o in sc.observables)
-    size = {o.label: len(o.outcomes) for o in sc.observables}
     digits = np.indices(tuple(size.values()), np.min_scalar_type(max(size.values()) - 1))
     digit = dict(zip(size, digits.reshape(len(size), ncols)))
     mat = np.empty((len(rows), ncols), dtype=bool)
     start = 0
-    for ctx in sc.contexts:
-        k = math.prod(size[l] for l in ctx)
+    for ctx, k in zip(sc.contexts, ks):
         local = digit[ctx[0]].astype(np.min_scalar_type(k - 1))
         for l in ctx[1:]:
             local *= size[l]
@@ -503,9 +499,13 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
             return FractionResult(0.0, 1.0, {}, Fraction(0), {})
         return FractionResult(0.0, 1.0, {})
     # b = 0 is feasible, and the rows of any one context bound sum(b) by 1,
-    # so the program is never unbounded: a None, like a non-finite answer,
-    # is a failure of the float arithmetic
-    solved = simplex(np.ones(len(kept)), program.matrix, rhs[program.row_index])
+    # so the program is never unbounded: a None, like a non-finite answer or
+    # an overflow, is a failure of the float arithmetic
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            solved = simplex(np.ones(len(kept)), program.matrix, rhs[program.row_index])
+    except FloatingPointError:
+        solved = None
     if solved is None or not (math.isfinite(solved[0]) and np.isfinite(solved[1]).all()):
         rows, cols = inc.matrix.shape
         raise RuntimeError(

@@ -63,7 +63,7 @@ __all__ = [
 
 # looser than the internal 1e-9: files carry rounded decimal literals
 FILE_SUM_TOL = 1e-6
-# amplitudes a state block may declare, the section functions' 2**24 guard
+# amplitudes a state block may declare: 2**24 complex amplitudes take 256 MiB
 _MAX_STATE_SIZE = 2**24
 # compound dimension a chain may reach: `analyze` of one computational agent
 # took 0.5 s at 2**8 and 4.0 s at 2**10 on a 2-vCPU VM, growing faster than

@@ -8,10 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import contextuality
@@ -274,10 +276,11 @@ def test_ncf_engine_failure_exits_1(monkeypatch):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("failure", ["none", "nan_value", "nan_x"])
+@pytest.mark.parametrize("failure", ["none", "nan_value", "nan_x", "overflow"])
 def test_failed_float_simplex_exits_1(monkeypatch, failure):
-    """A float simplex that gives up (None) or returns a non-finite optimum
-    or solution is an error naming the program's size, not a traceback."""
+    """A float simplex that gives up (None), returns a non-finite optimum or
+    solution, or overflows is an error naming the program's size, not a
+    traceback, and numpy prints no RuntimeWarning on the way."""
     import contextuality.ncpoly as ncpoly
 
     real = ncpoly.simplex
@@ -286,6 +289,8 @@ def test_failed_float_simplex_exits_1(monkeypatch, failure):
         if failure == "none":
             return None
         value, x, basis, inverse = real(c, A, rhs)
+        if failure == "overflow":
+            return np.float64(1e308) * 10, x, basis, inverse
         if failure == "nan_value":
             return float("nan"), x, basis, inverse
         x = x.copy()
@@ -293,7 +298,9 @@ def test_failed_float_simplex_exits_1(monkeypatch, failure):
         return value, x, basis, inverse
 
     monkeypatch.setattr(ncpoly, "simplex", broken)
-    rc, out, err = call(["ncf", str(DATA_DIR / "hardy.scn")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = call(["ncf", str(DATA_DIR / "hardy.scn")])
     assert (rc, out) == (1, "")
     assert err == "error: the float simplex failed on the 16 x 16 fraction program\n"
     assert "Traceback" not in err

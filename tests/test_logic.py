@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from contextuality.qstate import (
     computational_basis,
     diagonal_basis,
 )
+from contextuality.report import model_report
 from contextuality.scenario import (
     MeasurementRecipe,
     Observable,
@@ -39,6 +42,7 @@ from contextuality.scenario import (
     support_of,
 )
 
+from conftest import hardy_like_cycle
 from liar_pins import (
     PINS,
     answers,
@@ -465,7 +469,11 @@ def test_classification_never_weakens_when_support_shrinks():
             assert after >= before
 
 
-def test_guard_rejects_huge_scenarios():
+def test_section_questions_past_the_old_assignment_wall():
+    """13 four-outcome singleton observables: 4**13 = 2**26 assignments,
+    past the 2**24 that once refused every section question. The frontier
+    table is 4 rows a layer, so counting, classifying and extending answer;
+    only global_sections, which would list 2**26 sections, refuses."""
     obs = tuple(
         Observable(f"X{i}", tuple(str(k) for k in range(4))) for i in range(13)
     )
@@ -473,11 +481,38 @@ def test_guard_rejects_huge_scenarios():
     sc = Scenario(obs, ctxs)
     sups = {c: frozenset({(o,) for o in ("0", "1", "2", "3")}) for c in ctxs}
     p = PossibilisticModel(sc, sups)
-    for call in (
-        global_sections,
-        count_global_sections,
-        classify,
-        lambda q: extends_to_global(q, ("X0",), ("0",)),
-    ):
-        with pytest.raises(ValueError, match="guard"):
-            call(p)
+    assert count_global_sections(p) == 4**13
+    assert classify(p) is Classification.GLOBALLY_EXTENDABLE
+    assert extends_to_global(p, ("X0",), ("0",))
+    with pytest.raises(ValueError, match="67108864 global sections exceed the 2\\*\\*24"):
+        global_sections(p)
+
+
+@pytest.mark.parametrize("n", [25, 101, 1001])
+def test_cycles_past_the_old_assignment_wall(n):
+    """Odd, even and Hardy-like n-cycles have 2**n assignments but two
+    frontier states a layer: class, section count and liar-chain length
+    n - 1 come out in closed form, each call in under half a second."""
+    families = {
+        "odd": (cycle_empirical_model(n, "odd"), Classification.STRONGLY_CONTEXTUAL, 0),
+        "even": (cycle_empirical_model(n, "even"), Classification.GLOBALLY_EXTENDABLE, 2),
+        "hardy-like": (
+            hardy_like_cycle(n, Fraction(1, 3)),
+            Classification.LOGICALLY_CONTEXTUAL,
+            2,
+        ),
+    }
+    for name, (m, cls, count) in families.items():
+        p = support_of(m)
+        for call, expected in ((classify, cls), (count_global_sections, count)):
+            start = time.perf_counter()
+            assert call(p) == expected, name
+            assert time.perf_counter() - start < 0.5, name
+        start = time.perf_counter()
+        d = model_report(m, name, sections=frozenset({"logic", "cycle"})).as_dict()
+        assert time.perf_counter() - start < 0.5, name
+        assert (d["classification"], d["global_sections"]) == (cls.value, count)
+        if name == "even":
+            assert d["liar_cycle"] is None
+        else:
+            assert len(d["liar_cycle"]["steps"]) == n - 1, name

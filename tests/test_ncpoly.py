@@ -184,19 +184,40 @@ def test_incidence_guard_rejects_huge_scenarios():
 
 
 def test_incidence_entry_guard_rejects_dense_context_sets():
-    """Every pair of 20 binary observables as a context: 2**20 columns pass
-    the column guard, but 760 rows would need a 5.9 GiB float copy in the
-    simplex. The binary 20-cycle, which the column guard admits, sits
-    exactly at the entry bound."""
+    """Every pair of 20 binary observables as a context: 2**20 columns, but
+    760 rows would need a 5.9 GiB float copy in the simplex. One context
+    over 30 observables is refused before its 2**30 rows are listed. The
+    binary 20-cycle sits exactly at the entry bound."""
     obs = tuple(Observable(f"X{i}", ("0", "1")) for i in range(20))
     pairs = tuple(itertools.combinations([o.label for o in obs], 2))
     with pytest.raises(
         ValueError, match=r"760 rows x 1048576 columns exceeds the 80 \* 2\*\*20"
     ):
         incidence(Scenario(obs, pairs))
+    wide = tuple(Observable(f"Y{i}", ("0", "1")) for i in range(30))
+    with pytest.raises(ValueError, match=r"1073741824 rows x 1073741824 columns"):
+        incidence(Scenario(wide, (tuple(o.label for o in wide),)))
     cycle = cycle_empirical_model(20, "odd").scenario
     rows = sum(len(cycle.joint_outcomes(ctx)) for ctx in cycle.contexts)
     assert rows * cycle.assignment_space() == ncpoly.MAX_INCIDENCE_ENTRIES
+
+
+def test_the_entry_guard_is_the_incidence_limit():
+    """13 ternary singletons: 3**13 = 1594323 columns, past 2**20, but only
+    39 rows, so the matrix (62 MB as bools) is within the entry guard and is
+    built: each context's rows hold exactly one 1 in every column, the row
+    of the column's own digit."""
+    n = 13
+    obs = tuple(Observable(f"X{i}", ("0", "1", "2")) for i in range(n))
+    inc = incidence(Scenario(obs, tuple((o.label,) for o in obs)))
+    assert inc.matrix.shape == (3 * n, 3**n)
+    for k in range(n):
+        block = inc.matrix[3 * k : 3 * k + 3]
+        assert (block.sum(axis=0, dtype=np.int8) == 1).all()
+    rng = np.random.default_rng(13)
+    for col in [0, 3**n - 1, *rng.integers(0, 3**n, size=20).tolist()]:
+        hit = [inc.rows[r] for r in np.flatnonzero(inc.matrix[:, col])]
+        assert hit == [((f"X{i}",), (v,)) for i, v in enumerate(inc.assignment(col))]
 
 
 # -------------------------------------------------------------- simplex
