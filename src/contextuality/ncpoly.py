@@ -25,7 +25,8 @@ rounded, it is accepted when B times it is exactly I, so |det B| = 1. If it
 is not, or B is not exactly dual feasible, a basis that always is, with
 B^-1 = 2I - B, replaces it; exact dual-simplex pivots with Bland's rule then
 run while the primal is infeasible, int64 while every entry is below 2**31
-and Python ints otherwise.
+and Python ints otherwise. It takes the program's matrix and returns weights
+by column; contextual_fraction decodes both witnesses into assignments.
 """
 
 from __future__ import annotations
@@ -240,58 +241,40 @@ class FractionResult:
             raise ValueError("witness weights must sum to ncf")
 
 
-@dataclass(frozen=True)
-class _Program:
-    """The part of an incidence matrix that a fraction program keeps: its
-    rows row_index and its columns `columns`, both ascending, as `matrix`,
-    with the kept rows' (context, tuple) keys in `rows`. Column j is the
-    incidence's column columns[j]."""
-
-    rows: tuple[tuple[ContextKey, tuple[str, ...]], ...]
-    matrix: np.ndarray
-    row_index: np.ndarray
-    columns: np.ndarray
-    incidence: IncidenceMatrix
-
-    def assignment(self, col: int) -> tuple[str, ...]:
-        return self.incidence.assignment(int(self.columns[col]))
-
-
-def _support_program(inc: IncidenceMatrix, p: Sequence, rhs: np.ndarray) -> _Program:
-    """The fraction program the model poses, p its probabilities (exact or
-    float) and rhs their floats. A b <= p and b >= 0 force every assignment
-    hitting a row of probability exactly 0 to weight 0, so only the others,
-    the global sections of the support, are kept; then only the rows some
-    kept column hits. Each kept column still hits one kept row of every
-    context, so every context keeps a row while any column is kept. With no
-    row of probability 0 the program is the incidence itself."""
-    A = inc.matrix
+def _support_program(
+    A: np.ndarray, p: Sequence, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the incidence A that the fraction program the
+    model poses keeps, both ascending, p its probabilities (exact or float)
+    and rhs their floats. A b <= p and b >= 0 force every assignment hitting
+    a row of probability exactly 0 to weight 0, so only the others, the
+    global sections of the support, are kept; then only the rows some kept
+    column hits. Each kept column still hits one kept row of every context,
+    so every context keeps a row while any column is kept. With no row of
+    probability 0 every row and column is kept."""
     nrows, ncols = A.shape
     # a float 0 of an exact probability may be an underflow, so p decides
     zero = [r for r in np.flatnonzero(rhs == 0).tolist() if p[r] == 0]
     if not zero:
-        return _Program(inc.rows, A, np.arange(nrows), np.arange(ncols), inc)
+        return np.arange(nrows), np.arange(ncols)
     cols = np.flatnonzero(~A[zero].any(axis=0))
-    kept = A[:, cols]
-    rows = np.flatnonzero(kept.any(axis=1))
-    return _Program(
-        tuple(inc.rows[r] for r in rows.tolist()), kept[rows], rows, cols, inc
-    )
+    return np.flatnonzero(A[:, cols].any(axis=1)), cols
 
 
 def _validate_witness(
-    inc: IncidenceMatrix, rhs: np.ndarray, x: np.ndarray, ncf: float
+    inc: IncidenceMatrix, rhs: np.ndarray, cols: np.ndarray, x: np.ndarray, ncf: float
 ) -> None:
-    """Recheck the float solution x against the optimum and the tables, on
-    all of its positive entries: weights below EPS_LP, which the float
-    witness leaves out, still count towards the sum."""
+    """Recheck the float solution x, x[j] the weight of the incidence's
+    column cols[j], against the optimum and every row of the tables, on all
+    of its positive entries: weights below EPS_LP, which the float witness
+    leaves out, still count towards the sum."""
     if (x < -EPS_LP).any():
         raise RuntimeError("negative witness weight")
-    cols = np.flatnonzero(x > 0)
-    weights = x[cols]
+    positive = np.flatnonzero(x > 0)
+    weights = x[positive]
     if abs(sum(weights.tolist()) - ncf) > EPS_LP:
         raise RuntimeError("witness weights do not sum to the optimum")
-    used = inc.matrix[:, cols] @ weights
+    used = inc.matrix[:, cols[positive]] @ weights
     over = np.flatnonzero(used > rhs + EPS_LP)
     if over.size:
         ctx, tup = inc.rows[over[0]]
@@ -344,18 +327,17 @@ def _scaled(p: Sequence[Fraction]) -> tuple[int, np.ndarray]:
     return scale, np.array(P, dtype=np.int64 if small else object)
 
 
-def _context_basis(inc: IncidenceMatrix | _Program) -> list[int]:
-    """A basis that is always dual feasible: for each row of the first
-    context the first assignment column hitting it, and the slacks of every
-    other row. Every assignment hits exactly one row of a context, so the
-    duals are 1 on the first context and 0 elsewhere, and every reduced cost
-    is 0 or -1. B = I + N with N nonzero only on the first context's columns
-    and the other rows, so N N = 0 and B^-1 = 2I - B exactly. Raises
-    RuntimeError when some row of the first context is hit by no column,
-    since no such basis exists then."""
-    A = inc.matrix
+def _context_basis(A: np.ndarray, first: int) -> list[int]:
+    """A basis of the program A that is always dual feasible, A's first
+    `first` rows being the first context's: for each of them the first
+    assignment column hitting it, and the slacks of every other row. Every
+    assignment hits exactly one row of a context, so the duals are 1 on the
+    first context and 0 elsewhere, and every reduced cost is 0 or -1.
+    B = I + N with N nonzero only on the first context's columns and the
+    other rows, so N N = 0 and B^-1 = 2I - B exactly. Raises RuntimeError
+    when some row of the first context is hit by no column, since no such
+    basis exists then."""
     nrows, n = A.shape
-    first = sum(1 for ctx, _ in inc.rows if ctx == inc.rows[0][0])
     if not A[:first].any(axis=1).all():
         raise RuntimeError(
             f"a first-context row of the {nrows} x {n} fraction program is "
@@ -406,15 +388,14 @@ def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _exact_optimum(
-    inc: IncidenceMatrix | _Program,
-    p: Sequence[Fraction],
-    basis: np.ndarray,
-    inverse: np.ndarray,
-) -> tuple[Fraction, dict[tuple[str, ...], Fraction]]:
-    """The exact optimum and witness of the program inc for the exact
-    probabilities p of its rows, from the float-optimal basis and its float
-    B^-1, or from _context_basis when that B^-1 does not round to the exact
-    one or the basis is not exactly dual feasible. Dual-simplex pivots with
+    A: np.ndarray, first: int, p: Sequence[Fraction], basis: np.ndarray, inverse: np.ndarray
+) -> tuple[Fraction, dict[int, Fraction]]:
+    """The exact optimum of the program A for the exact probabilities p of
+    its rows, and the optimal positive weights as {column of A: weight},
+    columns ascending; A's first `first` rows are the first context's. It
+    starts from the float-optimal basis and its float B^-1, or from
+    _context_basis when that B^-1 does not round to the exact one or the
+    basis is not exactly dual feasible. Dual-simplex pivots with
     Bland's rule run while the primal (column 0 of aug = d B^-1 [P | I],
     d = 1 at the start) is infeasible: the leaving row is the negative basic
     value with the least basic column; the entering column has the least
@@ -423,14 +404,13 @@ def _exact_optimum(
     primal feasible basis is optimal. Raises RuntimeError when the restart
     basis has no integral inverse, which a program whose every column hits
     one row of each context rules out."""
-    A = inc.matrix
     n = A.shape[1]
     scale, P = _scaled(p)
     basis = np.array(basis)
     aug = _basis_system(A, P, basis, inverse)
     # the dual is the sum of the rows of B^-1 at basic assignments
     if aug is None or (_priced(1, aug[basis < n, 1:].sum(axis=0), A) > 0).any():
-        basis = np.array(_context_basis(inc))
+        basis = np.array(_context_basis(A, first))
         aug = _basis_system(A, P, basis, 2 * np.eye(len(A)) - _basis_matrix(A, basis))
         if aug is None:
             raise RuntimeError(
@@ -458,8 +438,8 @@ def _exact_optimum(
     denom = d * scale
     assigned = basis < n
     values = sorted(zip(basis[assigned].tolist(), aug[assigned, 0].tolist()))
-    witness = {inc.assignment(j): Fraction(v, denom) for j, v in values if v}
-    return Fraction(sum(v for _, v in values), denom), witness
+    weights = {j: Fraction(v, denom) for j, v in values if v}
+    return Fraction(sum(v for _, v in values), denom), weights
 
 
 def contextual_fraction(m: EmpiricalModel) -> FractionResult:
@@ -468,11 +448,12 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
 
     ncf is the LP optimum (clamped into [0, 1]); cf = 1 - ncf; the witness is
     revalidated against the tables after solving. The incidence matrix is
-    built once; the float LP and the exact path run on the program the
+    built once; the float LP and the exact routine run on the program the
     support poses, its global sections against the rows they hit, and the
-    witness is checked against every row of the tables. A model with no
-    global section is strongly contextual: ncf is 0 (exactly, when it has
-    exact tables) with an empty witness, and no LP runs. When exact tables
+    float solution is checked against every row of the tables. Both give
+    weights by program column; both witnesses are decoded here, once. A
+    model with no global section is strongly contextual: ncf is 0 (exactly,
+    when it has exact tables) with an empty witness, and no LP runs. When exact tables
     are available the float-optimal basis is certified, or repaired by exact
     pivots, in integers; the exact optimum must agree with the float one
     within 1e-9."""
@@ -492,41 +473,46 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     else:
         p = [m.tables[ctx][tup] for ctx, tup in inc.rows]
         rhs = np.array(p, dtype=float)
-    program = _support_program(inc, p, rhs)
-    kept = program.columns
-    if not len(kept):
+    rows, cols = _support_program(inc.matrix, p, rhs)
+    if not len(cols):
         if m.exact_available:
             return FractionResult(0.0, 1.0, {}, Fraction(0), {})
         return FractionResult(0.0, 1.0, {})
+    # with no probability 0 the program is the incidence itself, uncopied
+    if len(cols) == inc.matrix.shape[1]:
+        A, kept = inc.matrix, rhs
+    else:
+        A, kept = inc.matrix[np.ix_(rows, cols)], rhs[rows]
     # b = 0 is feasible, and the rows of any one context bound sum(b) by 1,
     # so the program is never unbounded: a None, like a non-finite answer or
     # an overflow, is a failure of the float arithmetic
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            solved = simplex(np.ones(len(kept)), program.matrix, rhs[program.row_index])
+            solved = simplex(np.ones(len(cols)), A, kept)
     except FloatingPointError:
         solved = None
     if solved is None or not (math.isfinite(solved[0]) and np.isfinite(solved[1]).all()):
-        rows, cols = inc.matrix.shape
         raise RuntimeError(
-            f"the float simplex failed on the {rows} x {cols} fraction program"
+            f"the float simplex failed on the {len(rows)} x {len(cols)} fraction program"
         )
     value, x, basis, inverse = solved
     ncf = min(max(value, 0.0), 1.0)
-    if len(kept) < inc.matrix.shape[1]:
-        x = np.zeros(inc.matrix.shape[1])
-        x[kept] = solved[1]
-    _validate_witness(inc, rhs, x, ncf)
+    _validate_witness(inc, rhs, cols, x, ncf)
+    if m.exact_available:
+        sc = m.scenario
+        first = int(np.searchsorted(rows, len(sc.joint_outcomes(sc.contexts[0]))))
+        exact = [p[r] for r in rows.tolist()]
+        ncf_exact, weights = _exact_optimum(A, first, exact, basis, inverse)
+        if abs(float(ncf_exact) - ncf) > EPS_LP:
+            raise RuntimeError(
+                f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"
+            )
+        ncf = float(ncf_exact)
+    else:
+        weights = {j: float(x[j]) for j in np.flatnonzero(x > EPS_LP).tolist()}
+    # the one decode: column j of the program is the incidence's cols[j]
+    witness = {inc.assignment(int(cols[j])): w for j, w in weights.items()}
     if not m.exact_available:
-        cols = np.flatnonzero(x > EPS_LP)
-        witness = {inc.assignment(j): float(x[j]) for j in cols.tolist()}
         return FractionResult(ncf, 1.0 - ncf, witness)
-    p = [p[r] for r in program.row_index.tolist()]
-    ncf_exact, witness_exact = _exact_optimum(program, p, basis, inverse)
-    if abs(float(ncf_exact) - ncf) > EPS_LP:
-        raise RuntimeError(
-            f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"
-        )
-    ncf = float(ncf_exact)
-    witness = {a: float(w) for a, w in witness_exact.items()}
-    return FractionResult(ncf, 1.0 - ncf, witness, ncf_exact, witness_exact)
+    floats = {a: float(w) for a, w in witness.items()}
+    return FractionResult(ncf, 1.0 - ncf, floats, ncf_exact, witness)

@@ -20,6 +20,7 @@ once.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, combinations, repeat
@@ -506,7 +507,7 @@ def _write(
     """Append the pieces of o to out, one per item: the text before the item
     (separator, newline, indent and, in a dict, the encoded key) joined to
     the item when it is written inline, as values of exact builtin types and
-    lists of str are. Both caches live for one _encode call: layouts maps
+    lists of str are; anything else goes through _dumps. Both caches live for one _encode call: layouts maps
     (nl, *keys) of each dict met, keys in insertion order, to its sorted
     keys, the text before each of their values, its closing line and the
     indents of its items and of theirs; texts maps (indent, *items) of each
@@ -537,11 +538,8 @@ def _write(
         deeper = inner + "  "
         pairs = zip(chain(("[" + inner,), repeat("," + inner)), o)
         close = nl + "]"
-    elif isinstance(o, (list, tuple, dict)):  # subclasses, as json encodes them
-        _write(dict(o.items()) if isinstance(o, dict) else list(o), nl, out, layouts, texts)
-        return
     else:
-        put(_encode_other(o))
+        put(_dumps(o, nl))
         return
     for head, v in pairs:
         t = type(v)
@@ -554,10 +552,8 @@ def _write(
                 if text is None:
                     text = texts[key] = "[" + deeper + ("," + deeper).join(map(_encode_str, v)) + inner + "]"
             except TypeError:  # an item is unhashable, or not a str
-                put(head)
-                _write(v, inner, out, layouts, texts)
-            else:
-                put(head + text)
+                text = _dumps(v, inner)
+            put(head + text)
         elif t is float:
             r = _float_repr(v)
             put(head + _NONFINITE.get(r, r))
@@ -573,23 +569,11 @@ def _write(
     put(close)
 
 
-def _encode_other(o) -> str:
-    """Anything but a dict, list or tuple, in json's isinstance order, so
-    that subclasses encode as json encodes them."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int_repr(o)
-    if isinstance(o, float):
-        r = _float_repr(o)
-        return _NONFINITE.get(r, r)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+def _dumps(o, nl: str) -> str:
+    """o as json writes it, on a line whose newline and indent are nl: no
+    JSON string holds a raw newline, so every newline in the text starts a
+    line."""
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def render_json(r: AnalysisReport) -> str:

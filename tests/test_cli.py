@@ -302,7 +302,7 @@ def test_failed_float_simplex_exits_1(monkeypatch, failure):
         warnings.simplefilter("error")
         rc, out, err = call(["ncf", str(DATA_DIR / "hardy.scn")])
     assert (rc, out) == (1, "")
-    assert err == "error: the float simplex failed on the 16 x 16 fraction program\n"
+    assert err == "error: the float simplex failed on the 12 x 5 fraction program\n"
     assert "Traceback" not in err
 
 

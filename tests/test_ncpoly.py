@@ -713,9 +713,9 @@ def _slack_started(monkeypatch) -> list:
         nrows, n = A.shape
         return value, x, np.arange(n, n + nrows), np.eye(nrows)
 
-    def counted(inc):
-        starts.append(inc)
-        return context_basis(inc)
+    def counted(A, first):
+        starts.append(A)
+        return context_basis(A, first)
 
     monkeypatch.setattr(ncpoly, "simplex", slack)
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
@@ -752,7 +752,7 @@ def test_integer_certificate_pins_exact_fractions(monkeypatch):
     """The float-optimal basis of every pinned program is exactly optimal:
     the exact routine keeps it and makes zero dual-simplex pivots."""
 
-    def no_restart(inc):
+    def no_restart(A, first):
         raise AssertionError("the float basis is not exactly dual feasible")
 
     monkeypatch.setattr(ncpoly, "_context_basis", no_restart)
@@ -787,14 +787,22 @@ def test_integer_certificate_pins_exact_fractions(monkeypatch):
     assert pivots == []
 
 
+def _first_rows(inc: IncidenceMatrix) -> int:
+    """The number of the incidence's rows in its first context."""
+    return sum(1 for ctx, _ in inc.rows if ctx == inc.rows[0][0])
+
+
 def _slack_repair(m: EmpiricalModel):
     """The exact routine handed the slack basis, which is never dual
     feasible (every assignment column has reduced cost 1), so that it
-    starts from _context_basis."""
+    starts from _context_basis; its witness decoded by assignment."""
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     nrows, n = inc.matrix.shape
-    return ncpoly._exact_optimum(inc, p, tuple(range(n, n + nrows)), np.eye(nrows))
+    value, weights = ncpoly._exact_optimum(
+        inc.matrix, _first_rows(inc), p, tuple(range(n, n + nrows)), np.eye(nrows)
+    )
+    return value, {inc.assignment(j): w for j, w in weights.items()}
 
 
 def _assert_exactly_feasible(m: EmpiricalModel, witness) -> None:
@@ -827,7 +835,7 @@ def test_repair_mends_a_rejected_float_basis_without_a_cold_start(monkeypatch, n
     aug = ncpoly._basis_system(inc.matrix, P, basis, inverse)
     assert (aug[:, 0] < 0).any()
 
-    def cold(inc):
+    def cold(A, first):
         raise AssertionError("the repair started from _context_basis")
 
     monkeypatch.setattr(ncpoly, "_context_basis", cold)
@@ -846,9 +854,9 @@ def test_repair_from_the_slack_basis_reproduces_the_pins(monkeypatch):
     starts = []
     context_basis = ncpoly._context_basis
 
-    def counted(inc):
-        starts.append(inc)
-        return context_basis(inc)
+    def counted(A, first):
+        starts.append(A)
+        return context_basis(A, first)
 
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
     for name, (ncf, witness) in CORPUS_NCF.items():
@@ -1005,7 +1013,7 @@ def _basis_starts():
         yield label, inc, P, basis, inverse
         nrows, n = inc.matrix.shape
         M = np.hstack((inc.matrix, np.eye(nrows)))
-        basis = np.array(ncpoly._context_basis(inc))
+        basis = np.array(ncpoly._context_basis(inc.matrix, _first_rows(inc)))
         yield label, inc, P, basis, 2 * np.eye(nrows) - M[:, basis]
         # a random walk from _context_basis that swaps in random columns,
         # skipping swaps that make the basis singular
@@ -1073,11 +1081,11 @@ def test_basis_system_keeps_its_integers_exact():
 _CONTEXT_BASIS = ncpoly._context_basis
 
 
-def _det_two(inc, basis, inverse):
+def _det_two(A, first, basis, inverse):
     """A basis with |det B| = 2, from a seeded walk that swaps assignment
     columns into the slack basis, and its float inverse."""
-    nrows, n = inc.matrix.shape
-    M = np.hstack((inc.matrix, np.eye(nrows)))
+    nrows, n = A.shape
+    M = np.hstack((A, np.eye(nrows)))
     rng = np.random.default_rng(nrows)
     basis = np.arange(n, n + nrows)
     for _ in range(10_000):
@@ -1091,61 +1099,62 @@ def _det_two(inc, basis, inverse):
     raise AssertionError(f"no basis with |det B| = 2 in {nrows} rows")
 
 
-def _off_by_one(inc, basis, inverse):
+def _off_by_one(A, first, basis, inverse):
     inverse = inverse.copy()
     inverse[0, -1] += 1
     return basis, inverse
 
 
-def _other_basis(inc, basis, inverse):
+def _other_basis(A, first, basis, inverse):
     """The exact inverse of another basis with the optimal basis: of
     _context_basis, 2I - B, or, where that is the optimal basis (as on the
     kept programs of the even corpus cycles), of the slack basis, I."""
-    nrows = len(inc.matrix)
-    heads = _CONTEXT_BASIS(inc)
+    nrows = len(A)
+    heads = _CONTEXT_BASIS(A, first)
     if heads == basis.tolist():
         return basis, np.eye(nrows)
-    other = np.hstack((inc.matrix, np.eye(nrows)))[:, heads]
+    other = np.hstack((A, np.eye(nrows)))[:, heads]
     return basis, 2 * np.eye(nrows) - other
 
 
-def _nan_entry(inc, basis, inverse):
+def _nan_entry(A, first, basis, inverse):
     inverse = inverse.copy()
     inverse[-1, 0] = np.nan
     return basis, inverse
 
 
 def _corrupted_starts(monkeypatch, corrupt) -> list:
-    """Hands contextual_fraction's exact routine corrupt(program, basis,
-    B^-1) in place of the float-optimal basis and its B^-1, program the one
-    simplex was handed; records each restart from _context_basis."""
+    """Hands contextual_fraction's exact routine corrupt(A, first, basis,
+    B^-1) in place of the float-optimal basis and its B^-1, A the program
+    simplex was handed, whose first `first` rows are the first context's;
+    records each restart from _context_basis."""
     restarts, programs = [], []
-    real_simplex, real_program = ncpoly.simplex, ncpoly._support_program
+    real_simplex, real_exact = ncpoly.simplex, ncpoly._exact_optimum
 
-    def recorded(inc, p, rhs):
-        programs.append(real_program(inc, p, rhs))
-        return programs[-1]
+    def recorded(c, A, rhs):
+        programs.append(A)
+        return real_simplex(c, A, rhs)
 
-    def corrupted(c, A, rhs):
-        assert A is programs[-1].matrix
-        value, x, basis, inverse = real_simplex(c, A, rhs)
-        return (value, x, *corrupt(programs[-1], basis, inverse))
+    def corrupted(A, first, p, basis, inverse):
+        assert A is programs[-1]
+        return real_exact(A, first, p, *corrupt(A, first, basis, inverse))
 
-    def counted(inc):
-        restarts.append(inc)
-        return _CONTEXT_BASIS(inc)
+    def counted(A, first):
+        restarts.append(A)
+        return _CONTEXT_BASIS(A, first)
 
-    monkeypatch.setattr(ncpoly, "_support_program", recorded)
-    monkeypatch.setattr(ncpoly, "simplex", corrupted)
+    monkeypatch.setattr(ncpoly, "simplex", recorded)
+    monkeypatch.setattr(ncpoly, "_exact_optimum", corrupted)
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
     return restarts
 
 
 def _program_of(m: EmpiricalModel):
-    """The program contextual_fraction hands simplex for m."""
+    """The rows and columns of the incidence that contextual_fraction hands
+    simplex for m."""
     inc = incidence(m.scenario)
     p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
-    return ncpoly._support_program(inc, p, np.array([float(q) for q in p]))
+    return ncpoly._support_program(inc.matrix, p, np.array([float(q) for q in p]))
 
 
 @pytest.mark.parametrize("corrupt", [_det_two, _off_by_one, _other_basis, _nan_entry])
@@ -1161,7 +1170,7 @@ def test_rejected_float_inverses_restart_once(monkeypatch, corrupt):
     least = 20 if corrupt is _det_two else 0
     names = [
         name for name in CORPUS_NCF
-        if len(_program_of(_corpus_model(name)).rows) >= least
+        if len(_program_of(_corpus_model(name))[0]) >= least
     ]
     sizes = [n for n in range(3, 7) if 4 * n >= least]
     restarts = _corrupted_starts(monkeypatch, corrupt)
@@ -1195,9 +1204,9 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
     so the exact routine restarts from _context_basis."""
     restarts = []
 
-    def counted(inc):
-        restarts.append(inc)
-        return _CONTEXT_BASIS(inc)
+    def counted(A, first):
+        restarts.append(A)
+        return _CONTEXT_BASIS(A, first)
 
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
     rng = np.random.default_rng(17)
@@ -1212,6 +1221,32 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
         _assert_exactly_feasible(m, res.witness_exact)
         values.add(res.ncf_exact)
     assert len(restarts) >= 6 and len(values) >= 60
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_exact_routine_is_independent_of_the_column_order(n):
+    """The exact routine reads only the matrix it is handed: on the
+    white-noise odd n-cycle's program with its columns in a seeded random
+    order, started from the float simplex's basis on that order, it reaches
+    min(1, n(1 - v)/2), at the tie value 1/3 + 2**-40 too, and its weights,
+    by column in ascending order and mapped back through the permutation,
+    are exactly feasible on the tables."""
+    rng = np.random.default_rng(2501)
+    for v in (Fraction(9, 10), Fraction(4, 5), ncf_pins.TIE):
+        m = white_noise_odd_cycle(n, v)
+        inc = incidence(m.scenario)
+        p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
+        perm = rng.permutation(inc.matrix.shape[1])
+        A = inc.matrix[:, perm]
+        rhs = np.array([float(q) for q in p])
+        _, _, basis, inverse = simplex(np.ones(A.shape[1]), A, rhs)
+        value, weights = ncpoly._exact_optimum(A, 4, p, basis, inverse)
+        assert value == min(Fraction(1), n * (1 - v) / 2), (n, v)
+        assert list(weights) == sorted(weights)
+        assert sum(weights.values()) == value
+        witness = {inc.assignment(int(perm[j])): w for j, w in weights.items()}
+        assert len(witness) == len(weights)
+        _assert_exactly_feasible(m, witness)
 
 
 # ------------------------------------------ the program the support poses
@@ -1275,7 +1310,7 @@ def test_kept_program_matches_the_full_program(monkeypatch):
         x = np.zeros(A.shape[1])
         for a, w in res.witness.items():
             x[column[a]] = w
-        ncpoly._validate_witness(inc, rhs, x, res.ncf)
+        ncpoly._validate_witness(inc, rhs, np.arange(len(x)), x, res.ncf)
         labels = [o.label for o in m.scenario.observables]
         for a in res.witness:
             for ctx in m.scenario.contexts:
@@ -1339,20 +1374,20 @@ def test_an_unhit_first_context_row_is_an_error_not_a_traceback(monkeypatch):
     p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
     # the all-0 and all-1 columns against every row: neither hits the first
     # context's 01 and 10 rows
-    program = IncidenceMatrix(inc.rows, inc.outcomes, inc.matrix[:, [0, 7]])
+    A = inc.matrix[:, [0, 7]]
     unhit = "a first-context row of the 12 x 2 fraction program is hit by no"
     with pytest.raises(RuntimeError, match=unhit):
-        ncpoly._context_basis(program)
+        ncpoly._context_basis(A, 4)
     # the slack basis is never dual feasible, so the routine restarts
     with pytest.raises(RuntimeError, match=unhit):
-        ncpoly._exact_optimum(program, p, np.arange(2, 14), np.eye(12))
+        ncpoly._exact_optimum(A, 4, p, np.arange(2, 14), np.eye(12))
     # a singular restart basis, column 0 twelve times
-    monkeypatch.setattr(ncpoly, "_context_basis", lambda inc: [0] * 12)
+    monkeypatch.setattr(ncpoly, "_context_basis", lambda A, first: [0] * 12)
     with pytest.raises(
         RuntimeError,
         match="first-context basis of the 12 x 8 fraction program has no integral",
     ):
-        ncpoly._exact_optimum(inc, p, np.arange(8, 20), np.eye(12))
+        ncpoly._exact_optimum(inc.matrix, 4, p, np.arange(8, 20), np.eye(12))
 
 
 def test_ncf_outputs_are_pinned(tmp_path):

@@ -1,8 +1,10 @@
 """Report assembly: structure, exact values, JSON schema, round-trips."""
 from __future__ import annotations
 
+import enum
 import itertools
 import json
+from collections import OrderedDict
 import random
 from fractions import Fraction
 from importlib import resources
@@ -533,6 +535,19 @@ class _Label(str):
     pass
 
 
+class _Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2**40
+
+
+class _Items(list):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
 _any_text = st.text(st.characters(exclude_categories=()))  # lone surrogates too
 _leaves = st.one_of(
     _any_text,
@@ -541,6 +556,7 @@ _leaves = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
     st.floats().map(np.float64),
+    st.sampled_from(_Level),
     st.booleans(),
     st.none(),
 )
@@ -549,7 +565,10 @@ _values = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_Items),
+        st.lists(inner, max_size=4).map(_Pair),
         st.dictionaries(_any_text, inner, max_size=4),
+        st.dictionaries(_any_text, inner, max_size=4).map(OrderedDict),
     ),
     max_leaves=30,
 )
