@@ -10,23 +10,15 @@ is solved keeps only the other assignments, the global sections of the
 support, and only the rows some kept assignment hits; when none is kept the
 model is strongly contextual and its fraction is 0 with no LP at all. Every
 row is an upper bound with a nonnegative right-hand side, so the slack basis
-is feasible and the solver needs one phase only. The program has few rows
-and very many columns, so the solver is a float64 revised simplex with
-Bland's rule that takes and returns plain arrays: A is made float once, and
-each pivot updates only the m x m basis inverse, the basic solution and the
-reduced costs, the last by a multiple of B^-1's leaving row times [A | I],
-read over the few rows of A where that row is nonzero; y A prices all
-columns only at the start and when the updated costs claim optimality.
+is feasible, and `simplex`, a float64 revised simplex with Bland's rule for
+few rows and very many columns, needs one phase only.
 
-For exact tables one integer routine takes the float-optimal basis B of the
-kept program to the exact optimum on d B^-1 [P | I], P the scaled
-probabilities and d = 1 at the start, which is read off the float B^-1:
-rounded, it is accepted when B times it is exactly I, so |det B| = 1. If it
-is not, or B is not exactly dual feasible, a basis that always is, with
-B^-1 = 2I - B, replaces it; exact dual-simplex pivots with Bland's rule then
-run while the primal is infeasible, int64 while every entry is below 2**31
-and Python ints otherwise. It takes the program's matrix and returns weights
-by column; contextual_fraction decodes both witnesses into assignments.
+For exact tables the float optimum is verified, not inverted: x = B^-1 P and
+the duals y = c_B B^-1, P the scaled probabilities, are read off the float
+B^-1, rounded or reconstructed as rationals, and accepted when weak duality
+proves them optimal in integers. Only if not do exact dual-simplex pivots
+repair the float basis, or a basis with B^-1 = 2I - B, in fraction-free
+integers. The routine returns weights by column of the program's matrix.
 """
 
 from __future__ import annotations
@@ -321,9 +313,10 @@ def _pivot(
 def _scaled(p: Sequence[Fraction]) -> tuple[int, np.ndarray]:
     """(scale, P) with P = p * scale integral, scale the lcm of the
     denominators; P is int64 while its entries are below _INT64_SAFE."""
-    scale = math.lcm(*(v.denominator for v in p))
-    P = [v.numerator * (scale // v.denominator) for v in p]
-    small = all(-_INT64_SAFE < v < _INT64_SAFE for v in P)
+    ratios = [v.as_integer_ratio() for v in p]
+    scale = math.lcm(*{d for _, d in ratios})
+    P = [a * (scale // d) for a, d in ratios]
+    small = -_INT64_SAFE < min(P, default=0) and max(P, default=0) < _INT64_SAFE
     return scale, np.array(P, dtype=np.int64 if small else object)
 
 
@@ -381,10 +374,62 @@ def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
     """d c - v [A | I] for an integer row v, c = 1 on the assignment
     columns and 0 on the slacks, so d times the reduced costs when v is the
     scaled dual. Float64 while d + sum |v| < 2**53, which bounds every
-    partial sum over a 0/1 column, so exactly; Python ints otherwise."""
+    partial sum over a column of -1, 0 and 1, so exactly; else Python ints."""
     v = v.astype(float if d + int(np.abs(v).sum()) < 2**53 else object)
     nz = v.nonzero()[0]
     return np.concatenate((d - v[nz] @ A[nz], -v))
+
+
+def _optimal(
+    A: np.ndarray, P: np.ndarray, basis: np.ndarray, D: int, X: np.ndarray, Y: np.ndarray
+) -> bool:
+    """Whether weak duality proves X / D, the basic values of basis, optimal
+    in integers, A's entries being -1, 0 or 1: X >= 0, B X = D P, Y >= 0 and
+    Y A >= D for the duals Y / D, and X sums to Y P over the assignments."""
+    n, at = A.shape[1], basis < A.shape[1]
+    # with D = 1 a bool column has Y A >= 1 iff it hits a row where Y >= 1
+    cover = D == 1 and A.dtype == bool
+    if (X < 0).any() or (Y < 0).any() or not (
+        A[Y > 0].any(axis=0).all() if cover else (_priced(D, Y, A) <= 0).all()
+    ):
+        return False
+    used = A.take(basis[at], 1) @ X[at]
+    used[basis[~at] - n] += X[~at]
+    if not (used == (P if D == 1 else P.astype(object) * D)).all():
+        return False
+    return sum(X[at].tolist()) == sum(y * q for y, q in zip(Y.tolist(), P.tolist()) if y)
+
+
+def _certificate(
+    A: np.ndarray, P: np.ndarray, basis: np.ndarray, inverse: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray] | None:
+    """(basis, D, X) when _optimal proves X / D = B^-1 P and Y / D = c_B B^-1
+    optimal, else None. Both are read off the float B^-1, rounded (D = 1) or
+    else reconstructed where far from an integer, with denominators up to
+    Hadamard's bound on |det B| and what 53-bit floats resolve at their size."""
+    m, at = len(basis), basis < A.shape[1]
+    # past 2**53 a float resolves no integer (past 2**1024 a P has no float
+    # at all), and a NaN fails too
+    if P.dtype == object and np.abs(P).max() >= 2**53:
+        return None
+    xy = np.concatenate((inverse @ P.astype(float), at @ inverse))
+    if not (big := np.abs(xy).max()) < 2**53:
+        return None
+    r = np.rint(xy)
+    XY = r.astype(np.int64) if big < _INT64_SAFE else r.astype(np.int64).astype(object)
+    if _optimal(A, P, basis, 1, XY[:m], XY[m:]):
+        return basis, 1, XY[:m]
+    hadamard = math.isqrt(math.prod(np.count_nonzero(A.take(basis[at], 1), axis=0).tolist()))
+    bound = min(hadamard, math.isqrt(int(0.5 / np.spacing(max(big, 1.0)))))
+    # a non-integer of denominator <= bound is >= 1/bound from every integer
+    far = np.flatnonzero(2 * bound * np.abs(xy - r) >= 1)
+    if not len(far):
+        return None
+    fracs = [Fraction(v).limit_denominator(bound) for v in xy[far].tolist()]
+    D = math.lcm(*(f.denominator for f in fracs))
+    XY = XY.astype(object) * D
+    XY[far] = [f.numerator * (D // f.denominator) for f in fracs]
+    return (basis, D, XY[:m]) if _optimal(A, P, basis, D, XY[:m], XY[m:]) else None
 
 
 def _exact_optimum(
@@ -392,71 +437,66 @@ def _exact_optimum(
 ) -> tuple[Fraction, dict[int, Fraction]]:
     """The exact optimum of the program A for the exact probabilities p of
     its rows, and the optimal positive weights as {column of A: weight},
-    columns ascending; A's first `first` rows are the first context's. It
-    starts from the float-optimal basis and its float B^-1, or from
-    _context_basis when that B^-1 does not round to the exact one or the
-    basis is not exactly dual feasible. Dual-simplex pivots with
-    Bland's rule run while the primal (column 0 of aug = d B^-1 [P | I],
-    d = 1 at the start) is infeasible: the leaving row is the negative basic
-    value with the least basic column; the entering column has the least
-    ratio of reduced cost to pivot-row entry among the entries below 0, ties
-    to the least column. Each pivot keeps the dual feasible, so the first
-    primal feasible basis is optimal. Raises RuntimeError when the restart
-    basis has no integral inverse, which a program whose every column hits
-    one row of each context rules out."""
+    columns ascending; A's first `first` rows are the first context's.
+    When _certificate fails, dual-simplex pivots with Bland's rule run from
+    the float basis, or from _context_basis when its float B^-1 does not
+    round to the exact one or it is not exactly dual feasible, while column
+    0 of aug = d B^-1 [P | I] has an entry below 0: that of least basic
+    column leaves, and the entering column has the least ratio of reduced
+    cost to pivot-row entry below 0, ties to the least column. Each pivot
+    keeps the dual feasible, so the first primal feasible basis is optimal.
+    Raises RuntimeError when the restart basis has no integral inverse."""
     n = A.shape[1]
     scale, P = _scaled(p)
     basis = np.array(basis)
-    aug = _basis_system(A, P, basis, inverse)
-    # the dual is the sum of the rows of B^-1 at basic assignments
-    if aug is None or (_priced(1, aug[basis < n, 1:].sum(axis=0), A) > 0).any():
-        basis = np.array(_context_basis(A, first))
-        aug = _basis_system(A, P, basis, 2 * np.eye(len(A)) - _basis_matrix(A, basis))
-        if aug is None:
-            raise RuntimeError(
-                f"the first-context basis of the {len(A)} x {n} fraction "
-                f"program has no integral inverse"
-            )
-    d = 1
-    while (aug[:, 0] < 0).any():
-        neg = np.flatnonzero(aug[:, 0] < 0)
-        r = int(neg[basis[neg].argmin()])
-        red = _priced(d, aug[basis < n, 1:].sum(axis=0), A)
-        # row r of d B^-1 [A | I]: some entry is below 0, as x = 0 is feasible
-        alpha = -_priced(0, aug[r, 1:], A)
-        cand = np.flatnonzero(alpha < 0)
-        # the exact least ratios are among those whose float is within a few
-        # ulps of the float minimum
-        ratio = red[cand].astype(float) / alpha[cand].astype(float)
-        near = cand[ratio <= ratio.min() * (1 + 1e-9)].tolist()
-        enter = min(near, key=lambda j: (Fraction(int(red[j]), int(alpha[j])), j))
-        col = aug[:, 1:] @ A[:, enter] if enter < n else aug[:, 1 + enter - n]
-        if np.abs(col).max() >= _INT64_SAFE:
-            aug, col = aug.astype(object), col.astype(object)
-        d, aug = _pivot(aug, col, r, d)
-        basis[r] = enter
-    denom = d * scale
+    proof = _certificate(A, P, basis, inverse)
+    if proof is None:
+        aug = _basis_system(A, P, basis, inverse)
+        # the dual is the sum of the rows of B^-1 at basic assignments
+        if aug is None or (_priced(1, aug[basis < n, 1:].sum(axis=0), A) > 0).any():
+            basis = np.array(_context_basis(A, first))
+            aug = _basis_system(A, P, basis, 2 * np.eye(len(A)) - _basis_matrix(A, basis))
+            if aug is None:
+                raise RuntimeError(
+                    f"the first-context basis of the {len(A)} x {n} fraction "
+                    f"program has no integral inverse"
+                )
+        d = 1
+        while (aug[:, 0] < 0).any():
+            neg = np.flatnonzero(aug[:, 0] < 0)
+            r = int(neg[basis[neg].argmin()])
+            red = _priced(d, aug[basis < n, 1:].sum(axis=0), A)
+            # row r of d B^-1 [A | I]: some entry is below 0, as x = 0 is feasible
+            alpha = -_priced(0, aug[r, 1:], A)
+            cand = np.flatnonzero(alpha < 0)
+            # the exact least ratios have floats within a few ulps of the least
+            ratio = red[cand].astype(float) / alpha[cand].astype(float)
+            near = cand[ratio <= ratio.min() * (1 + 1e-9)].tolist()
+            enter = min(near, key=lambda j: (Fraction(int(red[j]), int(alpha[j])), j))
+            col = aug[:, 1:] @ A[:, enter] if enter < n else aug[:, 1 + enter - n]
+            if np.abs(col).max() >= _INT64_SAFE:
+                aug, col = aug.astype(object), col.astype(object)
+            d, aug = _pivot(aug, col, r, d)
+            basis[r] = enter
+        proof = basis, d, aug[:, 0]
+    basis, d, X = proof
     assigned = basis < n
-    values = sorted(zip(basis[assigned].tolist(), aug[assigned, 0].tolist()))
-    weights = {j: Fraction(v, denom) for j, v in values if v}
-    return Fraction(sum(v for _, v in values), denom), weights
+    values = sorted(zip(basis[assigned].tolist(), X[assigned].tolist()))
+    weights = {j: Fraction(v, d * scale) for j, v in values if v}
+    return Fraction(sum(v for _, v in values), d * scale), weights
 
 
 def contextual_fraction(m: EmpiricalModel) -> FractionResult:
     """Solve the decomposition LP. Precondition: the model passes
     no-disturbance within 1e-6 (raises SignallingModelError otherwise).
 
-    ncf is the LP optimum (clamped into [0, 1]); cf = 1 - ncf; the witness is
-    revalidated against the tables after solving. The incidence matrix is
-    built once; the float LP and the exact routine run on the program the
-    support poses, its global sections against the rows they hit, and the
-    float solution is checked against every row of the tables. Both give
-    weights by program column; both witnesses are decoded here, once. A
-    model with no global section is strongly contextual: ncf is 0 (exactly,
-    when it has exact tables) with an empty witness, and no LP runs. When exact tables
-    are available the float-optimal basis is certified, or repaired by exact
-    pivots, in integers; the exact optimum must agree with the float one
-    within 1e-9."""
+    ncf is the LP optimum (clamped into [0, 1]); cf = 1 - ncf. The float LP
+    and the exact routine run on the program the support poses. The witness
+    of float tables is checked against every row of them. A model with no
+    global section is strongly contextual: ncf is 0 (exactly, when it has
+    exact tables) with an empty witness, and no LP runs. An exact optimum,
+    proven by the exact routine, replaces the float witness and must agree
+    with the float optimum within 1e-9. Both witnesses are decoded here."""
     worst, _ = no_disturbance(m)
     if worst > EPS_ND_PRECONDITION:
         raise SignallingModelError(
@@ -497,7 +537,6 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
         )
     value, x, basis, inverse = solved
     ncf = min(max(value, 0.0), 1.0)
-    _validate_witness(inc, rhs, cols, x, ncf)
     if m.exact_available:
         sc = m.scenario
         first = int(np.searchsorted(rows, len(sc.joint_outcomes(sc.contexts[0]))))
@@ -509,6 +548,7 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
             )
         ncf = float(ncf_exact)
     else:
+        _validate_witness(inc, rhs, cols, x, ncf)
         weights = {j: float(x[j]) for j in np.flatnonzero(x > EPS_LP).tolist()}
     # the one decode: column j of the program is the incidence's cols[j]
     witness = {inc.assignment(int(cols[j])): w for j, w in weights.items()}

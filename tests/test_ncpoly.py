@@ -1200,15 +1200,24 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
     """Seeded parity-box mixtures on the 64 x 64 incidence of three parties
     with two settings each, or the part of it that the support keeps: the
     exact NCF is scipy's optimum on the full program and the witness is
-    exactly feasible. Six float-optimal bases there have |det B| of 2 or 3,
-    so the exact routine restarts from _context_basis."""
-    restarts = []
+    exactly feasible. Seven float-optimal bases there have |det B| of 2 or 3:
+    their rounded B^-1 P is not exact, the reconstructed rationals are
+    certified over a common denominator D > 1, and the exact routine never
+    restarts from _context_basis."""
+    restarts, denominators = [], []
+    certificate = ncpoly._certificate
 
     def counted(A, first):
         restarts.append(A)
         return _CONTEXT_BASIS(A, first)
 
+    def recorded(A, P, basis, inverse):
+        proof = certificate(A, P, basis, inverse)
+        denominators.append(proof and proof[1])
+        return proof
+
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
+    monkeypatch.setattr(ncpoly, "_certificate", recorded)
     rng = np.random.default_rng(17)
     values = set()
     for _ in range(120):
@@ -1220,7 +1229,8 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
         assert sum(res.witness_exact.values()) == res.ncf_exact
         _assert_exactly_feasible(m, res.witness_exact)
         values.add(res.ncf_exact)
-    assert len(restarts) >= 6 and len(values) >= 60
+    assert restarts == [] and None not in denominators
+    assert sum(d > 1 for d in denominators) >= 7 and len(values) >= 60
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -1247,6 +1257,182 @@ def test_exact_routine_is_independent_of_the_column_order(n):
         witness = {inc.assignment(int(perm[j])): w for j, w in weights.items()}
         assert len(witness) == len(weights)
         _assert_exactly_feasible(m, witness)
+
+
+# ------------------------------------------------ the integer check
+
+
+def _all_pairs_model(marginals) -> EmpiricalModel:
+    """Binary observables X0, X1, ... with every pair a context, each table
+    the product of the pair's marginals, marginals[i] = P(Xi = 1): a
+    noncontextual model, so its NCF is 1 exactly."""
+    n = len(marginals)
+    sc = Scenario(
+        tuple(Observable(f"X{i}", ("0", "1")) for i in range(n)),
+        tuple((f"X{i}", f"X{j}") for i, j in itertools.combinations(range(n), 2)),
+    )
+    tables = {}
+    for ctx in sc.contexts:
+        q = [marginals[int(label[1:])] for label in ctx]
+        exact = {
+            (a, b): (q[0] if a == "1" else 1 - q[0]) * (q[1] if b == "1" else 1 - q[1])
+            for a in "01"
+            for b in "01"
+        }
+        tables[ctx] = Distribution({t: float(v) for t, v in exact.items()}, exact)
+    return EmpiricalModel(sc, tables)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_all_pairs_product_models_are_certified_without_a_pivot(monkeypatch, n):
+    """n binary observables with every pair a context, as the product of
+    uniform marginals (1/4 on every row) and of seeded random rational
+    marginals, have NCF 1 exactly. Their float-optimal bases are mostly not
+    unimodular, so B^-1 P is reconstructed as rationals where it does not
+    round; the integer check certifies it, and the exact routine makes no
+    pivot and never restarts from _context_basis."""
+    restarts = []
+
+    def counted(A, first):
+        restarts.append(A)
+        return _CONTEXT_BASIS(A, first)
+
+    monkeypatch.setattr(ncpoly, "_context_basis", counted)
+    pivots = _dual_pivots(monkeypatch)
+    rng = np.random.default_rng(2600 + n)
+    uniform = [Fraction(1, 2)] * n
+    seeded = [Fraction(int(k), 12) for k in rng.integers(1, 12, n)]
+    for marginals in (uniform, seeded):
+        m = _all_pairs_model(marginals)
+        res = contextual_fraction(m)
+        assert res.ncf_exact == 1 == sum(res.witness_exact.values()), marginals
+        _assert_exactly_feasible(m, res.witness_exact)
+    assert pivots == [] and restarts == []
+
+
+def _certify(m: EmpiricalModel, proved: list):
+    """contextual_fraction's program for m, with its exact probabilities
+    scaled to P, the float-optimal basis and the check's verdict on it;
+    proved receives (D, X, Y) of every pair the check accepts."""
+    inc = incidence(m.scenario)
+    rows, cols = _program_of(m)
+    exact = [m.tables[ctx].exact[tup] for ctx, tup in (inc.rows[r] for r in rows)]
+    A = inc.matrix[np.ix_(rows, cols)]
+    scale, P = ncpoly._scaled(exact)
+    _, _, basis, inverse = simplex(np.ones(len(cols)), A, np.array([float(q) for q in exact]))
+    proved.clear()
+    return A, scale, P, basis, ncpoly._certificate(A, P, basis, inverse)
+
+
+def test_the_integer_check_is_a_proof(monkeypatch):
+    """On seeded parity-box mixtures, Hardy-like cycles n = 5..13 and
+    white-noise odd cycles n = 3..11 at v = 9/10 and 4/5, the check
+    certifies every float optimum that reaches it (five mixtures have no
+    global section), at the vertex oracle's optimum, or scipy's where too
+    many assignments are kept to enumerate. Every certificate it accepts is
+    tight: a change of one unit in any entry of X or Y, or dropping a basic
+    column of positive value, is rejected (a column of value 0 adds nothing
+    to B X). The tie family at n = 7, 9 and 11 has an exactly infeasible
+    float basis, and the check rejects it."""
+    optimal, proved = ncpoly._optimal, []
+
+    def recorded(A, P, basis, D, X, Y):
+        accepted = optimal(A, P, basis, D, X, Y)
+        if accepted:
+            proved.append((D, X, Y))
+        return accepted
+
+    monkeypatch.setattr(ncpoly, "_optimal", recorded)
+    rng = np.random.default_rng(2602)
+    models = [parity_box_mixture(rng) for _ in range(40)]
+    closing = (Fraction(1, 8), Fraction(1, 3))
+    models += [hardy_like_cycle(n, a) for n in range(5, 14) for a in closing]
+    levels = (Fraction(9, 10), Fraction(4, 5))
+    models += [white_noise_odd_cycle(n, v) for n in range(3, 12, 2) for v in levels]
+    reached = 0
+    for m in models:
+        if not len(_program_of(m)[1]):
+            continue
+        reached += 1
+        A, scale, P, basis, proof = _certify(m, proved)
+        assert proof is not None
+        [(D, X, Y)], n = proved, A.shape[1]
+        at = basis < n
+        value = Fraction(sum(X[at].tolist()), D * scale)
+        if n <= 4:
+            assert value == ncf_vertex_enumeration(m)[0]
+        else:
+            ref = _scipy_reference(*_ncf_lp(m))
+            assert float(value) == pytest.approx(-ref.fun, abs=1e-9)
+        for vector, other in ((X, Y), (Y, X)):
+            for i in range(len(vector)):
+                for step in (1, -1):
+                    changed = vector.copy()
+                    changed[i] += step
+                    pair = (changed, other) if vector is X else (other, changed)
+                    assert not optimal(A, P, basis, D, *pair)
+        for i in np.flatnonzero(X > 0).tolist():
+            keep = np.arange(len(basis)) != i
+            assert not optimal(A, P, basis[keep], D, X[keep], Y)
+    assert reached == len(models) - 5
+    for n in (7, 9, 11):
+        assert _certify(white_noise_odd_cycle(n, ncf_pins.TIE), proved)[-1] is None
+        assert proved == []
+
+
+def test_the_cover_test_is_for_bool_matrices_only():
+    """Max x1 + x2 subject to x1 + x2 <= 2 and x1 - x2 <= 0 has optimum 2.
+    The claim of 0 at the basis {x1, slack of row 0} with duals (0, 1) has
+    y a2 = -1 < 1, though row 1 hits a2: an integer matrix with a -1 is
+    priced, not covered, and the claim is rejected."""
+    A = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    P, basis = np.array([2, 0]), np.array([0, 2])
+    assert not ncpoly._optimal(A, P, basis, 1, np.array([0, 2]), np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "n, v", [(5, 1 - Fraction(1, 2**1100)), (7, Fraction(1, 3) + Fraction(1, 2**1100))]
+)
+def test_denominators_past_the_float_range_go_to_the_repair(monkeypatch, n, v):
+    """A denominator of 2**1100 scales P past the float range, so the check
+    rejects before any float is read, and the exact repair gives the closed
+    form min(1, n(1 - v)/2) with an exactly feasible witness."""
+    verdicts, certificate = [], ncpoly._certificate
+
+    def recorded(A, P, basis, inverse):
+        verdicts.append(certificate(A, P, basis, inverse))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ncpoly, "_certificate", recorded)
+    m = white_noise_odd_cycle(n, v)
+    res = contextual_fraction(m)
+    assert verdicts == [None]
+    assert res.ncf_exact == min(1, n * (1 - v) / 2) == sum(res.witness_exact.values())
+    _assert_exactly_feasible(m, res.witness_exact)
+
+
+def test_a_degenerate_optimum_reports_the_certified_float_vertex():
+    """The fourth parity-box mixture of seed 2301 has NCF 23/29 and a float
+    basis with |det B| > 1, which the check certifies over a common
+    denominator as it stands; its witness is that vertex, not the one a
+    restart from _context_basis reaches."""
+    rng = np.random.default_rng(2301)
+    m = [parity_box_mixture(rng) for _ in range(4)][-1]
+    res = contextual_fraction(m)
+    assert res.ncf_exact == Fraction(23, 29)
+    witness = {"".join(a): w for a, w in res.witness_exact.items()}
+    assert witness == {
+        a: Fraction(w)
+        for a, w in (
+            ("000000", "13/174"), ("000010", "7/348"), ("000111", "1/87"),
+            ("001101", "7/348"), ("001111", "11/174"), ("010000", "7/174"),
+            ("010101", "11/348"), ("010111", "3/58"), ("011000", "11/174"),
+            ("011010", "11/348"), ("011111", "3/58"), ("100011", "7/174"),
+            ("100100", "7/348"), ("100110", "3/58"), ("101001", "3/58"),
+            ("101011", "11/348"), ("101100", "3/58"), ("110011", "5/116"),
+            ("110100", "1/87"), ("111100", "11/348"),
+        )
+    }
 
 
 # ------------------------------------------ the program the support poses
