@@ -15,10 +15,11 @@ few rows and very many columns, needs one phase only.
 
 For exact tables the float optimum is verified, not inverted: x = B^-1 P and
 the duals y = c_B B^-1, P the scaled probabilities, are read off the float
-B^-1, rounded or reconstructed as rationals, and accepted when weak duality
-proves them optimal in integers. Only if not do exact dual-simplex pivots
-repair the float basis, or a basis with B^-1 = 2I - B, in fraction-free
-integers. The routine returns weights by column of the program's matrix.
+B^-1, rounded, and accepted when weak duality proves them optimal in
+integers. Only if not do exact dual-simplex pivots repair the float basis,
+or the first-context basis, in fraction-free integers, starting from the
+d B^-1, d = |det B|, that the same pivots build up from the slack basis.
+The routine returns weights by column of the program's matrix.
 """
 
 from __future__ import annotations
@@ -293,7 +294,10 @@ def _pivot(
     (col[r] aug - outer(col, aug[r])) // d, every division exact, with row r
     kept, and is negated when col[r] < 0. Returns the new scale |col[r]| and
     the new array, promoted once to Python ints when an entry reaches
-    _INT64_SAFE. The caller keeps every operand below it in int64."""
+    _INT64_SAFE, and before the pivot when an entry of col does, so that
+    every int64 operand stays below it."""
+    if col.dtype != object and np.abs(col).max() >= _INT64_SAFE:
+        aug, col = aug.astype(object), col.astype(object)
     pr = aug[r].copy()
     piv = int(col[r])
     f = col[:, None] * pr
@@ -327,9 +331,8 @@ def _context_basis(A: np.ndarray, first: int) -> list[int]:
     assignment hits exactly one row of a context, so the duals are 1 on the
     first context and 0 elsewhere, and every reduced cost is 0 or -1.
     B = I + N with N nonzero only on the first context's columns and the
-    other rows, so N N = 0 and B^-1 = 2I - B exactly. Raises RuntimeError
-    when some row of the first context is hit by no column, since no such
-    basis exists then."""
+    other rows, so det B = 1. Raises RuntimeError when some row of the first
+    context is hit by no column, since no such basis exists then."""
     nrows, n = A.shape
     if not A[:first].any(axis=1).all():
         raise RuntimeError(
@@ -340,34 +343,32 @@ def _context_basis(A: np.ndarray, first: int) -> list[int]:
     return heads + list(range(n + first, n + nrows))
 
 
-def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """B = [A | I][:, basis] as a float 0/1 matrix."""
-    n = A.shape[1]
-    B = np.zeros((len(A), len(basis)))
-    at_A = basis < n
-    B[:, at_A] = A[:, basis[at_A]]
-    B[basis[~at_A] - n, (~at_A).nonzero()[0]] = 1
-    return B
-
-
-def _basis_system(
-    A: np.ndarray, P: np.ndarray, basis: np.ndarray, inverse: np.ndarray
-) -> np.ndarray | None:
-    """B^-1 [P | I] for B = [A | I][:, basis], rows in basis order, read off
-    the float inverse: its rounding R is B^-1 when B R = I exactly, which
-    needs |det B| = 1. None otherwise, so also when B is singular. With
-    |R| < 2**31 every partial sum of B R is below m 2**31 < 2**53, so the
-    float64 product is exact; a NaN fails the bound."""
-    if not np.abs(inverse).max(initial=0.0) < _INT64_SAFE:
-        return None
-    R = np.rint(inverse)
-    if not np.array_equal(_basis_matrix(A, basis) @ R, np.eye(len(R))):
-        return None
-    R = R.astype(np.int64)
-    bound = len(R) * int(np.abs(R).max(initial=0)) * int(np.abs(P).max(initial=0))
-    # int64 while no sum of products can overflow, else Python ints
+def _start(
+    A: np.ndarray, P: np.ndarray, basis: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(d, d B^-1 [P | I], heads) for B = [A | I][:, basis], d = |det B|,
+    heads[i] the basic column of row i; None when B is singular. From the
+    slack basis (B^-1 = I, d = 1) each assignment column of basis enters, in
+    ascending order, by one _pivot on d B^-1 at the first row whose slack is
+    not in basis; when no such row has a nonzero entry in the column, B is
+    singular, as when an assignment column repeats (no slack may repeat).
+    R P, R = d B^-1, is int64 while no sum of its products can overflow,
+    else Python ints."""
+    m, n = A.shape
+    heads = np.arange(n, n + m)
+    leaving = ~np.isin(heads, basis)
+    R, d = np.eye(m, dtype=np.int64), 1
+    for j in np.sort(basis[basis < n]).tolist():
+        col = R @ A[:, j]
+        rows = np.flatnonzero(leaving & (col != 0))
+        if not len(rows):
+            return None
+        r = int(rows[0])
+        d, R = _pivot(R, col, r, d)
+        heads[r], leaving[r] = j, False
+    bound = m * int(np.abs(R).max()) * int(np.abs(P).max(initial=0))
     RP = R @ (P if bound < 2**63 else P.astype(object))
-    return _widen(np.column_stack((RP, R)))
+    return d, _widen(np.column_stack((RP, R))), heads
 
 
 def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -381,55 +382,38 @@ def _priced(d: int, v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _optimal(
-    A: np.ndarray, P: np.ndarray, basis: np.ndarray, D: int, X: np.ndarray, Y: np.ndarray
+    A: np.ndarray, P: np.ndarray, basis: np.ndarray, X: np.ndarray, Y: np.ndarray
 ) -> bool:
-    """Whether weak duality proves X / D, the basic values of basis, optimal
-    in integers, A's entries being -1, 0 or 1: X >= 0, B X = D P, Y >= 0 and
-    Y A >= D for the duals Y / D, and X sums to Y P over the assignments."""
+    """Whether weak duality proves X, the basic values of basis, optimal in
+    integers, A's entries being -1, 0 or 1: X >= 0, B X = P, the duals Y
+    price every column at most 0 (Y >= 0 and Y A >= 1), and X sums to Y P
+    over the assignments."""
     n, at = A.shape[1], basis < A.shape[1]
-    # with D = 1 a bool column has Y A >= 1 iff it hits a row where Y >= 1
-    cover = D == 1 and A.dtype == bool
-    if (X < 0).any() or (Y < 0).any() or not (
-        A[Y > 0].any(axis=0).all() if cover else (_priced(D, Y, A) <= 0).all()
-    ):
+    if (X < 0).any() or (_priced(1, Y, A) > 0).any():
         return False
     used = A.take(basis[at], 1) @ X[at]
     used[basis[~at] - n] += X[~at]
-    if not (used == (P if D == 1 else P.astype(object) * D)).all():
+    if not (used == P).all():
         return False
     return sum(X[at].tolist()) == sum(y * q for y, q in zip(Y.tolist(), P.tolist()) if y)
 
 
 def _certificate(
     A: np.ndarray, P: np.ndarray, basis: np.ndarray, inverse: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray] | None:
-    """(basis, D, X) when _optimal proves X / D = B^-1 P and Y / D = c_B B^-1
-    optimal, else None. Both are read off the float B^-1, rounded (D = 1) or
-    else reconstructed where far from an integer, with denominators up to
-    Hadamard's bound on |det B| and what 53-bit floats resolve at their size."""
+) -> np.ndarray | None:
+    """X when _optimal proves X = B^-1 P and Y = c_B B^-1 optimal, both
+    read off the float B^-1 and rounded, else None. Only an integral B^-1 P
+    and c_B B^-1, as |det B| = 1 gives, can pass."""
     m, at = len(basis), basis < A.shape[1]
     # past 2**53 a float resolves no integer (past 2**1024 a P has no float
     # at all), and a NaN fails too
     if P.dtype == object and np.abs(P).max() >= 2**53:
         return None
-    xy = np.concatenate((inverse @ P.astype(float), at @ inverse))
+    xy = np.rint(np.concatenate((inverse @ P.astype(float), at @ inverse)))
     if not (big := np.abs(xy).max()) < 2**53:
         return None
-    r = np.rint(xy)
-    XY = r.astype(np.int64) if big < _INT64_SAFE else r.astype(np.int64).astype(object)
-    if _optimal(A, P, basis, 1, XY[:m], XY[m:]):
-        return basis, 1, XY[:m]
-    hadamard = math.isqrt(math.prod(np.count_nonzero(A.take(basis[at], 1), axis=0).tolist()))
-    bound = min(hadamard, math.isqrt(int(0.5 / np.spacing(max(big, 1.0)))))
-    # a non-integer of denominator <= bound is >= 1/bound from every integer
-    far = np.flatnonzero(2 * bound * np.abs(xy - r) >= 1)
-    if not len(far):
-        return None
-    fracs = [Fraction(v).limit_denominator(bound) for v in xy[far].tolist()]
-    D = math.lcm(*(f.denominator for f in fracs))
-    XY = XY.astype(object) * D
-    XY[far] = [f.numerator * (D // f.denominator) for f in fracs]
-    return (basis, D, XY[:m]) if _optimal(A, P, basis, D, XY[:m], XY[m:]) else None
+    XY = xy.astype(np.int64) if big < _INT64_SAFE else xy.astype(np.int64).astype(object)
+    return XY[:m] if _optimal(A, P, basis, XY[:m], XY[m:]) else None
 
 
 def _exact_optimum(
@@ -438,30 +422,31 @@ def _exact_optimum(
     """The exact optimum of the program A for the exact probabilities p of
     its rows, and the optimal positive weights as {column of A: weight},
     columns ascending; A's first `first` rows are the first context's.
-    When _certificate fails, dual-simplex pivots with Bland's rule run from
-    the float basis, or from _context_basis when its float B^-1 does not
-    round to the exact one or it is not exactly dual feasible, while column
-    0 of aug = d B^-1 [P | I] has an entry below 0: that of least basic
-    column leaves, and the entering column has the least ratio of reduced
-    cost to pivot-row entry below 0, ties to the least column. Each pivot
-    keeps the dual feasible, so the first primal feasible basis is optimal.
-    Raises RuntimeError when the restart basis has no integral inverse."""
+    When _certificate fails, dual-simplex pivots with Bland's rule run on
+    aug = d B^-1 [P | I] from _start of the float basis, or of
+    _context_basis when the float basis is singular or not exactly dual
+    feasible, while column 0 of aug has an entry below 0: that of least
+    basic column leaves, and the entering column has the least ratio of
+    reduced cost to pivot-row entry below 0, ties to the least column. Each
+    pivot keeps the dual feasible, so the first primal feasible basis is
+    optimal. Raises RuntimeError when the first-context basis is singular."""
     n = A.shape[1]
     scale, P = _scaled(p)
     basis = np.array(basis)
-    proof = _certificate(A, P, basis, inverse)
-    if proof is None:
-        aug = _basis_system(A, P, basis, inverse)
+    d, X = 1, _certificate(A, P, basis, inverse)
+    if X is None:
+        start = _start(A, P, basis)
         # the dual is the sum of the rows of B^-1 at basic assignments
-        if aug is None or (_priced(1, aug[basis < n, 1:].sum(axis=0), A) > 0).any():
-            basis = np.array(_context_basis(A, first))
-            aug = _basis_system(A, P, basis, 2 * np.eye(len(A)) - _basis_matrix(A, basis))
-            if aug is None:
+        if start is None or (
+            _priced(start[0], start[1][start[2] < n, 1:].sum(axis=0), A) > 0
+        ).any():
+            start = _start(A, P, np.array(_context_basis(A, first)))
+            if start is None:
                 raise RuntimeError(
                     f"the first-context basis of the {len(A)} x {n} fraction "
-                    f"program has no integral inverse"
+                    f"program is singular"
                 )
-        d = 1
+        d, aug, basis = start
         while (aug[:, 0] < 0).any():
             neg = np.flatnonzero(aug[:, 0] < 0)
             r = int(neg[basis[neg].argmin()])
@@ -474,12 +459,9 @@ def _exact_optimum(
             near = cand[ratio <= ratio.min() * (1 + 1e-9)].tolist()
             enter = min(near, key=lambda j: (Fraction(int(red[j]), int(alpha[j])), j))
             col = aug[:, 1:] @ A[:, enter] if enter < n else aug[:, 1 + enter - n]
-            if np.abs(col).max() >= _INT64_SAFE:
-                aug, col = aug.astype(object), col.astype(object)
             d, aug = _pivot(aug, col, r, d)
             basis[r] = enter
-        proof = basis, d, aug[:, 0]
-    basis, d, X = proof
+        X = aug[:, 0]
     assigned = basis < n
     values = sorted(zip(basis[assigned].tolist(), X[assigned].tolist()))
     weights = {j: Fraction(v, d * scale) for j, v in values if v}

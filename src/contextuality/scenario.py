@@ -395,8 +395,8 @@ def snap_to_rationals(
     One numpy pass per table takes the first a/q, q <= max_denominator, with
     |rint(p q)/q - p| <= tol. Fractions with denominators up to N lie at
     least 1/N^2 apart, so while 2 tol max_denominator^2 < 1 (else
-    ValueError) only the closest, which Fraction.limit_denominator picks,
-    can be within tol; 128 is small, so irrational p essentially never snap."""
+    ValueError) only the closest such fraction can be within tol; 128 is
+    small, so irrational p essentially never snap."""
     if not 2 * tol * max_denominator**2 < 1:
         raise ValueError("snapping needs 2 * tol * max_denominator**2 < 1")
     q = np.arange(1, max_denominator + 1)

@@ -689,16 +689,33 @@ def test_closed_forms_past_the_pinned_sizes():
 
 def _dual_pivots(monkeypatch) -> list[int]:
     """Records the leaving row of every dual-simplex pivot of the exact
-    routine."""
+    routine. The pivots by which _start builds d B^-1 are not recorded: they
+    run on the square d B^-1 alone, the repair's on d B^-1 [P | I]."""
     pivots = []
     pivot = ncpoly._pivot
 
     def counted(aug, col, r, d):
-        pivots.append(r)
+        if aug.shape[1] > len(aug):
+            pivots.append(r)
         return pivot(aug, col, r, d)
 
     monkeypatch.setattr(ncpoly, "_pivot", counted)
     return pivots
+
+
+def _start_scales(monkeypatch) -> list:
+    """Records the scale d = |det B| of every start system _start builds,
+    None where it finds B singular."""
+    scales = []
+    start = ncpoly._start
+
+    def recorded(A, P, basis):
+        system = start(A, P, basis)
+        scales.append(system and system[0])
+        return system
+
+    monkeypatch.setattr(ncpoly, "_start", recorded)
+    return scales
 
 
 def _slack_started(monkeypatch) -> list:
@@ -831,8 +848,8 @@ def test_repair_mends_a_rejected_float_basis_without_a_cold_start(monkeypatch, n
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     _, P = ncpoly._scaled(p)
-    _, _, basis, inverse = simplex(*_ncf_lp(m))
-    aug = ncpoly._basis_system(inc.matrix, P, basis, inverse)
+    _, _, basis, _ = simplex(*_ncf_lp(m))
+    _, aug, _ = ncpoly._start(inc.matrix, P, basis)
     assert (aug[:, 0] < 0).any()
 
     def cold(A, first):
@@ -983,20 +1000,12 @@ def test_tiny_optimal_weights_are_validated_and_certified(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
-def _float_inverse(B: np.ndarray) -> np.ndarray:
-    """np.linalg.inv(B), or NaN where it finds B singular."""
-    try:
-        return np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        return np.full(B.shape, np.nan)
-
-
 def _basis_starts():
-    """(label, incidence, P, basis, inverse) on every corpus program, every
+    """(label, incidence, P, basis) on every corpus program, every
     white-noise odd cycle, n = 3..9, and a program whose scaled
-    probabilities need Python ints: the float-optimal basis with the
-    simplex's B^-1, _context_basis with 2I - B, and seeded random mixes of
-    assignment and slack columns in random order with np.linalg.inv's."""
+    probabilities need Python ints: the float-optimal basis,
+    _context_basis, and seeded random mixes of assignment and slack columns
+    in random order."""
     programs = [(name, _corpus_model(name)) for name in CORPUS_NCF]
     programs += [
         (f"odd {n} {v}", white_noise_odd_cycle(n, v))
@@ -1009,12 +1018,12 @@ def _basis_starts():
         inc = incidence(m.scenario)
         p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
         _, P = ncpoly._scaled(p)
-        _, _, basis, inverse = simplex(*_ncf_lp(m))
-        yield label, inc, P, basis, inverse
+        _, _, basis, _ = simplex(*_ncf_lp(m))
+        yield label, inc, P, basis
         nrows, n = inc.matrix.shape
         M = np.hstack((inc.matrix, np.eye(nrows)))
         basis = np.array(ncpoly._context_basis(inc.matrix, _first_rows(inc)))
-        yield label, inc, P, basis, 2 * np.eye(nrows) - M[:, basis]
+        yield label, inc, P, basis
         # a random walk from _context_basis that swaps in random columns,
         # skipping swaps that make the basis singular
         basis = rng.permutation(basis)
@@ -1025,20 +1034,36 @@ def _basis_starts():
                 if len(set(trial.tolist())) == nrows:
                     if np.linalg.matrix_rank(M[:, trial]) == nrows:
                         basis = trial
-            yield label, inc, P, basis, _float_inverse(M[:, basis])
+            yield label, inc, P, basis
         # then one unchecked swap, often singular
         outside = np.setdiff1d(np.arange(n + nrows), basis)
         basis[rng.integers(nrows)] = rng.choice(outside)
-        yield label, inc, P, basis, _float_inverse(M[:, basis])
+        yield label, inc, P, basis
 
 
-def test_basis_system_is_the_exact_inverse_read_off_the_float_one():
-    """On every start, _basis_system is B^-1 [P | I] as exact elimination
-    over Fractions gives it, int64 but where P needs Python ints, and None
-    exactly when B is singular or |det B| != 1, that is when the exact B^-1
-    is not integral."""
-    exact = singular = fractional = 0
-    for label, inc, P, basis, inverse in _basis_starts():
+def _determinant(rows: list[list[Fraction]]) -> Fraction:
+    """det of a square matrix by Gaussian elimination over Fractions."""
+    rows, det = [list(r) for r in rows], Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            if f := rows[r][c] / rows[c][c]:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def test_start_is_the_scaled_exact_inverse():
+    """On every start, _start gives d = |det B| and d B^-1 [P | I] as exact
+    elimination over Fractions gives it, fractional inverses included, its
+    rows those of the columns it names, which are basis's: int64 but where
+    P needs Python ints. It is None exactly when B is singular."""
+    unimodular = singular = fractional = 0
+    for label, inc, P, basis in _basis_starts():
         nrows = len(inc.matrix)
         M = np.hstack((inc.matrix, np.eye(nrows, dtype=np.int8)))
         B = [[Fraction(v) for v in row] for row in M[:, basis].tolist()]
@@ -1046,36 +1071,43 @@ def test_basis_system_is_the_exact_inverse_read_off_the_float_one():
         for i in range(nrows):
             rhs[i][1 + i] = Fraction(1)
         expected = _solve_square(B, rhs)
-        got = ncpoly._basis_system(inc.matrix, P, basis, inverse)
-        if expected is None or any(v.denominator > 1 for row in expected for v in row):
+        got = ncpoly._start(inc.matrix, P, basis)
+        if expected is None:
             assert got is None, (label, basis)
-            singular += expected is None
-            fractional += expected is not None
+            singular += 1
             continue
-        assert got.tolist() == expected, (label, basis)
-        assert got.dtype == (object if label == "huge" else np.int64), label
-        exact += 1
-    assert exact >= 3 * (len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1)
+        d, aug, heads = got
+        assert d == abs(_determinant(B)), (label, basis)
+        assert sorted(heads.tolist()) == sorted(basis.tolist()), (label, basis)
+        row = {c: i for i, c in enumerate(basis.tolist())}
+        scaled = [[d * v for v in expected[row[c]]] for c in heads.tolist()]
+        assert aug.tolist() == scaled, (label, basis)
+        assert aug.dtype == (object if label == "huge" else np.int64), label
+        unimodular += d == 1
+        fractional += d > 1
+    assert unimodular >= 3 * (len(CORPUS_NCF) + 7 * len(NOISE_LEVELS) + 1)
     assert singular >= 10 and fractional >= 10
 
 
-def test_basis_system_keeps_its_integers_exact():
+def test_start_keeps_its_integers_exact():
     """R P is formed in Python ints where an int64 sum could overflow: here
-    a row of R = B^-1 adds two entries of 2**62. An R with an entry of
-    2**31 or more is refused even when B R = I: the unit lower triangular B
-    with ones one and three below the diagonal has B^-1 entries that grow
-    about 1.47-fold per row, past 2**31 at m = 59."""
+    a row of R = B^-1 adds two entries of 2**62. The pivots go on in Python
+    ints once an entry reaches 2**31: the unit lower triangular B with ones
+    one and three below the diagonal has B^-1 entries that grow about
+    1.47-fold per row, past 2**31 at m = 59, and B R = I exactly there."""
     B = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8)
     P = np.array([2**62, 0, 2**62])
-    got = ncpoly._basis_system(B, P, np.arange(3), np.linalg.inv(B))
+    d, got, heads = ncpoly._start(B, P, np.arange(3))
+    assert d == 1 and heads.tolist() == [0, 1, 2]
     assert got.dtype == object
     assert got.tolist() == [[2**63, 1, -1, 1], [-(2**62), 0, 1, -1], [2**62, 0, 0, 1]]
     for m in (58, 59):
         B = sum(np.eye(m, k=-k, dtype=np.int8) for k in (0, 1, 3))
-        inverse = np.linalg.inv(B)
-        assert np.array_equal(B @ np.rint(inverse), np.eye(m))
-        got = ncpoly._basis_system(B, np.ones(m, dtype=np.int64), np.arange(m), inverse)
-        assert (got is None) == (m == 59) == (np.abs(inverse).max() >= 2**31)
+        d, got, heads = ncpoly._start(B, np.ones(m, dtype=np.int64), np.arange(m))
+        assert d == 1 and heads.tolist() == list(range(m))
+        R = got[:, 1:]
+        assert (B.astype(object) @ R == np.eye(m, dtype=int)).all()
+        assert (R.dtype == object) == (m == 59) == (np.abs(R).max() >= 2**31)
 
 
 _CONTEXT_BASIS = ncpoly._context_basis
@@ -1160,13 +1192,15 @@ def _program_of(m: EmpiricalModel):
 @pytest.mark.parametrize("corrupt", [_det_two, _off_by_one, _other_basis, _nan_entry])
 def test_rejected_float_inverses_restart_once(monkeypatch, corrupt):
     """Through contextual_fraction, a basis with |det B| = 2, a B^-1 off by
-    one in an entry, the inverse of another basis and a B^-1 holding a NaN
-    each restart the exact routine once from _context_basis on every model
-    that reaches it, those with a global section, and it reaches the pinned
-    corpus optimum and witness, in the same order, and the closed form on
-    the white-noise grid. Programs of fewer than 20 rows (every kept corpus
-    program, and the 3- and 4-cycles) are left out of the |det B| = 2 case:
-    the walk finds no such basis in them."""
+    one in an entry, the inverse of another basis and a B^-1 holding a NaN,
+    handed to the exact routine on every model that reaches it, those with
+    a global section, each give the pinned corpus optimum and witness, in
+    the same order, and the closed form on the white-noise grid. The repair
+    never reads the float B^-1 but starts from the basis itself, so only
+    the |det B| = 2 basis, which is not dual feasible, restarts from
+    _context_basis, once per model. Programs of fewer than 20 rows (every
+    kept corpus program, and the 3- and 4-cycles) are left out of the
+    |det B| = 2 case: the walk finds no such basis in them."""
     least = 20 if corrupt is _det_two else 0
     names = [
         name for name in CORPUS_NCF
@@ -1189,7 +1223,7 @@ def test_rejected_float_inverses_restart_once(monkeypatch, corrupt):
             assert sum(res.witness_exact.values()) == res.ncf_exact
             _assert_exactly_feasible(m, res.witness_exact)
             reached += v < 1
-    assert len(restarts) == reached
+    assert len(restarts) == (reached if corrupt is _det_two else 0)
     if least:
         assert names == [] and len(sizes) == 2
     else:
@@ -1201,23 +1235,17 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
     with two settings each, or the part of it that the support keeps: the
     exact NCF is scipy's optimum on the full program and the witness is
     exactly feasible. Seven float-optimal bases there have |det B| of 2 or 3:
-    their rounded B^-1 P is not exact, the reconstructed rationals are
-    certified over a common denominator D > 1, and the exact routine never
-    restarts from _context_basis."""
-    restarts, denominators = [], []
-    certificate = ncpoly._certificate
+    their rounded B^-1 P is not exact, so the check fails, _start builds
+    d B^-1 [P | I] from them with d > 1, and the repair makes no pivot and
+    never restarts from _context_basis."""
+    restarts = []
 
     def counted(A, first):
         restarts.append(A)
         return _CONTEXT_BASIS(A, first)
 
-    def recorded(A, P, basis, inverse):
-        proof = certificate(A, P, basis, inverse)
-        denominators.append(proof and proof[1])
-        return proof
-
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
-    monkeypatch.setattr(ncpoly, "_certificate", recorded)
+    pivots, scales = _dual_pivots(monkeypatch), _start_scales(monkeypatch)
     rng = np.random.default_rng(17)
     values = set()
     for _ in range(120):
@@ -1229,8 +1257,8 @@ def test_tripartite_parity_box_mixtures_match_linprog(monkeypatch):
         assert sum(res.witness_exact.values()) == res.ncf_exact
         _assert_exactly_feasible(m, res.witness_exact)
         values.add(res.ncf_exact)
-    assert restarts == [] and None not in denominators
-    assert sum(d > 1 for d in denominators) >= 7 and len(values) >= 60
+    assert restarts == [] == pivots and None not in scales
+    assert sum(d > 1 for d in scales) >= 7 and len(values) >= 60
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -1288,9 +1316,9 @@ def test_all_pairs_product_models_are_certified_without_a_pivot(monkeypatch, n):
     """n binary observables with every pair a context, as the product of
     uniform marginals (1/4 on every row) and of seeded random rational
     marginals, have NCF 1 exactly. Their float-optimal bases are mostly not
-    unimodular, so B^-1 P is reconstructed as rationals where it does not
-    round; the integer check certifies it, and the exact routine makes no
-    pivot and never restarts from _context_basis."""
+    unimodular, so B^-1 P does not round to the exact values and the check
+    fails; _start builds d B^-1 [P | I] from the float basis with d > 1, and
+    the repair makes no pivot and never restarts from _context_basis."""
     restarts = []
 
     def counted(A, first):
@@ -1298,7 +1326,7 @@ def test_all_pairs_product_models_are_certified_without_a_pivot(monkeypatch, n):
         return _CONTEXT_BASIS(A, first)
 
     monkeypatch.setattr(ncpoly, "_context_basis", counted)
-    pivots = _dual_pivots(monkeypatch)
+    pivots, scales = _dual_pivots(monkeypatch), _start_scales(monkeypatch)
     rng = np.random.default_rng(2600 + n)
     uniform = [Fraction(1, 2)] * n
     seeded = [Fraction(int(k), 12) for k in rng.integers(1, 12, n)]
@@ -1308,12 +1336,13 @@ def test_all_pairs_product_models_are_certified_without_a_pivot(monkeypatch, n):
         assert res.ncf_exact == 1 == sum(res.witness_exact.values()), marginals
         _assert_exactly_feasible(m, res.witness_exact)
     assert pivots == [] and restarts == []
+    assert None not in scales and any(d > 1 for d in scales)
 
 
 def _certify(m: EmpiricalModel, proved: list):
     """contextual_fraction's program for m, with its exact probabilities
     scaled to P, the float-optimal basis and the check's verdict on it;
-    proved receives (D, X, Y) of every pair the check accepts."""
+    proved receives (X, Y) of every pair the check accepts."""
     inc = incidence(m.scenario)
     rows, cols = _program_of(m)
     exact = [m.tables[ctx].exact[tup] for ctx, tup in (inc.rows[r] for r in rows)]
@@ -1326,20 +1355,23 @@ def _certify(m: EmpiricalModel, proved: list):
 
 def test_the_integer_check_is_a_proof(monkeypatch):
     """On seeded parity-box mixtures, Hardy-like cycles n = 5..13 and
-    white-noise odd cycles n = 3..11 at v = 9/10 and 4/5, the check
-    certifies every float optimum that reaches it (five mixtures have no
-    global section), at the vertex oracle's optimum, or scipy's where too
-    many assignments are kept to enumerate. Every certificate it accepts is
+    white-noise odd cycles n = 3..11 at v = 9/10 and 4/5, every float
+    optimum that reaches the check (five mixtures have no global section)
+    is proved at the vertex oracle's optimum, or scipy's where too many
+    assignments are kept to enumerate. Where the float basis has
+    |det B| = 1 the check certifies it, and every certificate it accepts is
     tight: a change of one unit in any entry of X or Y, or dropping a basic
     column of positive value, is rejected (a column of value 0 adds nothing
-    to B X). The tie family at n = 7, 9 and 11 has an exactly infeasible
-    float basis, and the check rejects it."""
+    to B X). Where |det B| > 1 the check rejects it, and _start proves the
+    basis optimal with no repair pivot: d B^-1 P >= 0, B (d B^-1 P) = d P,
+    and no reduced cost is positive. The tie family at n = 7, 9 and 11 has
+    an exactly infeasible float basis, and the check rejects it."""
     optimal, proved = ncpoly._optimal, []
 
-    def recorded(A, P, basis, D, X, Y):
-        accepted = optimal(A, P, basis, D, X, Y)
+    def recorded(A, P, basis, X, Y):
+        accepted = optimal(A, P, basis, X, Y)
         if accepted:
-            proved.append((D, X, Y))
+            proved.append((X, Y))
         return accepted
 
     monkeypatch.setattr(ncpoly, "_optimal", recorded)
@@ -1349,32 +1381,43 @@ def test_the_integer_check_is_a_proof(monkeypatch):
     models += [hardy_like_cycle(n, a) for n in range(5, 14) for a in closing]
     levels = (Fraction(9, 10), Fraction(4, 5))
     models += [white_noise_odd_cycle(n, v) for n in range(3, 12, 2) for v in levels]
-    reached = 0
+    reached = started = 0
     for m in models:
         if not len(_program_of(m)[1]):
             continue
         reached += 1
         A, scale, P, basis, proof = _certify(m, proved)
-        assert proof is not None
-        [(D, X, Y)], n = proved, A.shape[1]
-        at = basis < n
-        value = Fraction(sum(X[at].tolist()), D * scale)
+        n = A.shape[1]
+        if proof is None:
+            d, aug, heads = ncpoly._start(A, P, basis)
+            assert d > 1 and proved == []
+            X = aug[:, 0]
+            B = np.hstack((A, np.eye(len(A), dtype=np.int8)))[:, heads]
+            assert (X >= 0).all() and (B.astype(object) @ X == d * P).all()
+            assert (ncpoly._priced(d, aug[heads < n, 1:].sum(axis=0), A) <= 0).all()
+            value = Fraction(sum(X[heads < n].tolist()), d * scale)
+            started += 1
+        else:
+            [(X, Y)] = proved
+            value = Fraction(sum(X[basis < n].tolist()), scale)
         if n <= 4:
             assert value == ncf_vertex_enumeration(m)[0]
         else:
             ref = _scipy_reference(*_ncf_lp(m))
             assert float(value) == pytest.approx(-ref.fun, abs=1e-9)
+        if proof is None:
+            continue
         for vector, other in ((X, Y), (Y, X)):
             for i in range(len(vector)):
                 for step in (1, -1):
                     changed = vector.copy()
                     changed[i] += step
                     pair = (changed, other) if vector is X else (other, changed)
-                    assert not optimal(A, P, basis, D, *pair)
+                    assert not optimal(A, P, basis, *pair)
         for i in np.flatnonzero(X > 0).tolist():
             keep = np.arange(len(basis)) != i
-            assert not optimal(A, P, basis[keep], D, X[keep], Y)
-    assert reached == len(models) - 5
+            assert not optimal(A, P, basis[keep], X[keep], Y)
+    assert reached == len(models) - 5 and started >= 1
     for n in (7, 9, 11):
         assert _certify(white_noise_odd_cycle(n, ncf_pins.TIE), proved)[-1] is None
         assert proved == []
@@ -1383,11 +1426,12 @@ def test_the_integer_check_is_a_proof(monkeypatch):
 def test_the_cover_test_is_for_bool_matrices_only():
     """Max x1 + x2 subject to x1 + x2 <= 2 and x1 - x2 <= 0 has optimum 2.
     The claim of 0 at the basis {x1, slack of row 0} with duals (0, 1) has
-    y a2 = -1 < 1, though row 1 hits a2: an integer matrix with a -1 is
-    priced, not covered, and the claim is rejected."""
+    y a2 = -1 < 1, though row 1 hits a2: the duals are priced, not read as
+    a cover of the columns by the rows where they are positive, and the
+    claim is rejected."""
     A = np.array([[1, 1], [1, -1]], dtype=np.int8)
     P, basis = np.array([2, 0]), np.array([0, 2])
-    assert not ncpoly._optimal(A, P, basis, 1, np.array([0, 2]), np.array([0, 1]))
+    assert not ncpoly._optimal(A, P, basis, np.array([0, 2]), np.array([0, 1]))
 
 
 @pytest.mark.parametrize(
@@ -1413,9 +1457,9 @@ def test_denominators_past_the_float_range_go_to_the_repair(monkeypatch, n, v):
 
 def test_a_degenerate_optimum_reports_the_certified_float_vertex():
     """The fourth parity-box mixture of seed 2301 has NCF 23/29 and a float
-    basis with |det B| > 1, which the check certifies over a common
-    denominator as it stands; its witness is that vertex, not the one a
-    restart from _context_basis reaches."""
+    basis with |det B| > 1, which _start proves optimal as it stands; its
+    witness is that vertex, not the one a restart from _context_basis
+    reaches."""
     rng = np.random.default_rng(2301)
     m = [parity_box_mixture(rng) for _ in range(4)][-1]
     res = contextual_fraction(m)
@@ -1433,6 +1477,29 @@ def test_a_degenerate_optimum_reports_the_certified_float_vertex():
             ("110100", "1/87"), ("111100", "11/348"),
         )
     }
+
+
+def test_an_off_by_one_inverse_of_a_non_unimodular_basis_costs_no_pivot(monkeypatch):
+    """The fourth parity-box mixture of seed 2301 (NCF 23/29, |det B| = 3)
+    and the uniform all-pairs model at n = 8 (NCF 1, |det B| = 1024),
+    handed their float-optimal basis with a B^-1 off by one in an entry:
+    the repair starts from that basis, makes no pivot and never builds
+    _context_basis, and the witness is the clean run's, in the same
+    order."""
+    rng = np.random.default_rng(2301)
+    models = [
+        [parity_box_mixture(rng) for _ in range(4)][-1],
+        _all_pairs_model([Fraction(1, 2)] * 8),
+    ]
+    clean = [contextual_fraction(m) for m in models]
+    assert [res.ncf_exact for res in clean] == [Fraction(23, 29), 1]
+    restarts = _corrupted_starts(monkeypatch, _off_by_one)
+    pivots, scales = _dual_pivots(monkeypatch), _start_scales(monkeypatch)
+    for m, want in zip(models, clean):
+        res = contextual_fraction(m)
+        assert res.ncf_exact == want.ncf_exact
+        assert list(res.witness_exact.items()) == list(want.witness_exact.items())
+    assert scales == [3, 1024] and pivots == [] and restarts == []
 
 
 # ------------------------------------------ the program the support poses
@@ -1554,7 +1621,7 @@ def test_an_unhit_first_context_row_is_an_error_not_a_traceback(monkeypatch):
     first-context basis: _context_basis raises a RuntimeError naming the
     program's size, where argmax would pick column 0 and the exact routine
     would then fail on a None system with a TypeError. The exact routine
-    raises one too when _basis_system rejects its restart system."""
+    raises one too when _start finds its restart basis singular."""
     m = cycle_empirical_model(3, "even")
     inc = incidence(m.scenario)
     p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
@@ -1571,7 +1638,7 @@ def test_an_unhit_first_context_row_is_an_error_not_a_traceback(monkeypatch):
     monkeypatch.setattr(ncpoly, "_context_basis", lambda A, first: [0] * 12)
     with pytest.raises(
         RuntimeError,
-        match="first-context basis of the 12 x 8 fraction program has no integral",
+        match="first-context basis of the 12 x 8 fraction program is singular",
     ):
         ncpoly._exact_optimum(inc.matrix, 4, p, np.arange(8, 20), np.eye(12))
 
