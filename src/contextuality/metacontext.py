@@ -38,7 +38,8 @@ from .qstate import (
     ProductBasis,
     SiteBasis,
     StateVector,
-    born_weights,
+    _born_contract,
+    _factor_tensor,
     computational_basis,
     memory_basis,
     premeasure,
@@ -180,11 +181,15 @@ def describe(chain: ObserverChain, cut: Cut | int) -> BranchEnsemble:
 
 def mixture_born(ensemble: BranchEnsemble, basis: ProductBasis) -> Distribution:
     """Probability-weighted mixture of per-branch Born weights, each clamped
-    into [0, 1] as a Distribution clamps them."""
+    into [0, 1] as a Distribution clamps them. The branches share their
+    sites, so the basis is checked, and each factor's conjugated tensor
+    built, once; every branch then contracts as qstate.born does."""
+    first = ensemble.branches[0][1]
+    basis._check_against(first)
+    conjugated = [(g, _factor_tensor(f, g, first).conj()) for g, f in basis.factors]
     mixed = 0.0
     for p, st in ensemble.branches:
-        basis._check_against(st)
-        mixed = mixed + p * np.clip(born_weights(st, basis.factors, basis.unmeasured), 0, 1)
+        mixed = mixed + p * np.clip(_born_contract(st, conjugated, basis.unmeasured), 0, 1)
     return Distribution(dict(zip(basis.outcome_tuples(), mixed.tolist())))
 
 
@@ -222,30 +227,32 @@ def computational_final_basis(chain: ObserverChain) -> ProductBasis:
 
 def coherent_final_basis(chain: ObserverChain) -> ProductBasis:
     """One global basis whose first vector is the fully unitary description
-    of the chain (labeled "coherent"), completed deterministically with
-    computational vectors (labeled "orth1", "orth2", ...). Born weight on
-    "coherent" separates unitary from collapsed descriptions."""
+    of the chain (labeled "coherent"), completed by the Gram-Schmidt of the
+    computational vectors, in closed form (labeled "orth1", "orth2", ...).
+    Born weight on "coherent" separates unitary from collapsed descriptions."""
     return _coherent_basis(describe(chain, len(chain.agents)).branches[0][1])
 
 
 def _coherent_basis(psi: StateVector) -> ProductBasis:
-    """coherent_final_basis around psi, the unitary cut's single branch."""
-    dim = psi.dim
-    vectors = [np.asarray(psi.amplitudes, dtype=complex)]
-    for k in range(dim):
-        if len(vectors) == dim:
-            break
-        e = np.zeros(dim, dtype=complex)
-        e[k] = 1.0
-        for v in vectors:
-            e = e - np.vdot(v, e) * v
-        norm = float(np.linalg.norm(e))
-        if norm > 1e-9:
-            vectors.append(e / norm)
-    labels = ("coherent",) + tuple(f"orth{i}" for i in range(1, dim))
-    basis = SiteBasis(np.array(vectors), labels)
-    group = tuple(range(len(psi.sites)))
-    return ProductBasis(((group, basis),))
+    """coherent_final_basis around psi, the unitary cut's single branch: the
+    Gram-Schmidt of [psi, e_0, e_1, ...] in closed form. With r_k the sum of
+    |psi_j|**2 over j >= k, e_k less its projection is
+    e_k - psi_{>=k} conj(psi_k) / r_k, of norm sqrt(r_{k+1} / r_k); each entry
+    is written already divided by that norm, so nothing cancels. The first
+    e_L of norm at most 1e-9 is dependent and dropped. What lies past L weighs
+    at most 1e-9 of psi, so rows k < L stop at entry L and rows k > L are e_k:
+    psi is row 0, e_k is row k + 1 below L and row k above it."""
+    amps = psi.amplitudes
+    r = np.append(np.cumsum(np.abs(amps[::-1]) ** 2)[::-1], 0.0)
+    L = int(np.argmax(r[1:] <= 1e-18 * r[:-1]))
+    k = np.arange(L + 1)
+    vectors = np.eye(psi.dim, dtype=complex)
+    vectors[0] = amps
+    scaled = amps[:L].conj() / -np.sqrt(r[:L] * r[1 : L + 1])
+    vectors[1 : L + 1, : L + 1] = np.where(k[:L, None] < k, np.outer(scaled, amps[: L + 1]), 0)
+    vectors[k[:L] + 1, k[:L]] = np.sqrt(r[1 : L + 1] / r[:L])
+    labels = ("coherent",) + tuple(f"orth{i}" for i in range(1, psi.dim))
+    return ProductBasis(((tuple(range(psi.nsites)), SiteBasis(vectors, labels)),))
 
 
 # ------------------------------------------------------------------ claims

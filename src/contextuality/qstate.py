@@ -29,7 +29,6 @@ __all__ = [
     "Distribution",
     "tensor",
     "born",
-    "born_weights",
     "project",
     "premeasure",
     "computational_basis",
@@ -338,26 +337,16 @@ def _factor_tensor(basis: SiteBasis, group: tuple[int, ...], state: StateVector)
     return basis.vectors.reshape((basis.n_outcomes,) + dims)
 
 
-def born_weights(
-    state: StateVector,
-    factors: Sequence[tuple[tuple[int, ...], SiteBasis]],
-    unmeasured: Sequence[int],
-) -> np.ndarray:
-    """Born weights of the joint outcomes of disjoint site groups, flat in
-    row-major factor order, with the unmeasured sites traced out: one
-    einsum of the state with each group's conjugated basis tensor, abs()**2,
-    then the sum over the unmeasured axes. born and scenario.realize both
-    contract in _born_contract, so they give the same floats."""
-    conjugated = [(group, _factor_tensor(basis, group, state).conj()) for group, basis in factors]
-    return _born_contract(state, conjugated, unmeasured)
-
-
 def _born_contract(
     state: StateVector,
     conjugated: Sequence[tuple[tuple[int, ...], np.ndarray]],
     unmeasured: Sequence[int],
 ) -> np.ndarray:
-    """born_weights with each group's conjugated basis tensor given."""
+    """Born weights of the joint outcomes of disjoint site groups, flat in
+    row-major factor order, with the unmeasured sites traced out: one einsum
+    of the state with each group's conjugated basis tensor, given, abs()**2,
+    then the sum over the unmeasured axes. born, scenario.realize and
+    metacontext.mixture_born all contract here, so they give the same floats."""
     n = state.nsites
     operands: list = [state.tensor_view(), list(range(n))]
     for axis, (group, tensor) in enumerate(conjugated, n):
@@ -372,7 +361,8 @@ def _born_contract(
 def born(state: StateVector, basis: ProductBasis) -> Distribution:
     """Joint outcome distribution; unmeasured sites are traced out."""
     basis._check_against(state)
-    flat = born_weights(state, basis.factors, basis.unmeasured)
+    conjugated = [(g, _factor_tensor(f, g, state).conj()) for g, f in basis.factors]
+    flat = _born_contract(state, conjugated, basis.unmeasured)
     return Distribution(dict(zip(basis.outcome_tuples(), flat.tolist())))
 
 

@@ -229,7 +229,7 @@ class QuantumRealization:
 def realize(qr: QuantumRealization, sc: Scenario) -> EmpiricalModel:
     """Born-rule tables for every context of the scenario.
 
-    Each context is one contraction, as in qstate.born_weights, over its
+    Each context is one qstate._born_contract, as in born, over its
     recipes' site groups, with the sites no recipe of the context measures
     traced out, so the same floats as qstate.born over the matching
     ProductBasis, keyed directly by the recipes' mapped outcome labels. The

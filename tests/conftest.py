@@ -89,6 +89,19 @@ def random_chain(seed: int, sites: tuple[int, ...], random_bases: tuple[bool, ..
     return ObserverChain(base, tuple(agents))
 
 
+# seeded chains: one to three agents on one or two qubits, each agent
+# computational or in a random basis of the whole compound below it
+RANDOM_CHAINS = [
+    ((2,), (False,)),
+    ((2,), (True,)),
+    ((2, 2), (True,)),
+    ((2, 2), (False, True)),
+    ((2,), (True, False)),
+    ((2,), (True, True, False)),
+    ((2,), (False, True, True)),
+]
+
+
 def random_table_model(rng: random.Random) -> EmpiricalModel:
     """The scenario of a random support (2-5 observables of 2-3 outcomes,
     1-5 contexts of 1-3 observables in random order) with float tables. A

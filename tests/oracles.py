@@ -285,3 +285,30 @@ def simplex_identity_block(c, A, rhs):
     x[basis] = aug[:, 0]
     cols = np.sort(basis)
     return sum((c[cols] * x[cols]).tolist(), 0.0), x[:n], basis, aug[:, 1:]
+
+
+def coherent_basis_gram_schmidt(psi):
+    """metacontext.coherent_final_basis around psi by an explicit
+    Gram-Schmidt loop: each computational vector less its projection on the
+    vectors kept so far, kept when its norm exceeds 1e-9. Raises ValueError
+    where the loop's cancellation leaves no orthonormal basis."""
+    import numpy as np
+
+    from contextuality.qstate import ProductBasis, SiteBasis
+
+    dim = psi.dim
+    vectors = [np.asarray(psi.amplitudes, dtype=complex)]
+    for k in range(dim):
+        if len(vectors) == dim:
+            break
+        e = np.zeros(dim, dtype=complex)
+        e[k] = 1.0
+        for v in vectors:
+            e = e - np.vdot(v, e) * v
+        norm = float(np.linalg.norm(e))
+        if norm > 1e-9:
+            vectors.append(e / norm)
+    labels = ("coherent",) + tuple(f"orth{i}" for i in range(1, dim))
+    basis = SiteBasis(np.array(vectors), labels)
+    group = tuple(range(len(psi.sites)))
+    return ProductBasis(((group, basis),))

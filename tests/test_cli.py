@@ -19,6 +19,8 @@ import pytest
 import contextuality
 from contextuality import cli
 from contextuality.cli import main, run
+from contextuality.metacontext import Agent, ObserverChain
+from contextuality.qstate import StateVector, computational_basis
 from contextuality.report import AnalysisReport, render_text
 from contextuality.scnformat import serialize_chain
 
@@ -562,6 +564,21 @@ def test_ncf_past_the_incidence_entry_guard_is_a_usage_error(tmp_path):
         "error: incidence matrix of 760 rows x 1048576 columns exceeds the "
         "80 * 2**20 entry guard\n",
     )
+
+
+@pytest.mark.parametrize("eps", [1e-8, 3e-9])
+def test_analyze_accepts_a_chain_next_to_an_eigenstate(tmp_path, eps):
+    """A qubit with amplitudes (sqrt(1 - eps**2), eps) under one
+    computational agent: the coherent basis is written without cancellation,
+    so analyze reports it instead of calling it not orthonormal."""
+    base = StateVector((2,), np.array([(1 - eps**2) ** 0.5, eps]))
+    chain = ObserverChain(base, (Agent("F", computational_basis()),))
+    path = tmp_path / "near_eigenstate.scn"
+    path.write_text(serialize_chain(chain, "near_eigenstate"))
+    for fmt in ("text", "json"):
+        rc, out, err = call(["analyze", str(path), "--format", fmt])
+        assert (rc, err) == (0, "")
+        assert "coherent" in out
 
 
 def test_chain_report_does_not_depend_on_the_hash_seed(tmp_path):

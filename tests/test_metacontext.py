@@ -49,7 +49,8 @@ from contextuality.report import _work_model
 from contextuality.scenario import realize, support_of
 from contextuality.scnformat import parse_file
 
-from conftest import random_chain
+from conftest import RANDOM_CHAINS, random_chain
+from oracles import coherent_basis_gram_schmidt
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -208,6 +209,69 @@ def test_coherent_basis_vectors_for_plus_chain():
     assert np.allclose(basis.vectors[1], [S2, 0, 0, -S2])
     assert np.allclose(basis.vectors[2], [0, 1, 0, 0])
     assert np.allclose(basis.vectors[3], [0, 0, 1, 0])
+
+
+def _coherent_oracle_gap(psi):
+    """Largest entry gap between the coherent basis around psi and the
+    Gram-Schmidt oracle's, or None where the oracle finds no basis."""
+    (got_group, got), = metacontext._coherent_basis(psi).factors
+    try:
+        (group, want), = coherent_basis_gram_schmidt(psi).factors
+    except ValueError:
+        return None
+    assert (got_group, got.labels) == (group, want.labels)
+    return float(np.abs(got.vectors - want.vectors).max())
+
+
+def _random_psi(rng, d, zero=()):
+    amp = rng.normal(size=d) + 1j * rng.normal(size=d)
+    amp[list(zero)] = 0
+    return StateVector((d,), amp / np.linalg.norm(amp))
+
+
+def test_coherent_basis_matches_the_gram_schmidt_oracle():
+    wigner = resources.files("contextuality").joinpath("data", "wigner.scn")
+    chains = [parse_file(wigner.read_text(encoding="utf-8")).chain, plus_chain(), zero_chain()]
+    chains += [random_chain(seed, *spec) for seed, spec in enumerate(RANDOM_CHAINS)]
+    states = [describe(c, len(c.agents)).branches[0][1] for c in chains]
+    rng = np.random.default_rng(29)
+    # zero blocks inside, at the end, and all but the first or last entry;
+    # the loop takes seconds at d = 1024, so that size gets one state
+    states.append(_random_psi(rng, 1024, range(300, 700)))
+    for d in (2, 3, 4, 7, 16, 33, 256):
+        states += [_random_psi(rng, d), _random_psi(rng, d, range(d // 4 + 1, d // 2 + 1))]
+        states += [_random_psi(rng, d, range(d // 2, d)), _random_psi(rng, d, range(1, d))]
+        states += [_random_psi(rng, d, range(d - 1))]
+    for psi in states:
+        assert _coherent_oracle_gap(psi) <= 1e-13
+
+
+def test_coherent_basis_matches_the_oracle_at_the_threshold():
+    """A tail of norm near 1e-9 after a random head: the dependent vector
+    sits at the threshold. The closed form finds a basis every time, and
+    wherever the oracle still finds one the two agree within 1e-8."""
+    rng = np.random.default_rng(31)
+    gaps = []
+    for tail in (0.1, 0.3, 0.9, 0.999, 1.0, 1.001, 1.1, 3.0):
+        for d, cut in ((2, 1), (4, 2), (8, 3), (16, 15)):
+            head = rng.normal(size=cut) + 1j * rng.normal(size=cut)
+            rest = rng.normal(size=d - cut) + 1j * rng.normal(size=d - cut)
+            rest *= tail * 1e-9 / np.linalg.norm(rest)
+            amp = np.concatenate([head / np.linalg.norm(head), rest])
+            gaps.append(_coherent_oracle_gap(StateVector((d,), amp / np.linalg.norm(amp))))
+    found = [g for g in gaps if g is not None]
+    assert len(found) >= 4 and max(found) <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
+def test_coherent_weight_near_an_eigenstate_does_not_cancel(eps):
+    """With psi = a|00> + eps|11>, orth1 = eps|00> - a|11>, so the collapsed
+    cut weighs it 2 eps**2 (1 - eps**2), to the last bits: no entry of the
+    basis comes from a difference of nearly equal numbers."""
+    base = StateVector((2,), np.array([math.sqrt(1 - eps**2), eps]))
+    chain = ObserverChain(base, (Agent("F", computational_basis()),))
+    p = mixture_born(describe(chain, 0), coherent_final_basis(chain))[("orth1",)]
+    assert p == pytest.approx(2 * eps**2 * (1 - eps**2), rel=1e-15, abs=0)
 
 
 def test_compare_cuts_memory_diagonal_is_cut_blind():

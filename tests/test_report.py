@@ -50,7 +50,7 @@ from contextuality.scenario import (
 )
 from contextuality.scnformat import parse_file
 
-from conftest import random_chain, random_table_model
+from conftest import RANDOM_CHAINS, random_chain, random_table_model
 from ncf_pins import white_noise_odd_cycle
 from oracles import certain_implications_nested_sum
 
@@ -201,19 +201,6 @@ def test_wigner_chain_report_cut_divergence():
     probs = {d_["cut"]: dict(d_["probabilities"]) for d_ in coh["distributions"]}
     assert probs[0]["coherent"] == pytest.approx(0.5, abs=1e-9)
     assert probs[1]["coherent"] == pytest.approx(1.0, abs=1e-9)
-
-
-# seeded chains: one to three agents on one or two qubits, each agent
-# computational or in a random basis of the whole compound below it
-RANDOM_CHAINS = [
-    ((2,), (False,)),
-    ((2,), (True,)),
-    ((2, 2), (True,)),
-    ((2, 2), (False, True)),
-    ((2,), (True, False)),
-    ((2,), (True, True, False)),
-    ((2,), (False, True, True)),
-]
 
 
 @pytest.mark.parametrize("seed", range(len(RANDOM_CHAINS)))
