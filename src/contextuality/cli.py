@@ -2,13 +2,15 @@
 deterministic text or JSON reports.
 
 Exit codes: 0 analysis done, 1 verification failure (signalling input, or a
-noncontextual-fraction result that fails its own checks), 2 usage or parse
-errors.
+noncontextual-fraction result that fails its own checks) or a closed output
+pipe (`contextuality demo wigner | true`, with no traceback), 2 usage or
+parse errors.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -244,7 +246,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = render_json(report) if ns.format == "json" else render_text(report)
-    sys.stdout.write(out)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:  # and the flush at exit writes to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -11,9 +11,10 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from operator import getitem, itemgetter
+from typing import Callable, Sequence
 
+from .ncpoly import _sections, _shape
 from .qstate import Distribution
 from .scenario import (
     ContextKey,
@@ -78,8 +79,8 @@ def _projection(js: Sequence[int]) -> Callable[[tuple], tuple]:
 
 
 class _Plan:
-    """One table over frontier states that answers every section question
-    about one support, built layer by layer without recursion.
+    """One table over frontier states that counts, classifies and extends
+    for one support, built layer by layer without recursion.
 
     Observables are taken in scenario order, outcomes in declared order, and
     a context is checked at its last observable. The frontier before
@@ -87,7 +88,7 @@ class _Plan:
     still reads (two for an n-cycle); a state is the frontier's values, and
     whether a partial assignment completes depends only on i and its state.
     The forward pass records, for each reachable state, its consistent edges
-    (value, next state, tuples of the contexts checked there); the backward
+    (next state, tuples of the contexts checked there); the backward
     pass counts each state's completions. Cost grows with the number of
     frontier states, not with the number of global sections. A row (state
     plus value) is read through itemgetter projections built once per layer,
@@ -112,7 +113,7 @@ class _Plan:
                 last_read[k] = max(last_read[k], last)
         self.contexts_at = [[ctx for ctx, _, _ in at] for at in checks]
 
-        # edges[i]: state before position i -> [(value, next state, rows)]
+        # edges[i]: state before position i -> [(next state, rows)]
         self.edges: list[dict[tuple[str, ...], list]] = []
         layer: dict[tuple[str, ...], list] = {(): []}
         frontier: tuple[int, ...] = ()
@@ -142,7 +143,7 @@ class _Plan:
                         rows.append(r)
                     else:
                         nxt = keep(row)
-                        out.append((v, nxt, tuple(rows)))
+                        out.append((nxt, tuple(rows)))
                         following.setdefault(nxt, [])
             self.edges.append(layer)
             layer = following
@@ -152,7 +153,7 @@ class _Plan:
         for edges in reversed(self.edges):
             after = self.counts[-1]
             self.counts.append(
-                {s: sum([after[nxt] for _, nxt, _ in out]) for s, out in edges.items()}
+                {s: sum([after[nxt] for nxt, _ in out]) for s, out in edges.items()}
             )
         self.counts.reverse()
         self.count: int = self.counts[0][()]
@@ -163,7 +164,7 @@ class _Plan:
         covered = set()
         for layer, ctxs, after in zip(self.edges, self.contexts_at, self.counts[1:]):
             for out in layer.values():
-                for _, nxt, rows in out:
+                for nxt, rows in out:
                     if after[nxt]:
                         covered.update(zip(ctxs, rows))
         return covered
@@ -176,50 +177,23 @@ class _Plan:
             return Classification.GLOBALLY_EXTENDABLE
         return Classification.LOGICALLY_CONTEXTUAL
 
-    def sections(self) -> list[tuple[str, ...]]:
-        """Every global section in lexicographic order. The walk keeps one
-        iterator of completing edges per position on an explicit stack and
-        fills one value list, so each section is copied out once."""
-        if not self.count:
-            return []
-        n = len(self.labels)
-        values = [""] * n
-        found: list[tuple[str, ...]] = []
-        stack = [self._completing(0, ())]
-        while stack:
-            i = len(stack) - 1
-            for v, nxt in stack[-1]:
-                values[i] = v
-                if i + 1 == n:
-                    found.append(tuple(values))
-                else:
-                    stack.append(self._completing(i + 1, nxt))
-                    break
-            else:
-                stack.pop()
-        return found
-
-    def _completing(
-        self, i: int, state: tuple[str, ...]
-    ) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """(value, next state) of each edge out of `state` at position i
-        into a state that completes, in declared outcome order."""
-        after = self.counts[i + 1]
-        return ((v, nxt) for v, nxt, _ in self.edges[i][state] if after[nxt])
-
 
 def global_sections(p: PossibilisticModel) -> list[GlobalAssignment]:
     """Every global assignment consistent with every context's support, in
     lexicographic order (observables in scenario order, outcomes in declared
-    order). This is the one entry point that materializes sections: raises
-    ValueError when the frontier-state table counts more than 2**24 of them,
-    before any is listed."""
+    order), from ncpoly's enumerator. Raises ValueError when the frontier
+    table counts more than 2**24, before any is listed, or the enumeration
+    passes the incidence entry guard."""
     plan = _Plan(p)
     if plan.count > MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"{plan.count} global sections exceed the 2**24 listing cap"
-        )
-    return [GlobalAssignment(plan.labels, v) for v in plan.sections()]
+        raise ValueError(f"{plan.count} global sections exceed the 2**24 listing cap")
+    if not plan.count:
+        return []
+    sc = p.scenario
+    allowed = [t in p.supports[c] for c in sc.contexts for t in sc.joint_outcomes(c)]
+    outcomes = [o.outcomes for o in sc.observables]
+    digits = _sections(*_shape(sc), allowed).T.tolist()
+    return [GlobalAssignment(plan.labels, tuple(map(getitem, outcomes, d))) for d in digits]
 
 
 def count_global_sections(p: PossibilisticModel) -> int:

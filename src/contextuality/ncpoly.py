@@ -5,13 +5,12 @@ The decomposition question "how much of this empirical model is explained by
 a global distribution" is a small dense LP: maximize the total weight b >= 0
 over deterministic global assignments subject to incidence * b <= table
 probabilities, row by row. An assignment that hits a row of probability
-exactly 0 is forced to weight 0 by that row and b >= 0, so the program that
-is solved keeps only the other assignments, the global sections of the
-support, and only the rows some kept assignment hits; when none is kept the
-model is strongly contextual and its fraction is 0 with no LP at all. Every
-row is an upper bound with a nonnegative right-hand side, so the slack basis
-is feasible, and `simplex`, a float64 revised simplex with Bland's rule for
-few rows and very many columns, needs one phase only.
+exactly 0 is forced to weight 0, so the program is built on the support's
+global sections alone, listed layer by layer, and on the rows they hit;
+with none, the fraction is 0 with no LP. Every row is an upper bound with a
+nonnegative right-hand side, so the slack basis is feasible, and `simplex`,
+a float64 revised simplex with Bland's rule for few rows and very many
+columns, needs one phase only.
 
 For exact tables the float optimum is verified, not inverted: x = B^-1 P and
 the duals y = c_B B^-1, P the scaled probabilities, are read off the float
@@ -29,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Sequence
 
 import numpy as np
@@ -60,67 +60,104 @@ class SignallingModelError(ValueError):
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """0/1 matrix pairing event rows with deterministic assignments.
-
-    Rows: (context, joint outcome tuple), contexts in declared order, tuples
-    in declared-outcome lexicographic order. Columns: global assignments in
-    the same lexicographic order over scenario observables, outcomes[i]
-    holding observable i's outcomes. Entry 1 iff the assignment restricts to
-    the row's tuple.
-    """
+    """0/1 matrix: entry 1 iff the column's assignment restricts to the row's
+    (context, joint outcome tuple) event. Columns: the assignments that hit
+    no forbidden row, in lexicographic order, digits[i, j] indexing column
+    j's outcome in outcomes[i]; rows: the events some column restricts to,
+    in declared context and lexicographic order."""
 
     rows: tuple[tuple[ContextKey, tuple[str, ...]], ...]
     outcomes: tuple[tuple[str, ...], ...]
     matrix: np.ndarray
+    digits: np.ndarray
+
+    def decode(self, cols) -> list[tuple[str, ...]]:
+        """The assignments of the columns cols, a list or a slice."""
+        return [tuple(map(getitem, self.outcomes, d)) for d in self.digits.T[cols].tolist()]
 
     def assignment(self, col: int) -> tuple[str, ...]:
-        """The assignment of column col: its mixed-radix digits, last
-        observable least significant, are the outcome indices."""
-        values = []
-        for outs in reversed(self.outcomes):
-            col, digit = divmod(col, len(outs))
-            values.append(outs[digit])
-        return tuple(reversed(values))
+        return self.decode([col])[0]
 
     @functools.cached_property
     def assignments(self) -> tuple[tuple[str, ...], ...]:
         """Every column's assignment, built on first use only."""
-        return tuple(itertools.product(*self.outcomes))
+        return tuple(self.decode(slice(None)))
 
 
-def incidence(sc: Scenario) -> IncidenceMatrix:
-    """Column c is the mixed-radix number whose digits (one np.indices
-    array), first observable most significant, are the outcome indices of
-    assignment c; its rows in a context are one comparison of the same
-    number read off the context's observables with the row indices, written
-    into a bool matrix exposed as a read-only int8 view."""
-    size = {o.label: len(o.outcomes) for o in sc.observables}
-    ks = [math.prod(size[l] for l in ctx) for ctx in sc.contexts]
-    ncols = sc.assignment_space()
-    # counted before any row is listed: one wide context has as many rows
-    # as the whole matrix has columns
-    if sum(ks) * ncols > MAX_INCIDENCE_ENTRIES:
-        raise ValueError(
-            f"incidence matrix of {sum(ks)} rows x {ncols} columns exceeds "
-            f"the 80 * 2**20 entry guard"
-        )
-    rows = [(ctx, tup) for ctx in sc.contexts for tup in sc.joint_outcomes(ctx)]
-    outcomes = tuple(o.outcomes for o in sc.observables)
-    digits = np.indices(tuple(size.values()), np.min_scalar_type(max(size.values()) - 1))
-    digit = dict(zip(size, digits.reshape(len(size), ncols)))
-    mat = np.empty((len(rows), ncols), dtype=bool)
-    start = 0
-    for ctx, k in zip(sc.contexts, ks):
-        local = digit[ctx[0]].astype(np.min_scalar_type(k - 1))
-        for l in ctx[1:]:
-            local *= size[l]
-            local += digit[l]
-        block = mat[start : start + k]
-        np.equal(local, np.arange(k, dtype=local.dtype)[:, None], out=block)
-        start += k
-    view = mat.view(np.int8)
+def _shape(sc: Scenario) -> tuple[list[int], list[list[int]], list[int]]:
+    """Outcome counts, and each context's observable positions and rows."""
+    sizes = [len(o.outcomes) for o in sc.observables]
+    position = {o.label: i for i, o in enumerate(sc.observables)}
+    ats = [[position[l] for l in ctx] for ctx in sc.contexts]
+    return sizes, ats, [math.prod(map(sizes.__getitem__, at)) for at in ats]
+
+
+def _local(digits: np.ndarray, at: list[int], sizes: list[int], k: int) -> np.ndarray:
+    """Each column's row in the context at `at`, of k rows: its digits there."""
+    local = digits[at[0]].astype(np.min_scalar_type(k - 1))
+    for i in at[1:]:
+        local *= sizes[i]
+        local += digits[i]
+    return local
+
+
+def _sections(
+    sizes: list[int], ats: list[list[int]], ks: list[int], allowed: Sequence[bool] | None
+) -> np.ndarray:
+    """The digits (a row per observable) of the assignments every context of
+    the _shape (sizes, ats, ks) allows, allowed masking their rows or None,
+    in lexicographic order. The observables up to the next context that
+    forbids a row are expanded at once, unless past the entry guard, and the
+    columns it forbids dropped: a support that forbids nothing is one product."""
+    checks: dict[int, list] = {}
+    if allowed is not None:
+        allowed = np.asarray(allowed)
+        for at, k, end in zip(ats, ks, itertools.accumulate(ks)):
+            if not (mask := allowed[end - k : end]).all():
+                checks.setdefault(max(at), []).append((at, k, mask))
+    nrows, n, dtype = sum(ks), len(sizes), np.min_scalar_type(max(sizes) - 1)
+    digits, done = np.empty((0, 1), dtype), 0
+    for stop in sorted(checks) + ([] if n - 1 in checks else [n - 1]):
+        width = math.prod(sizes[done : stop + 1])
+        ncols = digits.shape[1] * width
+        if nrows * ncols > MAX_INCIDENCE_ENTRIES:
+            raise ValueError(
+                f"incidence matrix of {nrows} rows x {ncols} columns exceeds "
+                f"the 80 * 2**20 entry guard"
+            )
+        grown = np.empty((stop + 1, ncols), dtype)
+        grown[:done].reshape(done, digits.shape[1], width)[...] = digits[:, :, None]
+        inner = width
+        for i, size in enumerate(sizes[done : stop + 1], done):
+            inner //= size
+            grown[i].reshape(-1, size, inner)[...] = np.arange(size, dtype=dtype)[:, None]
+        for at, k, mask in checks.get(stop, ()):
+            grown = grown[:, mask[_local(grown, at, sizes, k)]]
+        digits, done = grown, stop + 1
+    return digits
+
+
+def incidence(sc: Scenario, allowed: np.ndarray | None = None) -> IncidenceMatrix:
+    """The incidence on the assignments that hit no row forbidden by allowed
+    (a mask of the full matrix's rows, or None) and on the rows they hit: per
+    context, one comparison of each column's row with the kept rows' indices."""
+    sizes, ats, ks = _shape(sc)
+    digits = _sections(sizes, ats, ks, allowed)
+    rows, blocks = [], [np.empty((0, digits.shape[1]), dtype=bool)]
+    # no row is hit when no column is left
+    for ctx, at, k in zip(sc.contexts, ats, ks) if digits.shape[1] else ():
+        local = _local(digits, at, sizes, k)
+        if allowed is None:  # then every row is hit
+            hit = np.arange(k, dtype=local.dtype)
+        else:
+            hit = np.flatnonzero(np.bincount(local, minlength=k))
+        tups = sc.joint_outcomes(ctx)
+        rows += [(ctx, tups[i]) for i in hit.tolist()]
+        blocks.append(local == hit[:, None])
+    view = np.concatenate(blocks).view(np.int8)
     view.setflags(write=False)
-    return IncidenceMatrix(tuple(rows), outcomes, view)
+    outcomes = tuple(o.outcomes for o in sc.observables)
+    return IncidenceMatrix(tuple(rows), outcomes, view, digits)
 
 
 def simplex(
@@ -234,32 +271,12 @@ class FractionResult:
             raise ValueError("witness weights must sum to ncf")
 
 
-def _support_program(
-    A: np.ndarray, p: Sequence, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and columns of the incidence A that the fraction program the
-    model poses keeps, both ascending, p its probabilities (exact or float)
-    and rhs their floats. A b <= p and b >= 0 force every assignment hitting
-    a row of probability exactly 0 to weight 0, so only the others, the
-    global sections of the support, are kept; then only the rows some kept
-    column hits. Each kept column still hits one kept row of every context,
-    so every context keeps a row while any column is kept. With no row of
-    probability 0 every row and column is kept."""
-    nrows, ncols = A.shape
-    # a float 0 of an exact probability may be an underflow, so p decides
-    zero = [r for r in np.flatnonzero(rhs == 0).tolist() if p[r] == 0]
-    if not zero:
-        return np.arange(nrows), np.arange(ncols)
-    cols = np.flatnonzero(~A[zero].any(axis=0))
-    return np.flatnonzero(A[:, cols].any(axis=1)), cols
-
-
 def _validate_witness(
-    inc: IncidenceMatrix, rhs: np.ndarray, cols: np.ndarray, x: np.ndarray, ncf: float
+    inc: IncidenceMatrix, rhs: np.ndarray, x: np.ndarray, ncf: float
 ) -> None:
     """Recheck the float solution x, x[j] the weight of the incidence's
-    column cols[j], against the optimum and every row of the tables, on all
-    of its positive entries: weights below EPS_LP, which the float witness
+    column j, against the optimum and every row of the tables, on all of
+    its positive entries: weights below EPS_LP, which the float witness
     leaves out, still count towards the sum."""
     if (x < -EPS_LP).any():
         raise RuntimeError("negative witness weight")
@@ -267,7 +284,7 @@ def _validate_witness(
     weights = x[positive]
     if abs(sum(weights.tolist()) - ncf) > EPS_LP:
         raise RuntimeError("witness weights do not sum to the optimum")
-    used = inc.matrix[:, cols[positive]] @ weights
+    used = inc.matrix[:, positive] @ weights
     over = np.flatnonzero(used > rhs + EPS_LP)
     if over.size:
         ctx, tup = inc.rows[over[0]]
@@ -485,56 +502,55 @@ def contextual_fraction(m: EmpiricalModel) -> FractionResult:
             f"no-disturbance violated by {worst!r}; the fraction program "
             f"needs a non-signalling model"
         )
-    inc = incidence(m.scenario)
+    sc, exact = m.scenario, m.exact_available
     # the float program takes its right-hand side from the exact tables when
     # there are any, so that it poses the same model as the exact routine
-    # even where snapping moved a probability
-    if m.exact_available:
-        p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
-        rhs = np.array([q.numerator / q.denominator for q in p])  # float(q)
-    else:
-        p = [m.tables[ctx][tup] for ctx, tup in inc.rows]
-        rhs = np.array(p, dtype=float)
-    rows, cols = _support_program(inc.matrix, p, rhs)
-    if not len(cols):
-        if m.exact_available:
+    # even where snapping moved a probability; q.numerator / q.denominator is float(q)
+    tables = {ctx: d.exact if exact else d.probs for ctx, d in m.tables.items()}
+    def as_floats(p: list) -> np.ndarray:
+        return np.array([q.numerator / q.denominator for q in p] if exact else p, float)
+    p = [q for ctx in sc.contexts for q in tables[ctx].values()]
+    rhs = as_floats(p)
+    # a float 0 of an exact probability may be an underflow, so p decides
+    allowed = np.ones(len(p), dtype=bool)
+    allowed[[r for r in np.flatnonzero(rhs == 0).tolist() if p[r] == 0]] = False
+    inc = incidence(sc, None if allowed.all() else allowed)
+    if len(inc.rows) < len(p):
+        p = [tables[ctx][tup] for ctx, tup in inc.rows]
+        rhs = as_floats(p)
+    A = inc.matrix
+    if not A.shape[1]:
+        if exact:
             return FractionResult(0.0, 1.0, {}, Fraction(0), {})
         return FractionResult(0.0, 1.0, {})
-    # with no probability 0 the program is the incidence itself, uncopied
-    if len(cols) == inc.matrix.shape[1]:
-        A, kept = inc.matrix, rhs
-    else:
-        A, kept = inc.matrix[np.ix_(rows, cols)], rhs[rows]
     # b = 0 is feasible, and the rows of any one context bound sum(b) by 1,
     # so the program is never unbounded: a None, like a non-finite answer or
     # an overflow, is a failure of the float arithmetic
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            solved = simplex(np.ones(len(cols)), A, kept)
+            solved = simplex(np.ones(A.shape[1]), A, rhs)
     except FloatingPointError:
         solved = None
     if solved is None or not (math.isfinite(solved[0]) and np.isfinite(solved[1]).all()):
         raise RuntimeError(
-            f"the float simplex failed on the {len(rows)} x {len(cols)} fraction program"
+            f"the float simplex failed on the {A.shape[0]} x {A.shape[1]} fraction program"
         )
     value, x, basis, inverse = solved
     ncf = min(max(value, 0.0), 1.0)
-    if m.exact_available:
-        sc = m.scenario
-        first = int(np.searchsorted(rows, len(sc.joint_outcomes(sc.contexts[0]))))
-        exact = [p[r] for r in rows.tolist()]
-        ncf_exact, weights = _exact_optimum(A, first, exact, basis, inverse)
+    if exact:
+        first = sum(ctx == sc.contexts[0] for ctx, _ in inc.rows)
+        ncf_exact, weights = _exact_optimum(A, first, p, basis, inverse)
         if abs(float(ncf_exact) - ncf) > EPS_LP:
             raise RuntimeError(
                 f"exact optimum {ncf_exact} drifts from float optimum {ncf!r}"
             )
         ncf = float(ncf_exact)
     else:
-        _validate_witness(inc, rhs, cols, x, ncf)
+        _validate_witness(inc, rhs, x, ncf)
         weights = {j: float(x[j]) for j in np.flatnonzero(x > EPS_LP).tolist()}
-    # the one decode: column j of the program is the incidence's cols[j]
-    witness = {inc.assignment(int(cols[j])): w for j, w in weights.items()}
-    if not m.exact_available:
+    # the one decode, of the weighted columns' digits
+    witness = dict(zip(inc.decode(list(weights)), weights.values()))
+    if not exact:
         return FractionResult(ncf, 1.0 - ncf, witness)
     floats = {a: float(w) for a, w in witness.items()}
     return FractionResult(ncf, 1.0 - ncf, floats, ncf_exact, witness)

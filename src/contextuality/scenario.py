@@ -313,18 +313,21 @@ def no_disturbance(
 
 
 def _no_disturbance(m: EmpiricalModel) -> tuple[float, list[NoDisturbanceRecord]]:
+    # the context pairs that share an observable, in combinations order
+    contexts = m.scenario.contexts
+    holding: dict[str, list[tuple[int, ContextKey]]] = {}
+    for j, ctx in enumerate(contexts):
+        for l in ctx:
+            holding.setdefault(l, []).append((j, ctx))
     records: list[NoDisturbanceRecord] = []
-    worst = 0.0
-    for a, b in itertools.combinations(m.scenario.contexts, 2):
-        shared = tuple(l for l in a if l in b)
-        if not shared:
-            continue
-        mi = marginal(m.tables[a], a, shared)
-        mj = marginal(m.tables[b], b, shared)
-        v = max(abs(mi.get(k, 0.0) - mj.get(k, 0.0)) for k in set(mi) | set(mj))
-        records.append(NoDisturbanceRecord(shared, (a, b), v))
-        worst = max(worst, v)
-    return worst, records
+    for i, a in enumerate(contexts):
+        for _, b in sorted({(j, b) for l in a for j, b in holding[l] if j > i}):
+            shared = tuple(l for l in a if l in b)
+            mi = marginal(m.tables[a], a, shared)
+            mj = marginal(m.tables[b], b, shared)
+            v = max(abs(mi.get(k, 0.0) - mj.get(k, 0.0)) for k in set(mi) | set(mj))
+            records.append(NoDisturbanceRecord(shared, (a, b), v))
+    return max((r.violation for r in records), default=0.0), records
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from contextuality.scenario import NoDisturbanceRecord, marginal
+
 
 def sections_bruteforce(p) -> list[tuple[str, ...]]:
     """All global sections by checking every assignment against every
@@ -312,3 +314,20 @@ def coherent_basis_gram_schmidt(psi):
     basis = SiteBasis(np.array(vectors), labels)
     group = tuple(range(len(psi.sites)))
     return ProductBasis(((group, basis),))
+
+
+def no_disturbance_all_pairs(m) -> tuple[float, list]:
+    """(worst violation, records) by comparing every pair of contexts, in
+    itertools.combinations order, and skipping those that share nothing."""
+    records = []
+    worst = 0.0
+    for a, b in itertools.combinations(m.scenario.contexts, 2):
+        shared = tuple(l for l in a if l in b)
+        if not shared:
+            continue
+        mi = marginal(m.tables[a], a, shared)
+        mj = marginal(m.tables[b], b, shared)
+        v = max(abs(mi.get(k, 0.0) - mj.get(k, 0.0)) for k in set(mi) | set(mj))
+        records.append(NoDisturbanceRecord(shared, (a, b), v))
+        worst = max(worst, v)
+    return worst, records

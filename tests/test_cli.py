@@ -411,6 +411,30 @@ def test_parser_built_once_and_reused_verbatim(monkeypatch):
     assert cli._build_parser.cache_info().misses == 1
 
 
+def test_a_closed_pipe_ends_the_run_quietly():
+    """A reader that closes standard output before the report is written,
+    as `contextuality demo wigner --format json | true` does: exit 1, and
+    nothing on standard error, neither a BrokenPipeError traceback from the
+    write nor an "Exception ignored" line from the flush at exit."""
+    env = dict(os.environ)
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    for fmt in ("json", "text"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "contextuality", "demo", "wigner", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # closed long before the interpreter has started and written
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (proc.wait(), err) == (1, b""), fmt
+
+
 def test_main_raises_systemexit(monkeypatch):
     monkeypatch.setattr("sys.argv", ["contextuality", "demo", "hardy"])
     buf = io.StringIO()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from contextuality.logic import (
     classify,
     count_global_sections,
     cycle_empirical_model,
+    global_sections,
 )
 from contextuality.ncpoly import (
     FractionResult,
@@ -202,6 +204,58 @@ def test_incidence_entry_guard_rejects_dense_context_sets():
     assert rows * cycle.assignment_space() == ncpoly.MAX_INCIDENCE_ENTRIES
 
 
+def test_more_observables_than_array_dimensions(tmp_path, capsys):
+    """A chain of 70 one-outcome observables, each but the last a context
+    on its own and with its successor: 138 rows, one assignment. The digit
+    columns are built by repeating and tiling, not as one array of 70
+    dimensions, past numpy's 64: the incidence is 138 x 1, the NCF is 1
+    exactly, by the library and by `ncf`, and the one section is listed."""
+    obs = tuple(Observable(f"X{i}", ("0",)) for i in range(70))
+    ctxs = tuple(c for i in range(69) for c in ((f"X{i}",), (f"X{i}", f"X{i + 1}")))
+    sc = Scenario(obs, ctxs)
+    inc = incidence(sc)
+    assert inc.matrix.shape == (138, 1) and (inc.matrix == 1).all()
+    assert inc.assignments == (("0",) * 70,)
+    certain = {
+        c: Distribution({("0",) * len(c): 1.0}, {("0",) * len(c): Fraction(1)}) for c in ctxs
+    }
+    m = EmpiricalModel(sc, certain)
+    res = contextual_fraction(m)
+    assert res.ncf_exact == 1 and res.witness_exact == {("0",) * 70: 1}
+    [section] = global_sections(support_of(m))
+    assert section.values == ("0",) * 70
+    path = tmp_path / "chain_70.scn"
+    path.write_text(serialize_model(m, "chain_70"), encoding="utf-8")
+    assert run(["ncf", str(path), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["fraction"]["ncf"]["exact"] == "1"
+
+
+@pytest.mark.parametrize("n", [21, 24, 101, 301, 1001])
+def test_sparse_cycles_past_the_assignment_wall(n):
+    """Odd and Hardy-like n-cycles have 2**n assignments, past the entry
+    guard from n = 21 on, but 0 and 2 global sections: the enumerator keeps
+    at most 4 candidates a layer, so the program is built on the sections
+    alone, NCF 0 with no LP and 2a exactly on the 2n x 2 program of the
+    rows they hit, each in under half a second."""
+    a = Fraction(1, 8)
+    programs = []
+    real = ncpoly.simplex
+
+    def recorded(c, A, rhs):
+        programs.append(A.shape)
+        return real(c, A, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncpoly, "simplex", recorded)
+        for m, ncf in ((cycle_empirical_model(n, "odd"), 0), (hardy_like_cycle(n, a), 2 * a)):
+            start = time.perf_counter()
+            res = contextual_fraction(m)
+            assert time.perf_counter() - start < 0.5
+            assert res.ncf_exact == ncf
+    assert programs == [(2 * n, 2)]
+
+
 def test_the_entry_guard_is_the_incidence_limit():
     """13 ternary singletons: 3**13 = 1594323 columns, past 2**20, but only
     39 rows, so the matrix (62 MB as bools) is within the entry guard and is
@@ -344,8 +398,9 @@ def test_ncf_program_shape(hardy_model, monkeypatch):
     """contextual_fraction's simplex call: c all ones over the global
     sections of the support, A the incidence matrix's submatrix of the rows
     they hit and those columns, and rhs those rows' probabilities, all
-    positive, exact where the model has them. A model with no probability 0
-    hands over the incidence matrix itself."""
+    positive, exact where the model has them. Every program is handed over
+    as an incidence's own read-only matrix, uncopied; a model with no
+    probability 0 hands over the whole incidence matrix."""
     calls = []
     real = ncpoly.simplex
 
@@ -353,13 +408,13 @@ def test_ncf_program_shape(hardy_model, monkeypatch):
         calls.append((c, A, rhs))
         return real(c, A, rhs)
 
-    built = _assignments_left_unbuilt(monkeypatch)
     monkeypatch.setattr(ncpoly, "simplex", recorded)
     fr = _corpus_model("fr")
     noisy = white_noise_odd_cycle(5, Fraction(9, 10))
     models = (hardy_model, fr, noisy)
     for m in models:
         contextual_fraction(m)
+    built = [incidence(m.scenario) for m in models]
     # Hardy's five global sections are its pinned witness; 12 of its 16 rows
     # are possible, and each is hit by one of them
     rows, cols = _kept_by_brute_force(hardy_model, built[0])
@@ -380,7 +435,9 @@ def test_ncf_program_shape(hardy_model, monkeypatch):
         keys = [inc.rows[r] for r in rows]
         assert rhs.tolist() == [float(tables[ctx][tup]) for ctx, tup in keys]
         assert (rhs > 0).all()
-    assert calls[2][1] is built[2].matrix
+    for _, A, _ in calls:
+        assert A.dtype == np.int8 and A.base.dtype == bool and not A.flags.writeable
+    assert calls[2][1].tolist() == built[2].matrix.tolist()
 
 
 def test_hardy_fraction_float_path(hardy_model):
@@ -1182,11 +1239,25 @@ def _corrupted_starts(monkeypatch, corrupt) -> list:
 
 
 def _program_of(m: EmpiricalModel):
-    """The rows and columns of the incidence that contextual_fraction hands
-    simplex for m."""
+    """The rows and columns of incidence(m.scenario) whose submatrix
+    contextual_fraction hands simplex for m, checked against the recorded
+    call: the columns that hit no row of probability exactly 0, and the
+    rows they hit (no call when no column is left)."""
     inc = incidence(m.scenario)
-    p = [m.tables[ctx].exact[tup] for ctx, tup in inc.rows]
-    return ncpoly._support_program(inc.matrix, p, np.array([float(q) for q in p]))
+    zero = [not _possible(m, ctx, tup) for ctx, tup in inc.rows]
+    cols = np.flatnonzero(~inc.matrix[zero].any(axis=0))
+    rows = np.flatnonzero(inc.matrix[:, cols].any(axis=1))
+    calls, real = [], ncpoly.simplex
+
+    def recorded(c, A, rhs):
+        calls.append(A.tolist())
+        return real(c, A, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncpoly, "simplex", recorded)
+        contextual_fraction(m)
+    assert calls == ([inc.matrix[np.ix_(rows, cols)].tolist()] if len(cols) else [])
+    return rows, cols
 
 
 @pytest.mark.parametrize("corrupt", [_det_two, _off_by_one, _other_basis, _nan_entry])
@@ -1563,7 +1634,7 @@ def test_kept_program_matches_the_full_program(monkeypatch):
         x = np.zeros(A.shape[1])
         for a, w in res.witness.items():
             x[column[a]] = w
-        ncpoly._validate_witness(inc, rhs, np.arange(len(x)), x, res.ncf)
+        ncpoly._validate_witness(inc, rhs, x, res.ncf)
         labels = [o.label for o in m.scenario.observables]
         for a in res.witness:
             for ctx in m.scenario.contexts:
@@ -1681,37 +1752,41 @@ def test_incidence_decodes_columns_without_the_assignment_tuple():
     assert inc.assignments is inc.assignments  # built once, then cached
 
 
-def _assignments_left_unbuilt(monkeypatch) -> list[IncidenceMatrix]:
-    built = []
-    real = ncpoly.incidence
-
-    def recorded(sc):
-        built.append(real(sc))
-        return built[-1]
-
-    monkeypatch.setattr(ncpoly, "incidence", recorded)
-    return built
-
-
 def test_contextual_fraction_builds_no_assignment_tuple(monkeypatch):
     """The float witness and the exact routine, with and without pivots,
     decode only the columns they report: on a chained-Bell 14-cycle (2**14
-    columns) and on exact white-noise odd cycles, the incidence's
-    `assignments` tuple is never built."""
-    built = _assignments_left_unbuilt(monkeypatch)
+    columns) and on exact white-noise odd cycles, whose programs are their
+    whole incidence matrices, no `assignments` tuple is read."""
+    read, programs = [], []
+    real = ncpoly.simplex
+
+    def recorded(c, A, rhs):
+        programs.append(A)
+        return real(c, A, rhs)
+
+    monkeypatch.setattr(ncpoly, "simplex", recorded)
+    monkeypatch.setattr(IncidenceMatrix, "assignments", property(read.append))
     n = 14
-    res = contextual_fraction(_chained_bell(n, 0.3))
+    models = [
+        _chained_bell(n, 0.3),
+        white_noise_odd_cycle(9, Fraction(4, 5)),
+        white_noise_odd_cycle(5, Fraction(9, 10)),
+    ]
+    res = contextual_fraction(models[0])
     assert res.ncf == pytest.approx(n * (1 - np.cos(np.pi / n)) / 2, abs=1e-9)
     assert len(res.witness) > 1
-    res = contextual_fraction(white_noise_odd_cycle(9, Fraction(4, 5)))
+    res = contextual_fraction(models[1])
     assert res.ncf_exact == Fraction(9, 10)
     starts = _slack_started(monkeypatch)
     pivots = _dual_pivots(monkeypatch)
-    res = contextual_fraction(white_noise_odd_cycle(5, Fraction(9, 10)))
+    res = contextual_fraction(models[2])
     assert res.ncf_exact == Fraction(1, 4)
     assert len(starts) == 1 and pivots
-    assert [inc.matrix.shape[1] for inc in built] == [2**14, 2**9, 2**5]
-    assert all("assignments" not in inc.__dict__ for inc in built)
+    assert [A.shape[1] for A in programs] == [2**14, 2**9, 2**5]
+    assert read == []
+    monkeypatch.undo()
     # the decoded witnesses are the ones the tuple would give
-    for inc in built:
+    for m, A in zip(models, programs):
+        inc = incidence(m.scenario)
+        assert A.tolist() == inc.matrix.tolist()
         assert all(inc.assignment(j) == a for j, a in enumerate(inc.assignments))

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contextuality
 from contextuality.qstate import (
     Distribution,
     ProductBasis,
@@ -32,8 +35,14 @@ from contextuality.scenario import (
     support_of,
 )
 
-from conftest import HARDY_CONTEXTS
-from oracles import born_by_projectors, snap_to_rationals_limit_denominator
+from contextuality.scnformat import parse_file
+
+from conftest import HARDY_CONTEXTS, hardy_like_cycle, random_table_model
+from oracles import (
+    born_by_projectors,
+    no_disturbance_all_pairs,
+    snap_to_rationals_limit_denominator,
+)
 
 
 # ------------------------------------------------------------------ Scenario
@@ -281,6 +290,32 @@ def test_no_disturbance_records_cannot_be_mutated_through_the_memo(hardy_model):
     kept = list(records)
     records.clear()
     assert no_disturbance(hardy_model) == (worst, kept)
+
+
+def test_no_disturbance_matches_the_all_pairs_loop():
+    """Comparing only the contexts that share an observable gives the
+    all-pairs loop's records, in its order, and its worst value: on seeded
+    random models, signalling ones and ones with contexts that share
+    nothing among them, on the corpus tables and realizations, and on
+    Hardy-like cycles."""
+    rng = random.Random(3001)
+    models = [random_table_model(rng) for _ in range(300)]
+    for path in sorted((Path(contextuality.__file__).parent / "data").glob("*.scn")):
+        f = parse_file(path.read_text(encoding="utf-8"))
+        if f.model is not None:
+            models.append(f.model)
+        elif f.realization is not None:
+            models.append(realize(f.realization, f.scenario))
+    models += [hardy_like_cycle(n, Fraction(1, 8)) for n in (5, 12)]
+    signalling = disjoint = 0
+    for m in models:
+        worst, records = no_disturbance(m)
+        assert (worst, records) == no_disturbance_all_pairs(m)
+        signalling += worst > EPS_ND
+        k = len(m.scenario.contexts)
+        disjoint += len(records) < k * (k - 1) // 2
+    assert len(models) == 300 + 8 + 2  # wigner.scn is a chain
+    assert signalling > 50 and disjoint > 50
 
 
 def test_randomized_realizations_pass_no_disturbance(hardy_scenario):
