@@ -465,49 +465,35 @@ def _default_seed(p: PossibilisticModel) -> LiarCycle | None:
 # ------------------------------------------------------------ cycle models
 
 
-def _cycle_scenario(n: int) -> Scenario:
-    obs = tuple(Observable(f"S{i}", ("0", "1")) for i in range(1, n + 1))
-    ctxs = tuple(
-        (f"S{i}", f"S{i % n + 1}") for i in range(1, n + 1)
-    )
-    return Scenario(obs, ctxs)
-
-
-def _cycle_supports(n: int, parity: str) -> dict[ContextKey, frozenset]:
+def _cycle(n: int, parity: str) -> tuple[Scenario, dict[ContextKey, frozenset]]:
+    """The n-cycle's scenario and supports, built and checked once for both
+    models: equality on every edge but, for odd parity, the closing one."""
+    if n < 3:
+        raise ValueError(f"cycle needs n >= 3, got {n}")
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    equal = frozenset({("0", "0"), ("1", "1")})
-    unequal = frozenset({("0", "1"), ("1", "0")})
-    sc = _cycle_scenario(n)
-    sups = {ctx: equal for ctx in sc.contexts}
+    obs = tuple(Observable(f"S{i}", ("0", "1")) for i in range(1, n + 1))
+    sc = Scenario(obs, tuple((f"S{i}", f"S{i % n + 1}") for i in range(1, n + 1)))
+    sups = dict.fromkeys(sc.contexts, frozenset({("0", "0"), ("1", "1")}))
     if parity == "odd":
-        sups[sc.contexts[-1]] = unequal
-    return sups
+        sups[sc.contexts[-1]] = frozenset({("0", "1"), ("1", "0")})
+    return sc, sups
 
 
 def cycle_model(n: int, parity: str = "odd") -> PossibilisticModel:
     """n-cycle of certain implications: contexts {S_i, S_{i+1 mod n}}, every
     edge forcing equality except, for odd parity, the closing edge which
     forces inequality. n >= 3."""
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
-    return PossibilisticModel(_cycle_scenario(n), _cycle_supports(n, parity))
+    return PossibilisticModel(*_cycle(n, parity))
 
 
 def cycle_empirical_model(n: int, parity: str = "odd") -> EmpiricalModel:
     """Probabilistic companion of cycle_model: each context puts weight 1/2
     on each of its two possible tuples."""
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
-    sc = _cycle_scenario(n)
-    sups = _cycle_supports(n, parity)
+    sc, sups = _cycle(n, parity)
     tables = {}
     for ctx in sc.contexts:
-        probs = {}
-        exact = {}
-        for tup in sc.joint_outcomes(ctx):
-            p = 0.5 if tup in sups[ctx] else 0.0
-            probs[tup] = p
-            exact[tup] = Fraction(1, 2) if tup in sups[ctx] else Fraction(0)
-        tables[ctx] = Distribution(probs, exact)
+        exact = dict.fromkeys(sc.joint_outcomes(ctx), Fraction(0))
+        exact.update(dict.fromkeys(sups[ctx], Fraction(1, 2)))
+        tables[ctx] = Distribution({t: float(q) for t, q in exact.items()}, exact)
     return EmpiricalModel(sc, tables)

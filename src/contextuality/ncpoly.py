@@ -474,7 +474,9 @@ def _exact_optimum(
             # the exact least ratios have floats within a few ulps of the least
             ratio = red[cand].astype(float) / alpha[cand].astype(float)
             near = cand[ratio <= ratio.min() * (1 + 1e-9)].tolist()
-            enter = min(near, key=lambda j: (Fraction(int(red[j]), int(alpha[j])), j))
+            if ratio.min():  # else all tie at a reduced cost of exactly 0
+                near = [min(near, key=lambda j: (Fraction(int(red[j]), int(alpha[j])), j))]
+            enter = near[0]
             col = aug[:, 1:] @ A[:, enter] if enter < n else aug[:, 1 + enter - n]
             d, aug = _pivot(aug, col, r, d)
             basis[r] = enter

@@ -9,7 +9,6 @@ site most significant, so for site dimensions (d0, d1, ..) the flat index of
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
@@ -250,7 +249,8 @@ class Distribution:
 
     Values are clamped into [0, 1]; anything below -EPS_ZERO or above
     1 + EPS_ZERO is rejected. The total must equal 1 within `tol`. When the
-    entries are known exactly, a parallel Fraction table rides along.
+    entries are known exactly, a parallel Fraction table rides along. The
+    parser and snap_to_rationals, which check their parts, use _from_checked.
     """
 
     probs: dict[tuple[str, ...], float]
@@ -282,11 +282,13 @@ class Distribution:
         object.__setattr__(self, "probs", clean)
         object.__setattr__(self, "exact", exact)
 
-    def _with_exact(self, exact: dict[tuple[str, ...], Fraction]) -> Distribution:
-        """Self with exact (same keys and order) attached; reruns only _check_exact."""
-        _check_exact(self.probs, exact)
-        table = copy.copy(self)
-        object.__setattr__(table, "exact", exact)
+    @classmethod
+    def _from_checked(cls, probs: dict, exact: dict | None, tol: float) -> Distribution:
+        """Checks nothing; the caller holds probs keyed by tuples of str,
+        floats in [0, 1] summing to 1 within tol, and exact None or on probs'
+        keys, each Fraction within EPS_NORM of its float."""
+        table = object.__new__(cls)
+        vars(table).update(probs=probs, exact=exact, tol=tol)
         return table
 
     def __getitem__(self, key: tuple[str, ...]) -> float:

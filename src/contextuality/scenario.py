@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import Distribution, SiteBasis, StateVector, _sums_to_one
+from .qstate import Distribution, SiteBasis, StateVector, _check_exact, _sums_to_one
 from .qstate import _born_contract, _factor_tensor
 
 EPS_ND = 1e-9
@@ -119,7 +119,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class EmpiricalModel:
-    """One probability table per context over that context's joint outcomes."""
+    """One probability table per context, in context order, its rows in
+    joint_outcomes order. The parser and snap_to_rationals use _from_checked."""
 
     scenario: Scenario
     tables: dict[ContextKey, Distribution]
@@ -131,9 +132,9 @@ class EmpiricalModel:
                 raise ValueError(f"missing table for context {ctx}")
             dist = self.tables[ctx]
             expected = self.scenario.joint_outcomes(ctx)
-            # canonical row order: declared-outcome lexicographic; a table
-            # already in that order is kept as it is, and covers its joint
-            # outcomes exactly, since both hold each tuple once
+            # canonical row order: declared-outcome lexicographic; a table in
+            # that order is kept, and covers its joint outcomes as both hold
+            # each tuple once; a checked table in another order is reordered
             if list(dist.probs) == expected and (
                 dist.exact is None or list(dist.exact) == expected
             ):
@@ -144,15 +145,22 @@ class EmpiricalModel:
                     f"table for context {ctx} does not cover exactly its "
                     f"joint outcomes"
                 )
-            probs = {t: dist[t] for t in expected}
-            exact = None
-            if dist.exact is not None:
-                exact = {t: dist.exact[t] for t in expected}
-            tables[ctx] = Distribution(probs, exact, tol=dist.tol)
+            exact = None if dist.exact is None else {t: dist.exact[t] for t in expected}
+            tables[ctx] = Distribution._from_checked(
+                {t: dist[t] for t in expected}, exact, dist.tol
+            )
         extra = set(self.tables) - set(tables)
         if extra:
             raise ValueError(f"tables for unknown contexts: {sorted(extra)}")
         object.__setattr__(self, "tables", tables)
+
+    @classmethod
+    def _from_checked(cls, scenario: Scenario, tables: dict) -> EmpiricalModel:
+        """Checks nothing; the caller holds tables keyed by the contexts in
+        order, each one's probs and exact keyed by joint_outcomes in order."""
+        model = object.__new__(cls)
+        vars(model).update(scenario=scenario, tables=tables)
+        return model
 
     def table(self, context: Sequence[str]) -> Distribution:
         return self.tables[tuple(context)]
@@ -333,7 +341,7 @@ def _no_disturbance(m: EmpiricalModel) -> tuple[float, list[NoDisturbanceRecord]
 @dataclass(frozen=True)
 class PossibilisticModel:
     """The support skeleton of an empirical model: per context, which joint
-    outcomes are possible at all."""
+    outcomes are possible at all. support_of uses _from_checked."""
 
     scenario: Scenario
     supports: dict[ContextKey, frozenset[tuple[str, ...]]]
@@ -358,6 +366,14 @@ class PossibilisticModel:
             raise ValueError(f"supports for unknown contexts: {sorted(extra)}")
         object.__setattr__(self, "supports", supports)
 
+    @classmethod
+    def _from_checked(cls, scenario: Scenario, supports: dict) -> PossibilisticModel:
+        """Checks nothing; the caller holds supports keyed by the contexts in
+        order, each a nonempty frozenset of the context's joint outcomes."""
+        model = object.__new__(cls)
+        vars(model).update(scenario=scenario, supports=supports)
+        return model
+
     def support(self, context: Sequence[str]) -> frozenset[tuple[str, ...]]:
         return self.supports[tuple(context)]
 
@@ -380,13 +396,14 @@ def _require_support(m: EmpiricalModel, eps: float) -> None:
 
 def support_of(m: EmpiricalModel, eps: float = EPS_SUPPORT) -> PossibilisticModel:
     """Possibilistic collapse: a tuple is possible iff its probability
-    exceeds eps. Degenerate (all-impossible) contexts are rejected."""
+    exceeds eps. Degenerate (all-impossible) contexts are rejected, and the
+    model is built unchecked from the tables' own, checked, outcomes."""
     _require_support(m, eps)
     supports = {
         ctx: frozenset(t for t, p in dist.items() if p > eps)
         for ctx, dist in m.tables.items()
     }
-    return PossibilisticModel(m.scenario, supports)
+    return PossibilisticModel._from_checked(m.scenario, supports)
 
 
 def snap_to_rationals(
@@ -399,7 +416,8 @@ def snap_to_rationals(
     |rint(p q)/q - p| <= tol. Fractions with denominators up to N lie at
     least 1/N^2 apart, so while 2 tol max_denominator^2 < 1 (else
     ValueError) only the closest such fraction can be within tol; 128 is
-    small, so irrational p essentially never snap."""
+    small, so irrational p essentially never snap. Each fraction is checked
+    against its float, as tol may exceed EPS_NORM; nothing else is rechecked."""
     if not 2 * tol * max_denominator**2 < 1:
         raise ValueError("snapping needs 2 * tol * max_denominator**2 < 1")
     q = np.arange(1, max_denominator + 1)
@@ -414,5 +432,6 @@ def snap_to_rationals(
         exact = dict(zip(dist.keys(), fracs))
         if not _sums_to_one(exact.values()):
             return None
-        tables[ctx] = dist._with_exact(exact)
-    return EmpiricalModel(m.scenario, tables)
+        _check_exact(dist.probs, exact)
+        tables[ctx] = Distribution._from_checked(dist.probs, exact, dist.tol)
+    return EmpiricalModel._from_checked(m.scenario, tables)

@@ -21,10 +21,12 @@ defines an observer chain instead. A table header names its context by
 labels; a lone number is read as a 0-based context index only when no
 declared context has that label. Rational probability literals are kept
 exactly alongside their float values; a table whose literals sum to exactly
-1 stays exact end to end.
+1 stays exact end to end. The parser makes every check on its tables
+itself, the sum within FILE_SUM_TOL included, and builds the model unchecked.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -488,22 +490,18 @@ class _Parser:
                     f"{expected}",
                     block.line,
                 )
-            probs = {k: v[0] for k, v in block.rows.items()}
-            exact: dict[tuple[str, ...], Fraction] | None = None
-            if all(v[1] is not None for v in block.rows.values()):
-                exact = {k: v[1] for k, v in block.rows.items()}
-                if not _sums_to_one(exact.values()):
-                    exact = None
-            try:
-                tables[ctx] = Distribution(probs, exact, tol=FILE_SUM_TOL)
-            except ValueError as e:
-                raise ParseError(
-                    f"table for context ({' '.join(ctx)}): {e}", block.line
-                ) from None
-        try:
-            return EmpiricalModel(scenario, tables)
-        except ValueError as e:
-            raise ParseError(str(e)) from None
+            total = sum(v for v, _ in block.rows.values())
+            if abs(total - 1.0) > FILE_SUM_TOL:
+                sums = f"probabilities sum to {total!r}, not 1"
+                raise ParseError(f"table for context ({' '.join(ctx)}): {sums}", block.line)
+            # the rows cover the joint outcomes once each: take them in order
+            rows = {k: block.rows[k] for k in itertools.product(*block.outcomes)}
+            probs = {k: v for k, (v, _) in rows.items()}
+            exact = {k: f for k, (_, f) in rows.items()}
+            if any(f is None for f in exact.values()) or not _sums_to_one(exact.values()):
+                exact = None
+            tables[ctx] = Distribution._from_checked(probs, exact, FILE_SUM_TOL)
+        return EmpiricalModel._from_checked(scenario, {c: tables[c] for c in scenario.contexts})
 
     def _build_realization(
         self, scenario: Scenario, state: StateVector
@@ -520,9 +518,7 @@ class _Parser:
                         f"{state.nsites} sites",
                         spec.line,
                     )
-            dim = 1
-            for s in spec.sites:
-                dim *= state.sites[s]
+            dim = math.prod(state.sites[s] for s in spec.sites)
             basis = self._build_basis(spec.basis, dim, f"measure for {label!r}")
             declared = self.by_label[label].outcomes
             if basis.labels != declared:
@@ -537,10 +533,8 @@ class _Parser:
                 raise ParseError(
                     f"measure for {label!r}: {e}", spec.line
                 ) from None
-        try:
-            return QuantumRealization(state, recipes)
-        except ValueError as e:
-            raise ParseError(str(e)) from None
+        # each recipe's sites and basis dimension are checked above
+        return QuantumRealization(state, recipes)
 
     def _build_chain(self, state: StateVector) -> ObserverChain:
         agents = []
@@ -644,12 +638,9 @@ def serialize_model(m: EmpiricalModel, name: str) -> str:
         dist = m.tables[ctx]
         lines.append("")
         lines.append("table " + " ".join(ctx))
-        for t in m.scenario.joint_outcomes(ctx):
-            if dist.exact is not None:
-                value = str(dist.exact[t])
-            else:
-                value = _fmt_float(dist[t])
-            lines.append("  " + " ".join(t) + " " + value)
+        # every model holds its rows in joint_outcomes order; str(float) is repr
+        for t, p in (dist.probs if dist.exact is None else dist.exact).items():
+            lines.append("  " + " ".join(t) + " " + str(p))
     return "\n".join(lines) + "\n"
 
 

@@ -53,13 +53,18 @@ def outcome(text: str) -> str:
     return "ok"
 
 
-def outcomes() -> dict[str, str]:
+def mutants() -> dict[str, str]:
+    """Key `<file>:<i>` -> the text of that seeded mutant."""
     rng = random.Random(2020)
-    out = {}
-    for name, text in sources().items():
-        for i in range(MUTANTS):
-            out[f"{name}:{i}"] = outcome(_mutant(rng, text))
-    return out
+    return {
+        f"{name}:{i}": _mutant(rng, text)
+        for name, text in sources().items()
+        for i in range(MUTANTS)
+    }
+
+
+def outcomes() -> dict[str, str]:
+    return {key: outcome(text) for key, text in mutants().items()}
 
 
 if __name__ == "__main__":

@@ -157,10 +157,19 @@ def test_file_sum_tolerance():
     # exactly representable decimals summing to 0.99: outside 1e-6
     text = "scenario t\nobservable X outcomes a b\ncontext X\ntable X\n  a 0.5\n  b 0.49\n"
     expect_error(text, "table for context (X)", line=4)
+    # 1 + 2e-6 is refused too, at the table's header line
+    text = "scenario t\nobservable X outcomes a b\ncontext X\ntable X\n  a 0.5\n  b 0.500002\n"
+    expect_error(text, "probabilities sum to", line=4)
     # off by less than 1e-6 passes
     ok = "scenario t\nobservable X outcomes a b\ncontext X\ntable X\n  a 0.5\n  b 0.4999999\n"
     m = parse_model(ok)
     assert m.tables[("X",)][("b",)] == 0.4999999
+    # exact literals inside the tolerance but not summing to exactly 1 stay
+    # float-only
+    ok = "scenario t\nobservable X outcomes a b\ncontext X\ntable X\n  a 1/2\n  b 4999999/10000000\n"
+    dist = parse_model(ok).tables[("X",)]
+    assert dist.exact is None
+    assert dist[("b",)] == 4999999 / 10000000
 
 
 def test_comments_and_whitespace_are_ignored():
