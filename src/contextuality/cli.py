@@ -19,6 +19,7 @@ from typing import Sequence
 from .metacontext import AssumptionSet
 from .ncpoly import EPS_ND_PRECONDITION, SignallingModelError
 from .report import (
+    ALL_SECTIONS,
     DEFAULT_ASSUMPTION_SETS,
     AnalysisReport,
     chain_report,
@@ -34,6 +35,11 @@ __all__ = ["run", "main"]
 
 _FIXED_DEMOS = ("hardy", "fr", "wigner")
 _CYCLE_SIZES = (3, 4, 5)
+# report sections per command; demo and analyze run them all
+_SECTIONS = {
+    "ncf": frozenset({"nd", "ncf"}),
+    "cycles": frozenset({"sentences", "cycle"}),
+}
 
 
 class _UsageError(Exception):
@@ -194,23 +200,12 @@ def _execute(ns, seed_raw: tuple[str, str] | None) -> tuple[AnalysisReport, int]
     else:
         sets = DEFAULT_ASSUMPTION_SETS
 
-    if ns.command in ("demo", "analyze"):
-        if f.model is not None or f.realization is not None:
-            report = model_report(
-                _model_of(f, name), name, eps=ns.eps, assumption_sets=sets
-            )
-        elif f.chain is not None:
+    if ns.command in ("demo", "analyze") and f.model is None and f.realization is None:
+        if f.chain is not None:
             report = chain_report(f.chain, name, eps=ns.eps)
         else:
             report = scenario_report(f.scenario, name, eps=ns.eps)
-    elif ns.command == "ncf":
-        report = model_report(
-            _model_of(f, name),
-            name,
-            eps=ns.eps,
-            sections=frozenset({"nd", "ncf"}),
-        )
-    else:  # cycles
+    else:
         seed = None
         if seed_raw is not None:
             seed = (tuple(seed_raw[0].split(",")), tuple(seed_raw[1].split(",")))
@@ -219,7 +214,8 @@ def _execute(ns, seed_raw: tuple[str, str] | None) -> tuple[AnalysisReport, int]
             name,
             eps=ns.eps,
             seed=seed,
-            sections=frozenset({"sentences", "cycle"}),
+            assumption_sets=sets,
+            sections=_SECTIONS.get(ns.command, ALL_SECTIONS),
         )
 
     code = 0

@@ -78,9 +78,10 @@ def _projection(js: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(slice(js[0], js[0] + 1) if js else slice(0, 0))
 
 
-class _Plan:
-    """One table over frontier states that counts, classifies and extends
-    for one support, built layer by layer without recursion.
+def _frontier(p: PossibilisticModel) -> tuple[int, set[tuple[ContextKey, tuple[str, ...]]]]:
+    """The number of global sections of one support and the (context, tuple)
+    events some global section restricts to, from one table over frontier
+    states built layer by layer without recursion; nothing of it is kept.
 
     Observables are taken in scenario order, outcomes in declared order, and
     a context is checked at its last observable. The frontier before
@@ -88,94 +89,77 @@ class _Plan:
     still reads (two for an n-cycle); a state is the frontier's values, and
     whether a partial assignment completes depends only on i and its state.
     The forward pass records, for each reachable state, its consistent edges
-    (next state, tuples of the contexts checked there); the backward
-    pass counts each state's completions. Cost grows with the number of
-    frontier states, not with the number of global sections. A row (state
-    plus value) is read through itemgetter projections built once per layer,
-    one per context checked there and one for the next state; the support
-    test stops at the first context tuple that misses."""
+    (next state, tuples of the contexts checked there); one backward pass
+    counts each state's completions and collects the tuples on every edge
+    into a state that completes. Cost grows with the number of frontier
+    states, not with the number of global sections. A row (state plus
+    value) is read through itemgetter projections built once per layer, one
+    per context checked there and one for the next state; the support test
+    stops at the first context tuple that misses."""
+    sc = p.scenario
+    n = len(sc.observables)
+    position = {o.label: i for i, o in enumerate(sc.observables)}
+    checks: list[list[tuple[ContextKey, frozenset, tuple[int, ...]]]] = [
+        [] for _ in range(n)
+    ]
+    last_read = list(range(n))
+    for ctx in sc.contexts:
+        idxs = tuple(position[l] for l in ctx)
+        last = max(idxs)
+        checks[last].append((ctx, p.supports[ctx], idxs))
+        for k in idxs:
+            last_read[k] = max(last_read[k], last)
 
-    def __init__(self, p: PossibilisticModel):
-        sc = p.scenario
-        self.labels = tuple(o.label for o in sc.observables)
-        self.supports = p.supports
-        n = len(self.labels)
-        position = {l: i for i, l in enumerate(self.labels)}
-        checks: list[list[tuple[ContextKey, frozenset, tuple[int, ...]]]] = [
-            [] for _ in range(n)
-        ]
-        last_read = list(range(n))
-        for ctx in sc.contexts:
-            idxs = tuple(position[l] for l in ctx)
-            last = max(idxs)
-            checks[last].append((ctx, p.supports[ctx], idxs))
-            for k in idxs:
-                last_read[k] = max(last_read[k], last)
-        self.contexts_at = [[ctx for ctx, _, _ in at] for at in checks]
-
-        # edges[i]: state before position i -> [(next state, rows)]
-        self.edges: list[dict[tuple[str, ...], list]] = []
-        layer: dict[tuple[str, ...], list] = {(): []}
-        frontier: tuple[int, ...] = ()
-        built = 0
-        for i, obs in enumerate(sc.observables):
-            built += len(layer) * len(obs.outcomes)
-            if built > MAX_FRONTIER_ROWS:
-                raise ValueError(
-                    f"frontier table of {built} rows exceeds the 2**17 row budget"
-                )
-            here = frontier + (i,)
-            frontier = tuple(k for k in here if last_read[k] > i)
-            at = {k: j for j, k in enumerate(here)}
-            keep = _projection([at[k] for k in frontier])
-            tests = [
-                (sup, _projection([at[k] for k in idxs])) for _, sup, idxs in checks[i]
-            ]
-            following: dict[tuple[str, ...], list] = {}
-            for state, out in layer.items():
-                for v in obs.outcomes:
-                    row = state + (v,)
-                    rows = []
-                    for sup, project in tests:
-                        r = project(row)
-                        if r not in sup:
-                            break
-                        rows.append(r)
-                    else:
-                        nxt = keep(row)
-                        out.append((nxt, tuple(rows)))
-                        following.setdefault(nxt, [])
-            self.edges.append(layer)
-            layer = following
-
-        # counts[i]: state before position i -> number of completions
-        self.counts = [{(): 1}]
-        for edges in reversed(self.edges):
-            after = self.counts[-1]
-            self.counts.append(
-                {s: sum([after[nxt] for nxt, _ in out]) for s, out in edges.items()}
+    # edges[i]: state before position i -> [(next state, rows)]
+    edges: list[dict[tuple[str, ...], list]] = []
+    layer: dict[tuple[str, ...], list] = {(): []}
+    frontier: tuple[int, ...] = ()
+    built = 0
+    for i, obs in enumerate(sc.observables):
+        built += len(layer) * len(obs.outcomes)
+        if built > MAX_FRONTIER_ROWS:
+            raise ValueError(
+                f"frontier table of {built} rows exceeds the 2**17 row budget"
             )
-        self.counts.reverse()
-        self.count: int = self.counts[0][()]
+        here = frontier + (i,)
+        frontier = tuple(k for k in here if last_read[k] > i)
+        at = {k: j for j, k in enumerate(here)}
+        keep = _projection([at[k] for k in frontier])
+        tests = [
+            (sup, _projection([at[k] for k in idxs])) for _, sup, idxs in checks[i]
+        ]
+        following: dict[tuple[str, ...], list] = {}
+        for state, out in layer.items():
+            for v in obs.outcomes:
+                row = state + (v,)
+                rows = []
+                for sup, project in tests:
+                    r = project(row)
+                    if r not in sup:
+                        break
+                    rows.append(r)
+                else:
+                    nxt = keep(row)
+                    out.append((nxt, tuple(rows)))
+                    following.setdefault(nxt, [])
+        edges.append(layer)
+        layer = following
 
-    def covered(self) -> set[tuple[ContextKey, tuple[str, ...]]]:
-        """The (context, tuple) events some global section restricts to: the
-        tuples on every edge into a state that completes."""
-        covered = set()
-        for layer, ctxs, after in zip(self.edges, self.contexts_at, self.counts[1:]):
-            for out in layer.values():
-                for nxt, rows in out:
-                    if after[nxt]:
-                        covered.update(zip(ctxs, rows))
-        return covered
-
-    def classification(self) -> Classification:
-        if not self.count:
-            return Classification.STRONGLY_CONTEXTUAL
-        covered = self.covered()
-        if all((ctx, t) in covered for ctx, sup in self.supports.items() for t in sup):
-            return Classification.GLOBALLY_EXTENDABLE
-        return Classification.LOGICALLY_CONTEXTUAL
+    # after: state after position i -> number of completions
+    after: dict[tuple[str, ...], int] = {(): 1}
+    covered: set[tuple[ContextKey, tuple[str, ...]]] = set()
+    for i in reversed(range(n)):
+        ctxs = [ctx for ctx, _, _ in checks[i]]
+        counts = {}
+        for state, out in edges.pop().items():
+            count = 0
+            for nxt, rows in out:
+                if k := after[nxt]:
+                    count += k
+                    covered.update(zip(ctxs, rows))
+            counts[state] = count
+        after = counts
+    return after[()], covered
 
 
 def global_sections(p: PossibilisticModel) -> list[GlobalAssignment]:
@@ -184,16 +168,17 @@ def global_sections(p: PossibilisticModel) -> list[GlobalAssignment]:
     order), from ncpoly's enumerator. Raises ValueError when the frontier
     table counts more than 2**24, before any is listed, or the enumeration
     passes the incidence entry guard."""
-    plan = _Plan(p)
-    if plan.count > MAX_ASSIGNMENTS:
-        raise ValueError(f"{plan.count} global sections exceed the 2**24 listing cap")
-    if not plan.count:
+    count, _ = _frontier(p)
+    if count > MAX_ASSIGNMENTS:
+        raise ValueError(f"{count} global sections exceed the 2**24 listing cap")
+    if not count:
         return []
     sc = p.scenario
     allowed = [t in p.supports[c] for c in sc.contexts for t in sc.joint_outcomes(c)]
+    labels = tuple(o.label for o in sc.observables)
     outcomes = [o.outcomes for o in sc.observables]
     digits = _sections(*_shape(sc), allowed).T.tolist()
-    return [GlobalAssignment(plan.labels, tuple(map(getitem, outcomes, d))) for d in digits]
+    return [GlobalAssignment(labels, tuple(map(getitem, outcomes, d))) for d in digits]
 
 
 def count_global_sections(p: PossibilisticModel) -> int:
@@ -201,7 +186,7 @@ def count_global_sections(p: PossibilisticModel) -> int:
     building any section: time and memory grow with the frontier states, not
     with the count. Like every section question, raises ValueError when the
     table passes the 2**17 frontier-row budget."""
-    return _Plan(p).count
+    return _frontier(p)[0]
 
 
 def _check_seed(p: PossibilisticModel, context, outcome) -> tuple[ContextKey, tuple[str, ...]]:
@@ -223,7 +208,7 @@ def extends_to_global(
     when the frontier-state table has an edge restricting the context to the
     outcome that leads to a state which completes."""
     ctx, t = _check_seed(p, context, outcome)
-    return (ctx, t) in _Plan(p).covered()
+    return (ctx, t) in _frontier(p)[1]
 
 
 def classify(p: PossibilisticModel) -> Classification:
@@ -234,7 +219,20 @@ def classify(p: PossibilisticModel) -> Classification:
     section; LogicallyContextual when some support tuple lies on no edge
     into a completing state, that is, no section restricts to it. Sections
     are never enumerated."""
-    return _Plan(p).classification()
+    return _classify(p)[0]
+
+
+def _classify(p: PossibilisticModel) -> tuple[Classification, int]:
+    """classify(p) and count_global_sections(p) from one frontier table."""
+    count, covered = _frontier(p)
+    if not count:
+        return Classification.STRONGLY_CONTEXTUAL, count
+    # every covered event passed its context's support test, and each
+    # context is checked once, so covering as many events as the supports
+    # hold is covering them all
+    if len(covered) == sum(map(len, p.supports.values())):
+        return Classification.GLOBALLY_EXTENDABLE, count
+    return Classification.LOGICALLY_CONTEXTUAL, count
 
 
 # ------------------------------------------------------------- Liar cycles

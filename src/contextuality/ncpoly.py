@@ -75,9 +75,6 @@ class IncidenceMatrix:
         """The assignments of the columns cols, a list or a slice."""
         return [tuple(map(getitem, self.outcomes, d)) for d in self.digits.T[cols].tolist()]
 
-    def assignment(self, col: int) -> tuple[str, ...]:
-        return self.decode([col])[0]
-
     @functools.cached_property
     def assignments(self) -> tuple[tuple[str, ...], ...]:
         """Every column's assignment, built on first use only."""

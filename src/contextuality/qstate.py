@@ -324,9 +324,11 @@ def _check_exact(probs: dict, exact: dict[tuple[str, ...], Fraction]) -> None:
 
 def _sums_to_one(fracs: Iterable[Fraction]) -> bool:
     """Whether the fractions sum to exactly 1: with L the lcm of their
-    denominators, whether sum(num L / den) = L, in integers only."""
-    common = lcm(*(f.denominator for f in fracs))
-    return sum(f.numerator * (common // f.denominator) for f in fracs) == common
+    denominators, whether sum(num L / den) = L, in integers only. The
+    argument is read once, so a generator works too."""
+    ratios = [f.as_integer_ratio() for f in fracs]
+    common = lcm(*(den for _, den in ratios))
+    return sum(num * (common // den) for num, den in ratios) == common
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

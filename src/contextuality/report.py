@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from .builders import CertainImplication, _implication_triples
-from .logic import LiarCycle, _Plan, _default_seed, liar_cycles
+from .logic import LiarCycle, _classify, _default_seed, liar_cycles
 from .metacontext import (
     AssumptionSet,
     ObserverChain,
@@ -295,9 +295,8 @@ def model_report(
             "tolerance": EPS_ND,
         }
     if "logic" in sections:
-        plan = _Plan(p)
-        values["classification"] = plan.classification().value
-        values["global_sections"] = plan.count
+        classification, values["global_sections"] = _classify(p)
+        values["classification"] = classification.value
     if "sentences" in sections:
         values["sentences"] = [_impl_dict(*t) for t in _implication_triples(work)]
 

@@ -111,7 +111,7 @@ class Scenario:
         """Every joint outcome tuple of a context, in declared-outcome
         lexicographic order."""
         sets = [self.observable(l).outcomes for l in context]
-        return [tuple(t) for t in itertools.product(*sets)]
+        return list(itertools.product(*sets))
 
     def assignment_space(self) -> int:
         return math.prod(len(o.outcomes) for o in self.observables)

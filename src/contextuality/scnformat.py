@@ -550,10 +550,9 @@ class _Parser:
             basis = self._build_basis(spec, running, f"chain agent {name!r}")
             agents.append(Agent(name, basis))
             running *= basis.n_outcomes
-        try:
-            return ObserverChain(state, tuple(agents))
-        except ValueError as e:
-            raise ParseError(str(e), self.agents[0][1].line) from None
+        # agents are named once each and every basis is built at the
+        # running dimension, so ObserverChain has nothing left to reject
+        return ObserverChain(state, tuple(agents))
 
     def _finalize(self) -> ScenarioFile:
         if self.name is None:
@@ -581,9 +580,7 @@ class _Parser:
 
         state = self._build_state(dims)
         realization = chain = None
-        if self.measures:
-            if scenario is None:
-                raise ParseError("measure lines require observable declarations")
+        if self.measures:  # each names a declared observable: a scenario exists
             realization = self._build_realization(scenario, state)
         if self.agents:
             chain = self._build_chain(state)

@@ -214,6 +214,9 @@ def test_cycles_seed_errors():
     rc, _, err = call(["cycles", path, "--seed", "A_d,B_d"])
     assert rc == 2
     assert "--seed needs two arguments" in err
+    rc, _, err = call(["cycles", path, "--seed", "A_d,B_d", "-,-", "--seed", "A_d,B_d", "+,+"])
+    assert rc == 2
+    assert "--seed given twice" in err
     rc, _, err = call(["analyze", path, "--seed", "A_d,B_d", "-,-"])
     assert rc == 2
     assert "only applies to the cycles command" in err

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,8 @@ def test_global_sections_hardy(hardy_support):
     secs = global_sections(hardy_support)
     assert [s.values for s in secs] == HARDY_SECTIONS
     assert secs[0].labels == ("A_c", "A_d", "B_c", "B_d")
+    assert secs[-1]["A_d"] == "-" and secs[-1]["B_d"] == "+"
+    assert secs[-1].as_dict() == {"A_c": "1", "A_d": "-", "B_c": "1", "B_d": "+"}
 
 
 def test_global_sections_match_oracle_on_random_supports():
@@ -215,6 +218,8 @@ def test_even_cycles_have_two_sections(n):
 def test_cycle_model_rejects_small_n():
     with pytest.raises(ValueError, match="n >= 3"):
         cycle_model(2, "odd")
+    with pytest.raises(ValueError, match="parity must be 'odd' or 'even', got 'weird'"):
+        cycle_model(5, "weird")
 
 
 def test_cycle_empirical_model_tables():
@@ -237,6 +242,18 @@ def test_hardy_liar_cycle_exact_chain(hardy_support):
     )
     assert cycle.contradiction == ("B_d", "-", "+")
     assert cycle.verify(hardy_support)
+    # each broken part alone fails the check: a seed the support forbids, a
+    # step that does not hold (B_c = 1 forces A_c = 1), a premise that is
+    # not the previous conclusion, and a contradiction forcing the value it
+    # names as established
+    first, second, third = cycle.steps
+    broken = [
+        replace(cycle, seed=(("A_d", "B_c"), ("-", "0"))),
+        replace(cycle, steps=(first, replace(second, conclusion=("A_c", "0")), third)),
+        replace(cycle, steps=(first, second, first)),
+        replace(cycle, contradiction=("B_d", "+", "+")),
+    ]
+    assert [c.verify(hardy_support) for c in broken] == [False] * 4
 
 
 def test_hardy_extendable_seed_has_no_cycle(hardy_support):
@@ -295,6 +312,8 @@ def test_even_cycle_has_no_liar_chain():
 def test_liar_seed_must_be_possible(hardy_support):
     with pytest.raises(ValueError, match="not possible"):
         liar_cycles(hardy_support, (("A_c", "B_c"), ("0", "1")))
+    with pytest.raises(ValueError, match="does not fit context"):
+        liar_cycles(hardy_support, (("A_c", "B_c"), ("0",)))
 
 
 def test_liar_cycles_cross_validates_with_extension_on_builtins(hardy_support):

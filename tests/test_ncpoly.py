@@ -271,7 +271,7 @@ def test_the_entry_guard_is_the_incidence_limit():
     rng = np.random.default_rng(13)
     for col in [0, 3**n - 1, *rng.integers(0, 3**n, size=20).tolist()]:
         hit = [inc.rows[r] for r in np.flatnonzero(inc.matrix[:, col])]
-        assert hit == [((f"X{i}",), (v,)) for i, v in enumerate(inc.assignment(col))]
+        assert hit == [((f"X{i}",), (v,)) for i, v in enumerate(inc.decode([col])[0])]
 
 
 # -------------------------------------------------------------- simplex
@@ -471,6 +471,11 @@ def test_strongly_contextual_cycle_has_zero_fraction():
     assert res.ncf == 0.0
     assert res.cf == 1.0
     assert res.witness == {}
+    # the same PR box with float tables only: no exact answer to give
+    m = cycle_empirical_model(3, "odd")
+    floats = {c: Distribution(dict(t.items())) for c, t in m.tables.items()}
+    res = contextual_fraction(EmpiricalModel(m.scenario, floats))
+    assert (res.ncf, res.cf, res.witness, res.ncf_exact) == (0.0, 1.0, {}, None)
 
 
 def test_extendable_cycle_has_full_fraction():
@@ -869,14 +874,14 @@ def _first_rows(inc: IncidenceMatrix) -> int:
 def _slack_repair(m: EmpiricalModel):
     """The exact routine handed the slack basis, which is never dual
     feasible (every assignment column has reduced cost 1), so that it
-    starts from _context_basis; its witness decoded by assignment."""
+    starts from _context_basis; its witness decoded column by column."""
     inc = incidence(m.scenario)
     p = tuple(m.tables[ctx].exact[tup] for ctx, tup in inc.rows)
     nrows, n = inc.matrix.shape
     value, weights = ncpoly._exact_optimum(
         inc.matrix, _first_rows(inc), p, tuple(range(n, n + nrows)), np.eye(nrows)
     )
-    return value, {inc.assignment(j): w for j, w in weights.items()}
+    return value, {inc.decode([j])[0]: w for j, w in weights.items()}
 
 
 def _assert_exactly_feasible(m: EmpiricalModel, witness) -> None:
@@ -1353,7 +1358,7 @@ def test_exact_routine_is_independent_of_the_column_order(n):
         assert value == min(Fraction(1), n * (1 - v) / 2), (n, v)
         assert list(weights) == sorted(weights)
         assert sum(weights.values()) == value
-        witness = {inc.assignment(int(perm[j])): w for j, w in weights.items()}
+        witness = {inc.decode([int(perm[j])])[0]: w for j, w in weights.items()}
         assert len(witness) == len(weights)
         _assert_exactly_feasible(m, witness)
 
@@ -1746,7 +1751,7 @@ def test_incidence_decodes_columns_without_the_assignment_tuple():
     )
     inc = incidence(sc)
     assert inc.outcomes == (("a0", "a1"), ("b0", "b1", "b2"), ("c0", "c1", "c2", "c3"))
-    decoded = [inc.assignment(j) for j in range(inc.matrix.shape[1])]
+    decoded = [inc.decode([j])[0] for j in range(inc.matrix.shape[1])]
     assert "assignments" not in inc.__dict__
     assert decoded == list(inc.assignments)
     assert inc.assignments is inc.assignments  # built once, then cached
@@ -1789,4 +1794,4 @@ def test_contextual_fraction_builds_no_assignment_tuple(monkeypatch):
     for m, A in zip(models, programs):
         inc = incidence(m.scenario)
         assert A.tolist() == inc.matrix.tolist()
-        assert all(inc.assignment(j) == a for j, a in enumerate(inc.assignments))
+        assert all(inc.decode([j])[0] == a for j, a in enumerate(inc.assignments))

@@ -7,6 +7,8 @@ direct-summation oracles recomputed inline (see _born_bruteforce).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from contextuality.qstate import (
     premeasure,
     project,
     tensor,
+    _sums_to_one,
 )
 
 S3 = 1.0 / np.sqrt(3.0)
@@ -412,3 +415,12 @@ def test_distribution_rejects_negative():
 def test_distribution_rejects_bad_total():
     with pytest.raises(ValueError, match="sum"):
         Distribution({("a",): 0.6, ("b",): 0.6})
+
+
+def test_sums_to_one_reads_a_generator_once():
+    """The exact-sum test reads its argument in one pass, so a generator
+    summing to 1 is accepted and one summing to 1/2 is not."""
+    thirds = [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]
+    assert _sums_to_one(q for q in thirds)
+    assert not _sums_to_one(q / 2 for q in thirds)
+    assert _sums_to_one(iter([Fraction(1)]))

@@ -249,6 +249,8 @@ def test_syntax_and_reference_errors():
         ("scenario s\nobservable X outcomes 0 1\nobservable Y outcomes 0 1\n"
          "context X\ncontext Y\ntable X\n  0 1\n  1 0\n",
          "missing table for context (Y)", None, None),
+        ("scenario s\nobservable X outcomes 0 1\ncontext X\ntable\n",
+         "table needs a context index or its labels", 4, 1),
     ]
     for text, fragment, line, col in cases:
         expect_error(text, fragment, line, col)
@@ -336,6 +338,15 @@ def test_state_and_measure_errors():
          "expected 'amp", 5),
         (head + st + "chain F basis computational\nchain F basis computational\n",
          "duplicate chain agent 'F'", 7),
+        (head + st + "measure X site 0 basis\n", "basis needs a kind", 6),
+        (head + st + "measure X\n", "expected 'measure <observable> site <k> basis ...'", 6),
+        (head + st + "measure X site basis computational labels 0 1\n",
+         "measure needs at least one site index", 6),
+        (head + st + "measure X site 0 basis diagonal labels a b c\n",
+         "diagonal basis needs 2 labels, got 3", 6),
+        ("scenario s\nobservable X outcomes 0 1 2 3\ncontext X\n" + st
+         + "measure X sites 0 0 basis computational labels 0 1 2 3\n",
+         "recipe repeats a site: (0, 0)", 6),
     ]
     for text, fragment, line in cases:
         expect_error(text, fragment, line)
