@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import getitem, itemgetter
-from typing import Callable, Sequence
+from typing import AbstractSet as Set, Callable, Sequence
 
 from .ncpoly import _sections, _shape
 from .qstate import Distribution
@@ -29,6 +29,8 @@ MAX_ASSIGNMENTS = 2**24
 # rows (state, value) of the frontier table, about 1.5 KB each: 16 binary
 # observables with all pairs fully supported build 131,070 in 1.2 s, 190 MB
 MAX_FRONTIER_ROWS = 2**17
+
+Event = tuple[ContextKey, tuple[str, ...]]  # (context, outcome tuple)
 
 __all__ = [
     "MAX_ASSIGNMENTS",
@@ -78,7 +80,7 @@ def _projection(js: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(slice(js[0], js[0] + 1) if js else slice(0, 0))
 
 
-def _frontier(p: PossibilisticModel) -> tuple[int, set[tuple[ContextKey, tuple[str, ...]]]]:
+def _frontier(p: PossibilisticModel) -> tuple[int, set[Event]]:
     """The number of global sections of one support and the (context, tuple)
     events some global section restricts to, from one table over frontier
     states built layer by layer without recursion; nothing of it is kept.
@@ -147,7 +149,7 @@ def _frontier(p: PossibilisticModel) -> tuple[int, set[tuple[ContextKey, tuple[s
 
     # after: state after position i -> number of completions
     after: dict[tuple[str, ...], int] = {(): 1}
-    covered: set[tuple[ContextKey, tuple[str, ...]]] = set()
+    covered: set[Event] = set()
     for i in reversed(range(n)):
         ctxs = [ctx for ctx, _, _ in checks[i]]
         counts = {}
@@ -189,7 +191,7 @@ def count_global_sections(p: PossibilisticModel) -> int:
     return _frontier(p)[0]
 
 
-def _check_seed(p: PossibilisticModel, context, outcome) -> tuple[ContextKey, tuple[str, ...]]:
+def _check_seed(p: PossibilisticModel, context, outcome) -> Event:
     ctx = tuple(str(l) for l in context)
     t = tuple(str(v) for v in outcome)
     if ctx not in p.supports:
@@ -222,17 +224,18 @@ def classify(p: PossibilisticModel) -> Classification:
     return _classify(p)[0]
 
 
-def _classify(p: PossibilisticModel) -> tuple[Classification, int]:
-    """classify(p) and count_global_sections(p) from one frontier table."""
+def _classify(p: PossibilisticModel) -> tuple[Classification, int, set[Event]]:
+    """classify(p), count_global_sections(p) and the events some global
+    section restricts to, from one frontier table."""
     count, covered = _frontier(p)
     if not count:
-        return Classification.STRONGLY_CONTEXTUAL, count
+        return Classification.STRONGLY_CONTEXTUAL, count, covered
     # every covered event passed its context's support test, and each
     # context is checked once, so covering as many events as the supports
     # hold is covering them all
     if len(covered) == sum(map(len, p.supports.values())):
-        return Classification.GLOBALLY_EXTENDABLE, count
-    return Classification.LOGICALLY_CONTEXTUAL, count
+        return Classification.GLOBALLY_EXTENDABLE, count, covered
+    return Classification.LOGICALLY_CONTEXTUAL, count, covered
 
 
 # ------------------------------------------------------------- Liar cycles
@@ -261,7 +264,7 @@ class LiarCycle:
     assigns some observable a value conflicting with the seed or with an
     earlier step of the same chain."""
 
-    seed: tuple[ContextKey, tuple[str, ...]]
+    seed: Event
     steps: tuple[ImplicationStep, ...]
     contradiction: tuple[str, str, str]  # observable, established, forced
 
@@ -425,18 +428,24 @@ class _LiarSearch:
         return None
 
 
-def _default_seed(p: PossibilisticModel) -> LiarCycle | None:
+def _default_seed(p: PossibilisticModel, covered: Set[Event] = frozenset()) -> LiarCycle | None:
     """Liar cycle of the first possible event, in declared context and
     outcome order, whose liar_cycles is not None; None when there is none.
 
-    Only candidates that can close a cycle are searched. A contradiction
-    needs two values of one observable in the candidate's implication
-    closure, so a candidate whose closure takes one value per observable is
-    skipped without a search. Such a closure is remembered: it is closed
-    under forced values, so the closure of any later candidate whose nodes
-    all lie in it lies in it too, and that candidate is skipped without any
-    work. A candidate whose closure does hold a conflict is searched, and
-    may still yield None when no single chain reaches the conflict."""
+    Only candidates that can close a cycle are searched. An event that a
+    global section g extends closes none: g lies in every context's support,
+    so it takes each value the event forces, and by induction every value
+    forced from those, so no chain forces a value clashing with g. The
+    candidates in `covered`, the events `_frontier` found extended (the
+    report's logic section has them at hand), are skipped before any
+    closure. Of the rest, a contradiction needs two values of one observable in the
+    candidate's implication closure, so a candidate whose closure takes one
+    value per observable is skipped without a search. Such a closure is
+    remembered: it is closed under forced values, so the closure of any
+    later candidate whose nodes all lie in it lies in it too, and that
+    candidate is skipped without any work. A candidate whose closure does
+    hold a conflict is searched, and may still yield None when no single
+    chain reaches the conflict."""
     search = _LiarSearch(p)
     sc = p.scenario
     # node -> the conflict-free closures found so far that hold it
@@ -444,7 +453,7 @@ def _default_seed(p: PossibilisticModel) -> LiarCycle | None:
     for ctx in sc.contexts:
         support = p.supports[ctx]
         for t in sc.joint_outcomes(ctx):
-            if t not in support:
+            if t not in support or (ctx, t) in covered:
                 continue
             nodes = tuple(zip(ctx, t))
             if any(held.issuperset(nodes) for held in safe.get(nodes[0], ())):

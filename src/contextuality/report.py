@@ -294,8 +294,9 @@ def model_report(
             "pass": bool(violation <= EPS_ND),
             "tolerance": EPS_ND,
         }
+    covered = frozenset()
     if "logic" in sections:
-        classification, values["global_sections"] = _classify(p)
+        classification, values["global_sections"], covered = _classify(p)
         values["classification"] = classification.value
     if "sentences" in sections:
         values["sentences"] = [_impl_dict(*t) for t in _implication_triples(work)]
@@ -303,7 +304,7 @@ def model_report(
     cycle = None
     if "cycle" in sections or "claims" in sections:
         if seed is None:
-            cycle = _default_seed(p)
+            cycle = _default_seed(p, covered)
         else:
             chosen = (tuple(seed[0]), tuple(seed[1]))
             cycle = liar_cycles(p, chosen)

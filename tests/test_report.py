@@ -353,6 +353,59 @@ def test_default_seed_search_runs_once_per_candidate(monkeypatch):
     assert len(d["liar_cycle"]["steps"]) == n - 1
 
 
+@pytest.mark.parametrize(
+    "model,searched",
+    [
+        (_binary_cycle(12, lambda k, eq: Fraction(1, 4)), None),
+        (corpus_model("cycle_4_even"), None),
+        (
+            _binary_cycle(
+                9, lambda k, eq: Fraction(1, 4) if k == 8 else Fraction(int(eq), 2)
+            ),
+            17,
+        ),
+    ],
+    ids=["full_support_12", "cycle_4_even", "hardy_like_9"],
+)
+def test_logic_section_prunes_the_default_seed_scan(monkeypatch, model, searched):
+    """With the logic section, the default-seed scan skips every event that
+    some global section extends, before its closure: a full-support 12-cycle
+    and the even 4-cycle, where every event is extended, compute no closure
+    and run no search; the Hardy-like 9-cycle computes one closure and runs
+    one search, both for its 18th candidate (index 17), the first unequal
+    closing event. The cycle is the one the unpruned scan of
+    sections={"cycle"} finds."""
+    unpruned = model_report(model, "m", sections=frozenset({"cycle"})).as_dict()
+    calls = []
+    closure, run = logic._LiarSearch.closure, logic._LiarSearch.run
+
+    def counted_closure(self, nodes):
+        calls.append(("closure", tuple(nodes)))
+        return closure(self, nodes)
+
+    def counted_run(self, seed):
+        calls.append(("run", tuple(zip(*seed))))
+        return run(self, seed)
+
+    monkeypatch.setattr(logic._LiarSearch, "closure", counted_closure)
+    monkeypatch.setattr(logic._LiarSearch, "run", counted_run)
+    d = model_report(model, "m", sections=frozenset({"logic", "cycle"})).as_dict()
+    assert d["liar_cycle"] == unpruned["liar_cycle"]
+    if searched is None:
+        assert calls == []
+        assert d["liar_cycle"] is None
+        return
+    sc = model.scenario
+    candidates = [
+        tuple(zip(ctx, t))
+        for ctx in sc.contexts
+        for t in sc.joint_outcomes(ctx)
+        if model.tables[ctx].exact[t] > 0
+    ]
+    assert calls == [("closure", candidates[searched]), ("run", candidates[searched])]
+    assert d["liar_cycle"] is not None
+
+
 def test_scenario_report():
     scn = parse_file(corpus_text("hardy")).scenario
     d = scenario_report(scn, "bare").as_dict()
